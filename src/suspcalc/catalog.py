@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from sympy import factorint
 
@@ -434,10 +433,6 @@ def _pontryagin_coeff(x: ElementaryComplex) -> int | None:
     if x.kind == CHANG_R and x.n == 2:
         return 1
     return None
-
-
-def suspension_profile_shift(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    return tuple((r, k + 1) for r, k in pairs)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,42 @@ class OmittedCase(ValueError):
     classification declines this case ("We omit the discussion")."""
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a number", type(None): "null"}
+
+
+def json_fields(data, where: str, required: tuple[str, ...],
+                optional: tuple[str, ...] = ()) -> dict:
+    """``data`` itself, once it is an object holding every ``required``
+    field and no field outside ``required`` and ``optional``."""
+    if type(data) is not dict:
+        raise InvalidInvariants(f"{where} must be an object, not {_json_type(data)}")
+    unknown = set(data).difference(required, optional)
+    if unknown:
+        raise InvalidInvariants(f"unknown field {min(unknown)!r} in {where}")
+    for key in required:
+        if key not in data:
+            raise InvalidInvariants(f"missing field {key!r} in {where}")
+    return data
+
+
+def json_value(data: dict, key: str, kind: type, where: str, default=None):
+    """``data[key]`` when its type is exactly ``kind`` (so ``true`` is no
+    integer and ``1.0`` is none either), ``default`` when it is absent."""
+    if key not in data:
+        return default
+    value = data[key]
+    if type(value) is not kind:
+        raise InvalidInvariants(
+            f"{key!r} in {where} must be {_JSON_TYPES[kind]}, not {_json_type(value)}"
+        )
+    return value
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 THETA_TRIVIAL = "trivial"
 THETA_NONTRIVIAL = "nontrivial"
 
@@ -121,7 +157,7 @@ class ManifoldInvariants:
         if not self.torsion.is_torsion:
             raise InvalidInvariants("torsion group must have free rank 0")
         n = len(self.two_exponents)
-        if self.theta.nontrivial and not 1 <= self.theta.j0 <= max(n, 0):
+        if self.theta.nontrivial and not 1 <= self.theta.j0 <= n:
             raise InvalidInvariants(f"theta index j0 must lie in 1..{n}")
         if self.spin and self.sq2_case.case != SQ2_NOT_APPLICABLE:
             raise InvalidInvariants("spin manifolds take sq2_case not_applicable")
@@ -179,21 +215,37 @@ class ManifoldInvariants:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ManifoldInvariants":
-        torsion = FgAbelianGroup.from_json_dict({"torsion": data.get("torsion", [])})
-        theta_data = data.get("theta", {"action": THETA_TRIVIAL})
-        theta = ThetaAction(theta_data["action"], theta_data.get("j0"))
-        sq2_data = data.get("sq2_case", {"case": SQ2_NOT_APPLICABLE})
-        index = sq2_data.get("j1", sq2_data.get("j2"))
-        sq2 = Sq2Case(sq2_data["case"], index)
+        """Parse a JSON descriptor: the one check of its shape and types.
+
+        Ranges and enums are checked by the records built from it.
+        """
+        required = ("m", "d", "spin", "theta", "sq2_case", "postnikov_trivial")
+        json_fields(data, "descriptor", required, ("label", "torsion"))
+        items = json_value(data, "torsion", list, "descriptor", [])
+        for i, item in enumerate(items):
+            where = f"torsion[{i}]"
+            json_fields(item, where, ("prime", "exponent"), ("multiplicity",))
+            for key in item:
+                json_value(item, key, int, where)
+        theta_data = json_fields(data["theta"], "theta", ("action",), ("j0",))
+        theta = ThetaAction(
+            json_value(theta_data, "action", str, "theta"),
+            json_value(theta_data, "j0", int, "theta"),
+        )
+        sq2_data = json_fields(data["sq2_case"], "sq2_case", ("case",), ("j1", "j2"))
+        case = json_value(sq2_data, "case", str, "sq2_case")
+        key, stray = ("j1", "j2") if case == SQ2_CASE_B else ("j2", "j1")
+        if stray in sq2_data:
+            raise InvalidInvariants(f"sq2_case {case!r} takes no {stray}")
         return cls(
-            m=data["m"],
-            d=data["d"],
-            torsion=torsion,
-            spin=data["spin"],
+            m=json_value(data, "m", int, "descriptor"),
+            d=json_value(data, "d", int, "descriptor"),
+            torsion=FgAbelianGroup.from_json_dict({"torsion": items}),
+            spin=json_value(data, "spin", bool, "descriptor"),
             theta=theta,
-            sq2_case=sq2,
-            postnikov_trivial=data["postnikov_trivial"],
-            label=data.get("label"),
+            sq2_case=Sq2Case(case, json_value(sq2_data, key, int, "sq2_case")),
+            postnikov_trivial=json_value(data, "postnikov_trivial", bool, "descriptor"),
+            label=json_value(data, "label", str, "descriptor"),
         )
 
 

@@ -2,7 +2,7 @@
 normalize map vectors, and dump the catalog tables.
 
 Exit codes: 0 success, 1 failed validation checks, 2 malformed input
-(JSON, schema, or inconsistent invariants), 3 the declined case
+(JSON, descriptor shape, or inconsistent invariants), 3 the declined case
 (non-spin with nontrivial secondary-operation action).
 """
 
@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import jsonschema
 
 from . import catalog, ehp, normalizer
 from .catalog import (
@@ -43,52 +41,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_OMITTED = 3
 
-DESCRIPTOR_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["m", "d", "spin", "theta", "sq2_case", "postnikov_trivial"],
-    "properties": {
-        "label": {"type": "string"},
-        "m": {"type": "integer", "minimum": 0},
-        "d": {"type": "integer", "minimum": 0},
-        "torsion": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["prime", "exponent"],
-                "properties": {
-                    "prime": {"type": "integer", "minimum": 2},
-                    "exponent": {"type": "integer", "minimum": 1},
-                    "multiplicity": {"type": "integer", "minimum": 1},
-                },
-            },
-        },
-        "spin": {"type": "boolean"},
-        "theta": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["action"],
-            "properties": {
-                "action": {"enum": ["trivial", "nontrivial"]},
-                "j0": {"type": "integer", "minimum": 1},
-            },
-        },
-        "sq2_case": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["case"],
-            "properties": {
-                "case": {"enum": ["not_applicable", "A", "B", "C"]},
-                "j1": {"type": "integer", "minimum": 1},
-                "j2": {"type": "integer", "minimum": 1},
-            },
-        },
-        "postnikov_trivial": {"type": "boolean"},
-    },
-}
-
-
 class InputError(ValueError):
     pass
 
@@ -110,12 +62,8 @@ def load_descriptors(data) -> list[ManifoldInvariants]:
     out = []
     for i, item in enumerate(items):
         try:
-            jsonschema.validate(item, DESCRIPTOR_SCHEMA)
-        except jsonschema.ValidationError as err:
-            raise InputError(f"descriptor {i}: {err.message}") from None
-        try:
             out.append(ManifoldInvariants.from_json_dict(item))
-        except (InvalidInvariants, ValueError) as err:
+        except ValueError as err:
             raise InputError(f"descriptor {i}: {err}") from None
     return out
 
@@ -150,8 +98,8 @@ def run_classify(args) -> int:
             }
         if not args.stages:
             payload.pop("stages", None)
+        checks = validate_roundtrip(inv, report) if args.validate else []
         if args.validate:
-            checks = validate_roundtrip(inv, report)
             payload["checks"] = [
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
             ]
@@ -172,8 +120,7 @@ def run_classify(args) -> int:
             lines.append(f"  W3 ~ {stages['W3']}")
             lines.append(f"  W4 ~ {w4}")
             lines.append(f"  Sigma W4 ~ {stages['SigmaW4']}")
-        if args.validate:
-            lines.extend(f"  {c}" for c in validate_roundtrip(inv, report))
+        lines.extend(f"  {c}" for c in checks)
         lines.append("")
 
     _emit(payloads[0] if single else payloads, args.json, lines[:-1])
@@ -209,7 +156,7 @@ def run_cohomotopy(args) -> int:
         pi5_2 = ehp.pi5_double_suspension(report)
         pi5_1 = ehp.pi5_suspension(report)
         coker = ehp.coker_H2(report)
-        verdict = ehp.is_E_surjective(inv)
+        verdict = ehp.is_E_surjective(report)
         rules = []
         for summand in report.sigma2:
             try:

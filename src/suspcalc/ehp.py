@@ -245,13 +245,14 @@ _E_RULES = {
 }
 
 
-def is_E_surjective(inv: ManifoldInvariants) -> ESurjectivity:
-    """Surjectivity of E: degree-2 cohomotopy -> [Sigma M, S^3].
+def is_E_surjective(x: "ManifoldInvariants | DecompositionReport") -> ESurjectivity:
+    """Surjectivity of E: degree-2 cohomotopy -> [Sigma M, S^3], from the
+    invariants or from their decomposition report.
 
     All resolved branches force H_1 = 0, hence surjectivity by exactness;
     without the Postnikov hypothesis the verdict stays open.
     """
-    report = classify_double_suspension(inv)
+    report = classify_double_suspension(x) if isinstance(x, ManifoldInvariants) else x
     if isinstance(report.sigma, Unresolved):
         return ESurjectivity(
             None,

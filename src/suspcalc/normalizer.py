@@ -48,6 +48,7 @@ from .catalog import (
     parse_complex,
     sphere,
 )
+from .classifier import json_fields, json_value
 
 
 class NotComposable(ValueError):
@@ -211,10 +212,6 @@ class MapClass:
         return " + ".join(parts)
 
 
-def unit_class(source, target, generator: str) -> MapClass:
-    return MapClass.of(source, target, {generator: 1})
-
-
 # --------------------------------------------------------------------------
 # generator symbols and the relation engine
 # --------------------------------------------------------------------------
@@ -290,14 +287,6 @@ class GeneratorSymbol:
         return f"{self.name}: {self.source} -> {self.target}"
 
 
-def sym_iota(n: int) -> GeneratorSymbol:
-    return GeneratorSymbol(T_DEG, sphere(n), sphere(n), 1)
-
-
-def sym_deg(n: int, k: int) -> GeneratorSymbol:
-    return GeneratorSymbol(T_DEG, sphere(n), sphere(n), k)
-
-
 def sym_eta(n: int) -> GeneratorSymbol:
     """eta: S^(n+1) -> S^n."""
     return GeneratorSymbol(T_ETA, sphere(n + 1), sphere(n))
@@ -311,11 +300,6 @@ def sym_eta2(n: int) -> GeneratorSymbol:
 def sym_incl(nM: int, order: int) -> GeneratorSymbol:
     """i: S^(nM-1) -> P^nM(order)."""
     return GeneratorSymbol(T_INCL, sphere(nM - 1), moore(nM, order))
-
-
-def sym_incl_eta(nM: int, order: int) -> GeneratorSymbol:
-    """i eta: S^nM -> P^nM(order)."""
-    return GeneratorSymbol(T_INCL_ETA, sphere(nM), moore(nM, order))
 
 
 def sym_eta_tilde(nM: int, r: int) -> GeneratorSymbol:
@@ -499,7 +483,6 @@ def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
         r = _moore_exponent(right.source)
         s = _moore_exponent(right.target)
         factor = 2 ** (r - s) if r >= s else 1
-        out = maps_group(right.source, left.target)
         name = f"q_{right.source.n}" if left.kind == T_PINCH else f"eta q_{right.source.n}"
         return MapClass.of(right.source, left.target, {name: factor})
     raise NotComposable(f"no relation stored for {left.name} . {right.name}")
@@ -568,12 +551,19 @@ class MapVector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MapVector":
-        source = parse_complex(data["source"])
-        components = [
-            (parse_complex(item["target"]), dict(item.get("coefficients", {})))
-            for item in data["entries"]
-        ]
-        return cls.of(source, components, bool(data.get("theta_remainder", False)))
+        json_fields(data, "vector", ("source", "entries"), ("theta_remainder",))
+        source = parse_complex(json_value(data, "source", str, "vector"))
+        components = []
+        for i, item in enumerate(json_value(data, "entries", list, "vector")):
+            where = f"entries[{i}]"
+            json_fields(item, where, ("target",), ("coefficients",))
+            coefficients = json_value(item, "coefficients", dict, where, {})
+            for name in coefficients:
+                json_value(coefficients, name, int, f"{where}.coefficients")
+            target = parse_complex(json_value(item, "target", str, where))
+            components.append((target, coefficients))
+        theta_remainder = json_value(data, "theta_remainder", bool, "vector", False)
+        return cls.of(source, components, theta_remainder)
 
 
 @dataclass(frozen=True)

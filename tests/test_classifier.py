@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -233,6 +234,13 @@ def test_invalid_indices():
 # --------------------------------------------------------------------------
 # randomized properties
 # --------------------------------------------------------------------------
+
+def test_descriptor_json_roundtrip_randomized(rng):
+    for i in range(200):
+        inv = dataclasses.replace(random_invariants(rng), label=f"r{i}" if i % 2 else None)
+        data = json.loads(json.dumps(inv.to_json_dict()))
+        assert ManifoldInvariants.from_json_dict(data) == inv
+
 
 def test_homology_roundtrip_randomized(rng):
     for _ in range(150):

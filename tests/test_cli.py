@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import suspcalc
 from suspcalc.catalog import parse_wedge
 from suspcalc.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_OMITTED, main
 
@@ -81,12 +86,46 @@ def test_classify_malformed_json(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
 
 
-def test_classify_unknown_field_rejected(tmp_path, capsys):
-    descriptor = dict(SPIN_DESCRIPTOR, surprise=1)
+def spin_with(**changes):
+    return dict(SPIN_DESCRIPTOR, **changes)
+
+
+def nonspin_case_b(**indices):
+    return spin_with(spin=False, sq2_case={"case": "B", **indices})
+
+
+@pytest.mark.parametrize(
+    "descriptor, culprit",
+    [
+        pytest.param(spin_with(surprise=1), "surprise", id="unknown-field"),
+        pytest.param(spin_with(m=1.0), "'m'", id="float-m"),
+        pytest.param(spin_with(torsion=[{"prime": 2, "exponent": 2.0}]), "exponent",
+                     id="float-exponent"),
+        pytest.param(spin_with(torsion=[{"prime": 2, "exponent": 1, "multiplicity": 2.0}]),
+                     "multiplicity", id="float-multiplicity"),
+        pytest.param(spin_with(m=True), "'m'", id="boolean-m"),
+        pytest.param(spin_with(spin=1), "spin", id="integer-spin"),
+        pytest.param(spin_with(label=None), "label", id="null-label"),
+        pytest.param(spin_with(theta={"action": "trivial", "j9": 1}), "j9",
+                     id="unknown-theta-field"),
+        pytest.param(spin_with(sq2_case={"case": "not_applicable", "j9": 1}), "j9",
+                     id="unknown-sq2-field"),
+        pytest.param(spin_with(torsion=[{"prime": 2, "exponent": 1, "order": 2}]), "order",
+                     id="unknown-torsion-field"),
+        pytest.param({k: v for k, v in SPIN_DESCRIPTOR.items() if k != "spin"}, "spin",
+                     id="missing-spin"),
+        pytest.param(nonspin_case_b(j2=1), "j2", id="case-b-with-j2"),
+        pytest.param(nonspin_case_b(j1=1, j2=1), "j2", id="case-b-with-j1-and-j2"),
+        pytest.param([SPIN_DESCRIPTOR, 7], "descriptor 1", id="non-object-batch-item"),
+    ],
+)
+def test_classify_malformed_descriptor_rejected(tmp_path, capsys, descriptor, culprit):
     path = write(tmp_path, "d.json", descriptor)
-    code, _, err = run_cli(["classify", path], tmp_path, capsys)
+    code, out, err = run_cli(["classify", path], tmp_path, capsys)
     assert code == EXIT_BAD_INPUT
-    assert "surprise" in err
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert culprit in err
 
 
 def test_classify_semantic_violation_rejected(tmp_path, capsys):
@@ -194,11 +233,28 @@ def test_normalize_command(tmp_path, capsys):
     assert payload["normal_form"]["entries"][0]["coefficients"] == {}
 
 
-def test_normalize_rejects_unknown_generator(tmp_path, capsys):
-    vector = {"source": "S^5", "entries": [{"target": "S^4", "coefficients": {"zeta": 1}}]}
+def s5_to_s4(coefficients, source="S^5", target="S^4"):
+    return {"source": source, "entries": [{"target": target, "coefficients": coefficients}]}
+
+
+@pytest.mark.parametrize(
+    "vector, culprit",
+    [
+        pytest.param(s5_to_s4({"zeta": 1}), "zeta", id="unknown-generator"),
+        pytest.param([1, 2], "vector", id="not-an-object"),
+        pytest.param(s5_to_s4({"eta": "1"}), "eta", id="string-coefficient"),
+        pytest.param(s5_to_s4({"eta": 1.5}), "eta", id="float-coefficient"),
+        pytest.param(s5_to_s4({"eta": 1}, source=5), "source", id="non-string-source"),
+        pytest.param(s5_to_s4({"eta": 1}, target=["S^4"]), "target", id="non-string-target"),
+    ],
+)
+def test_normalize_rejects_unknown_generator(tmp_path, capsys, vector, culprit):
     path = write(tmp_path, "v.json", vector)
-    code, _, _ = run_cli(["normalize", path], tmp_path, capsys)
+    code, out, err = run_cli(["normalize", path], tmp_path, capsys)
     assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert culprit in err
 
 
 # --------------------------------------------------------------------------
@@ -234,3 +290,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["maps_groups"]
+
+
+def test_cli_imports_without_jsonschema():
+    src = str(Path(suspcalc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, suspcalc.cli; print('jsonschema' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -255,6 +255,8 @@ def test_e_surjective_cases():
     assert is_E_surjective(inv_b).surjective is True
     unknown = is_E_surjective(invariants(1, 1, (2,), postnikov=False))
     assert unknown.surjective is None
+    for inv in (invariants(1, 1, (2,)), inv_b, invariants(1, 1, (2,), postnikov=False)):
+        assert is_E_surjective(classify_double_suspension(inv)) == is_E_surjective(inv)
 
 
 def test_e_surjective_on_every_postnikov_trivial_branch(rng):
