@@ -153,6 +153,14 @@ class FgAbelianGroup:
             free_ring=ring,
         )
 
+    def times(self, k: int) -> "FgAbelianGroup":
+        """The direct sum of k copies.
+
+        >>> print(FgAbelianGroup.of_orders(0, 2).times(2))
+        Z^2 + Z/2 + Z/2
+        """
+        return FgAbelianGroup(k * self.free_rank, k * self.torsion, self.free_ring)
+
     def two_primary(self) -> "FgAbelianGroup":
         """The 2-primary subgroup (free rank discarded).
 

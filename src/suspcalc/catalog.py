@@ -14,15 +14,19 @@ Z_(2) and odd-primary torsion maps to zero.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 from sympy import factorint
 
 from .abelian import (
     RING_Z2LOCAL,
+    CyclicFactor,
     FgAbelianGroup,
     NotTorsion,
-    ZERO_GROUP,
 )
 
 SPHERE = "sphere"
@@ -190,54 +194,110 @@ def a_2r_eta2(n: int, r: int) -> ElementaryComplex:
     return ElementaryComplex(A_2R_ETA2, n, r=r)
 
 
-@dataclass(frozen=True)
-class WedgeComplex:
-    """A finite multiset of elementary complexes; empty means the point."""
+class _Copies:
+    """Per-copy view of a wedge's summands: each distinct summand repeated
+    by its multiplicity, in canonical order."""
 
-    summands: tuple[ElementaryComplex, ...] = ()
+    __slots__ = ("_pairs",)
+
+    def __init__(self, pairs: tuple[tuple[ElementaryComplex, int], ...]):
+        self._pairs = pairs
+
+    def __len__(self) -> int:
+        return sum(k for _, k in self._pairs)
+
+    def __iter__(self) -> Iterator[ElementaryComplex]:
+        return chain.from_iterable(repeat(x, k) for x, k in self._pairs)
+
+
+@dataclass(frozen=True, init=False)
+class WedgeComplex:
+    """A finite multiset of elementary complexes; empty means the point.
+
+    It is held as ``pairs``: one ``(summand, multiplicity)`` pair per
+    distinct summand, in canonical order, so that its size and the cost
+    of every operation on it follow the number of distinct summands, not
+    of copies.  ``WedgeComplex(summands)`` takes the summands copy by
+    copy, ``counts`` takes ``(summand, multiplicity)`` pairs; both may be
+    given and are merged.
+
+    >>> w = WedgeComplex.of(sphere(3), moore(4, 2)).wedge(sphere(3))
+    >>> len(w.pairs), w.count(sphere(3)), len(w.summands)
+    (2, 2, 3)
+    >>> print(w)
+    S^3 v S^3 v P^4(2)
+    """
+
+    pairs: tuple[tuple[ElementaryComplex, int], ...]
+
+    def __init__(
+        self,
+        summands: Iterable[ElementaryComplex] = (),
+        counts: Iterable[tuple[ElementaryComplex, int]] = (),
+    ):
+        copies = Counter(summands).items() if summands else ()
+        object.__setattr__(self, "pairs", (*copies, *counts))
+        self.__post_init__()
 
     def __post_init__(self):
+        merged: dict[ElementaryComplex, int] = {}
+        for x, k in self.pairs:
+            if k < 0:
+                raise ValueError(f"negative multiplicity {k} of {x}")
+            merged[x] = merged.get(x, 0) + k
         object.__setattr__(
-            self, "summands", tuple(sorted(self.summands, key=ElementaryComplex.sort_key))
+            self,
+            "pairs",
+            tuple(sorted(((x, k) for x, k in merged.items() if k),
+                         key=lambda pair: pair[0].sort_key())),
         )
 
     @classmethod
     def of(cls, *summands: ElementaryComplex) -> "WedgeComplex":
-        return cls(tuple(summands))
+        return cls(summands)
 
     @classmethod
     def point(cls) -> "WedgeComplex":
-        return cls(())
+        return cls()
+
+    @property
+    def summands(self) -> _Copies:
+        return _Copies(self.pairs)
 
     @property
     def is_point(self) -> bool:
-        return not self.summands
+        return not self.pairs
 
     def wedge(self, other: "WedgeComplex | ElementaryComplex") -> "WedgeComplex":
         if isinstance(other, ElementaryComplex):
-            other = WedgeComplex.of(other)
-        return WedgeComplex(self.summands + other.summands)
+            return WedgeComplex(counts=(*self.pairs, (other, 1)))
+        return WedgeComplex(counts=self.pairs + other.pairs)
 
     def suspend(self) -> "WedgeComplex":
-        return WedgeComplex(tuple(x.suspend() for x in self.summands))
+        return WedgeComplex(counts=((x.suspend(), k) for x, k in self.pairs))
 
     def desuspend(self) -> "WedgeComplex":
-        return WedgeComplex(tuple(x.desuspend() for x in self.summands))
+        return WedgeComplex(counts=((x.desuspend(), k) for x, k in self.pairs))
 
     def count(self, summand: ElementaryComplex) -> int:
-        return self.summands.count(summand)
+        return next((k for x, k in self.pairs if x == summand), 0)
 
     @property
     def notation(self) -> str:
-        if not self.summands:
+        if not self.pairs:
             return "*"
-        return " v ".join(x.notation for x in self.summands)
+        return " v ".join(" v ".join(repeat(x.notation, k)) for x, k in self.pairs)
 
     def __str__(self):
         return self.notation
 
     def __iter__(self):
         return iter(self.summands)
+
+
+def _distinct(x: "ElementaryComplex | WedgeComplex") -> tuple[tuple[ElementaryComplex, int], ...]:
+    """The ``(summand, multiplicity)`` pairs of a wedge or a single complex."""
+    return ((x, 1),) if isinstance(x, ElementaryComplex) else x.pairs
 
 
 def suspend(x: "WedgeComplex | ElementaryComplex"):
@@ -280,47 +340,48 @@ def parse_wedge(text: str) -> WedgeComplex:
     text = text.strip()
     if text in ("*", ""):
         return WedgeComplex.point()
-    return WedgeComplex(tuple(parse_complex(part) for part in text.split(" v ")))
+    return WedgeComplex(parse_complex(part) for part in text.split(" v "))
 
 
 # --------------------------------------------------------------------------
 # homology and the mod-2 operation tables
 # --------------------------------------------------------------------------
 
-def _homology_pairs(x: ElementaryComplex) -> list[tuple[int, FgAbelianGroup]]:
+@cache
+def _homology_pairs(x: ElementaryComplex) -> tuple[tuple[int, FgAbelianGroup], ...]:
     """Reduced integral homology as (degree, group) pairs."""
     z = FgAbelianGroup.free(1)
     if x.kind == SPHERE:
-        return [(x.n, z)]
+        return ((x.n, z),)
     if x.kind == MOORE:
-        return [(x.n - 1, FgAbelianGroup.cyclic(x.order))]
+        return ((x.n - 1, FgAbelianGroup.cyclic(x.order)),)
     if x.kind == CHANG_ETA:
-        return [(x.n, z), (x.n + 2, z)]
+        return ((x.n, z), (x.n + 2, z))
     if x.kind == CHANG_R:
-        return [(x.n, FgAbelianGroup.cyclic(2**x.r)), (x.n + 2, z)]
+        return ((x.n, FgAbelianGroup.cyclic(2**x.r)), (x.n + 2, z))
     if x.kind == CHANG_T:
-        return [(x.n, z), (x.n + 1, FgAbelianGroup.cyclic(2**x.t))]
+        return ((x.n, z), (x.n + 1, FgAbelianGroup.cyclic(2**x.t)))
     if x.kind == CHANG_RT:
-        return [
+        return (
             (x.n, FgAbelianGroup.cyclic(2**x.r)),
             (x.n + 1, FgAbelianGroup.cyclic(2**x.t)),
-        ]
+        )
     if x.kind == A_ETA2:
-        return [(x.n, z), (x.n + 3, z)]
+        return ((x.n, z), (x.n + 3, z))
     # A_TILDE and A_2R_ETA2 share the homology of a Moore space plus a top cell.
-    return [(x.n, FgAbelianGroup.cyclic(2**x.r)), (x.n + 3, z)]
+    return ((x.n, FgAbelianGroup.cyclic(2**x.r)), (x.n + 3, z))
 
 
 def integral_homology(x: "ElementaryComplex | WedgeComplex", i: int) -> FgAbelianGroup:
     """Reduced integral homology in degree i, additive over wedges."""
-    if isinstance(x, ElementaryComplex):
-        x = WedgeComplex.of(x)
-    out = ZERO_GROUP
-    for summand in x.summands:
+    rank = 0
+    torsion: list[CyclicFactor] = []
+    for summand, k in _distinct(x):
         for degree, group in _homology_pairs(summand):
             if degree == i:
-                out = out.direct_sum(group)
-    return out
+                rank += k * group.free_rank
+                torsion.extend(k * group.torsion)
+    return FgAbelianGroup(rank, tuple(torsion))
 
 
 def _mod2_basis(x: ElementaryComplex, k: int) -> int:
@@ -336,9 +397,7 @@ def _mod2_basis(x: ElementaryComplex, k: int) -> int:
 
 
 def mod2_cohomology_dim(x: "ElementaryComplex | WedgeComplex", k: int) -> int:
-    if isinstance(x, ElementaryComplex):
-        x = WedgeComplex.of(x)
-    return sum(_mod2_basis(s, k) for s in x.summands)
+    return sum(mult * _mod2_basis(s, k) for s, mult in _distinct(x))
 
 
 def _sq2_block(x: ElementaryComplex, k: int) -> list[list[int]]:
@@ -364,34 +423,21 @@ def _sq2_block(x: ElementaryComplex, k: int) -> list[list[int]]:
     return block
 
 
-def sq2_action(x: "ElementaryComplex | WedgeComplex", k: int) -> tuple[tuple[int, ...], ...]:
-    """Block-diagonal matrix of Sq^2: H^k(X;Z/2) -> H^(k+2)(X;Z/2)."""
-    if isinstance(x, ElementaryComplex):
-        x = WedgeComplex.of(x)
-    blocks = [_sq2_block(s, k) for s in x.summands]
-    rows = sum(len(b) for b in blocks)
-    cols = sum(len(b[0]) if b else 0 for b in blocks)
-    matrix = [[0] * cols for _ in range(rows)]
-    ri = ci = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, val in enumerate(row):
-                matrix[ri + i][ci + j] = val
-        ri += len(b)
-        ci += len(b[0]) if b else 0
-    return tuple(tuple(row) for row in matrix)
+def sq2_action(x: ElementaryComplex, k: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of Sq^2: H^k(X;Z/2) -> H^(k+2)(X;Z/2) for one complex."""
+    return tuple(tuple(row) for row in _sq2_block(x, k))
 
 
 def sq2_is_nonzero(x: "ElementaryComplex | WedgeComplex", k: int) -> bool:
-    return any(any(row) for row in sq2_action(x, k))
+    """Whether Sq^2 acts nontrivially from degree k; on a wedge the
+    matrix is block-diagonal, so some summand's block is nonzero."""
+    return any(any(map(any, _sq2_block(s, k))) for s, _ in _distinct(x))
 
 
 def theta_flag(x: "ElementaryComplex | WedgeComplex") -> bool:
     """Whether the secondary operation built on Sq^3 = Sq^1 Sq^2 acts
     nontrivially; true exactly for the eta^2-attached three-cell kinds."""
-    if isinstance(x, ElementaryComplex):
-        return x.kind in (A_ETA2, A_2R_ETA2)
-    return any(theta_flag(s) for s in x.summands)
+    return any(s.kind in (A_ETA2, A_2R_ETA2) for s, _ in _distinct(x))
 
 
 def bockstein_profile(x: "ElementaryComplex | WedgeComplex") -> tuple[tuple[int, int], ...]:
@@ -400,13 +446,11 @@ def bockstein_profile(x: "ElementaryComplex | WedgeComplex") -> tuple[tuple[int,
     Each Z/2^r summand of H_k contributes one beta_r from degree k to
     degree k+1 in mod-2 cohomology; free homology contributes none.
     """
-    if isinstance(x, ElementaryComplex):
-        x = WedgeComplex.of(x)
     pairs = []
-    for s in x.summands:
+    for s, k in _distinct(x):
         for degree, group in _homology_pairs(s):
             for r in group.two_primary_exponents():
-                pairs.append((r, degree))
+                pairs.extend(k * [(r, degree)])
     return tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
 
 
@@ -483,7 +527,8 @@ def peterson_of_group(n: int, group: FgAbelianGroup) -> WedgeComplex:
     """P^n(G) for torsion G, split into one Moore space per primary factor."""
     if group.free_rank:
         raise NotTorsion(f"{group} has free rank {group.free_rank}")
-    return WedgeComplex(tuple(moore(n, f.order) for f in group.torsion))
+    counts = Counter(group.torsion)
+    return WedgeComplex(counts=((moore(n, f.order), k) for f, k in counts.items()))
 
 
 # --------------------------------------------------------------------------

@@ -91,6 +91,14 @@ def _json_type(value) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
+# Input bounds.  The wedge's cost follows its distinct summands, but its
+# printed form lists every copy, and the group arithmetic keeps torsion
+# factor by factor; these keep time, memory and output size bounded.
+MAX_FREE_RANK = 10**6  # m and d
+MAX_TORSION_FACTORS = 10**4  # summed multiplicity of the torsion items
+MAX_FACTOR_ORDER = 2**64  # every prime**exponent stays below this
+
+
 THETA_TRIVIAL = "trivial"
 THETA_NONTRIVIAL = "nontrivial"
 
@@ -154,6 +162,10 @@ class ManifoldInvariants:
     def __post_init__(self):
         if self.m < 0 or self.d < 0:
             raise InvalidInvariants("m and d must be non-negative")
+        if max(self.m, self.d) > MAX_FREE_RANK:
+            raise InvalidInvariants(f"m and d must be at most {MAX_FREE_RANK}")
+        if len(self.torsion.torsion) > MAX_TORSION_FACTORS:
+            raise InvalidInvariants(f"torsion may have at most {MAX_TORSION_FACTORS} factors")
         if not self.torsion.is_torsion:
             raise InvalidInvariants("torsion group must have free rank 0")
         n = len(self.two_exponents)
@@ -222,11 +234,21 @@ class ManifoldInvariants:
         required = ("m", "d", "spin", "theta", "sq2_case", "postnikov_trivial")
         json_fields(data, "descriptor", required, ("label", "torsion"))
         items = json_value(data, "torsion", list, "descriptor", [])
+        factors = 0
         for i, item in enumerate(items):
             where = f"torsion[{i}]"
             json_fields(item, where, ("prime", "exponent"), ("multiplicity",))
             for key in item:
                 json_value(item, key, int, where)
+            if not _order_below_bound(item["prime"], item["exponent"]):
+                bits = MAX_FACTOR_ORDER.bit_length() - 1
+                raise InvalidInvariants(f"{where}: prime**exponent must be below 2**{bits}")
+            factors += max(item.get("multiplicity", 1), 0)
+            if factors > MAX_TORSION_FACTORS:
+                raise InvalidInvariants(
+                    f"torsion may have at most {MAX_TORSION_FACTORS} factors "
+                    "(summed multiplicity)"
+                )
         theta_data = json_fields(data["theta"], "theta", ("action",), ("j0",))
         theta = ThetaAction(
             json_value(theta_data, "action", str, "theta"),
@@ -247,6 +269,16 @@ class ManifoldInvariants:
             postnikov_trivial=json_value(data, "postnikov_trivial", bool, "descriptor"),
             label=json_value(data, "label", str, "descriptor"),
         )
+
+
+def _order_below_bound(prime: int, exponent: int) -> bool:
+    """``prime**exponent < MAX_FACTOR_ORDER``, decided without raising a
+    large number to a large power; exponents below 1 and primes below 2
+    pass, for the factor's own checks to reject."""
+    if exponent < 1 or prime < 2:
+        return True
+    return (exponent < MAX_FACTOR_ORDER.bit_length() and prime < MAX_FACTOR_ORDER
+            and prime**exponent < MAX_FACTOR_ORDER)
 
 
 @dataclass(frozen=True)
@@ -328,28 +360,16 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
-def _sphere_wedge(n: int, count: int) -> WedgeComplex:
-    return WedgeComplex(tuple(sphere(n) for _ in range(count)))
-
-
 def stage_decompositions(inv: ManifoldInvariants) -> StageDecompositions:
     """The three pipeline stages W3, W4 and Sigma W4."""
     T = inv.torsion
-    w3 = (
-        _sphere_wedge(3, inv.d)
-        .wedge(peterson_of_group(3, T))
-        .wedge(peterson_of_group(4, T))
-    )
-    sigma_w4 = (
-        _sphere_wedge(4, inv.d)
-        .wedge(peterson_of_group(4, T))
-        .wedge(peterson_of_group(5, T))
-        .wedge(_sphere_wedge(5, inv.m))
-    )
+    p3, p4, p5 = (peterson_of_group(n, T).pairs for n in (3, 4, 5))
+    w3 = WedgeComplex(counts=((sphere(3), inv.d), *p3, *p4))
+    sigma_w4 = WedgeComplex(counts=((sphere(4), inv.d), *p4, *p5, (sphere(5), inv.m)))
     if inv.postnikov_trivial or not T.two_primary_exponents():
-        w4 = w3.wedge(_sphere_wedge(4, inv.m))
+        w4 = WedgeComplex(counts=(*w3.pairs, (sphere(4), inv.m)))
         return StageDecompositions(w3, w4, None, sigma_w4)
-    known = _sphere_wedge(3, inv.d).wedge(peterson_of_group(4, T))
+    known = WedgeComplex(counts=((sphere(3), inv.d), *p4))
     symbolic = (f"{known.notation} v C_{{g2}}" if not known.is_point else "C_{g2}")
     return StageDecompositions(w3, None, symbolic, sigma_w4)
 
@@ -385,14 +405,14 @@ def classify_double_suspension(inv: ManifoldInvariants) -> DecompositionReport:
     t4 = T.quotient_by_factor(removed) if slot == 4 else T
     t5 = T.quotient_by_factor(removed) if slot == 5 else T
     d4 = inv.d - 1 if branch == BRANCH_NONSPIN_CASE_A else inv.d
-    sigma2 = (
-        _sphere_wedge(3, inv.m)
-        .wedge(_sphere_wedge(5, inv.m))
-        .wedge(_sphere_wedge(4, d4))
-        .wedge(peterson_of_group(4, t4))
-        .wedge(peterson_of_group(5, t5))
-        .wedge(WedgeComplex.of(top))
-    )
+    sigma2 = WedgeComplex(counts=(
+        (sphere(3), inv.m),
+        (sphere(5), inv.m),
+        (sphere(4), d4),
+        *peterson_of_group(4, t4).pairs,
+        *peterson_of_group(5, t5).pairs,
+        (top, 1),
+    ))
 
     notes: list[str] = []
     if branch == BRANCH_NONSPIN_CASE_B:

@@ -2,8 +2,10 @@
 normalize map vectors, and dump the catalog tables.
 
 Exit codes: 0 success, 1 failed validation checks, 2 malformed input
-(JSON, descriptor shape, or inconsistent invariants), 3 the declined case
-(non-spin with nontrivial secondary-operation action).
+(JSON, descriptor shape, inconsistent invariants, or sizes over the input
+bounds), 3 the declined case (non-spin with nontrivial secondary-operation
+action).  A batch reports its other members around a declined one and
+exits 3, or 1 when an audit check failed.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 from . import catalog, ehp, normalizer
 from .catalog import (
@@ -28,6 +31,7 @@ from .catalog import (
     sphere,
 )
 from .classifier import (
+    DecompositionReport,
     InvalidInvariants,
     ManifoldInvariants,
     OmittedCase,
@@ -51,7 +55,7 @@ def _read_json(path: str | None):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, too many digits
         raise InputError(f"malformed JSON: {err}") from None
     except OSError as err:
         raise InputError(str(err)) from None
@@ -68,6 +72,42 @@ def load_descriptors(data) -> list[ManifoldInvariants]:
     return out
 
 
+@dataclass(frozen=True)
+class Batch:
+    """The classified members of one input, the declined ones left out."""
+
+    single: bool  # the input was one descriptor, not a list
+    reports: list[tuple[ManifoldInvariants, DecompositionReport]]
+    declined: bool
+
+    def exit_code(self, checks_passed: bool = True) -> int:
+        if not checks_passed:
+            return EXIT_CHECK_FAILED
+        return EXIT_OMITTED if self.declined else EXIT_OK
+
+
+def classify_input(path: str | None) -> Batch:
+    """Read and classify the descriptors at ``path``.
+
+    A declined member of a list gets one ``declined: descriptor <i>:``
+    line on stderr and no report; a declined single descriptor raises
+    OmittedCase.
+    """
+    data = _read_json(path)
+    single = not isinstance(data, list)
+    reports = []
+    declined = False
+    for i, inv in enumerate(load_descriptors(data)):
+        try:
+            reports.append((inv, classify_double_suspension(inv)))
+        except OmittedCase as err:
+            if single:
+                raise
+            print(f"declined: descriptor {i}: {err}", file=sys.stderr)
+            declined = True
+    return Batch(single, reports, declined)
+
+
 def _emit(payload, as_json: bool, pretty_lines) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -80,14 +120,11 @@ def _emit(payload, as_json: bool, pretty_lines) -> None:
 # --------------------------------------------------------------------------
 
 def run_classify(args) -> int:
-    data = _read_json(args.input)
-    single = not isinstance(data, list)
-    descriptors = load_descriptors(data)
-    reports = [classify_double_suspension(inv) for inv in descriptors]
-
+    batch = classify_input(args.input)
     payloads = []
     lines: list[str] = []
-    for inv, report in zip(descriptors, reports):
+    all_ok = True
+    for inv, report in batch.reports:
         payload = report.to_json_dict()
         if args.suspension_level == 1:
             payload = {
@@ -99,6 +136,7 @@ def run_classify(args) -> int:
         if not args.stages:
             payload.pop("stages", None)
         checks = validate_roundtrip(inv, report) if args.validate else []
+        all_ok &= all(c.passed for c in checks)
         if args.validate:
             payload["checks"] = [
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
@@ -123,21 +161,19 @@ def run_classify(args) -> int:
         lines.extend(f"  {c}" for c in checks)
         lines.append("")
 
-    _emit(payloads[0] if single else payloads, args.json, lines[:-1])
-    return EXIT_OK
+    _emit(payloads[0] if batch.single else payloads, args.json, lines[:-1])
+    return batch.exit_code(all_ok)
 
 
 def run_validate(args) -> int:
-    data = _read_json(args.input)
-    descriptors = load_descriptors(data)
+    batch = classify_input(args.input)
     all_ok = True
-    for inv in descriptors:
-        report = classify_double_suspension(inv)
+    for inv, report in batch.reports:
         label = inv.label or report.branch
         for check in validate_roundtrip(inv, report):
             all_ok &= check.passed
             print(f"{label}: {check}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return batch.exit_code(all_ok)
 
 
 # --------------------------------------------------------------------------
@@ -145,20 +181,16 @@ def run_validate(args) -> int:
 # --------------------------------------------------------------------------
 
 def run_cohomotopy(args) -> int:
-    data = _read_json(args.input)
-    single = not isinstance(data, list)
-    descriptors = load_descriptors(data)
-
+    batch = classify_input(args.input)
     payloads = []
     lines = []
-    for inv in descriptors:
-        report = classify_double_suspension(inv)
+    for inv, report in batch.reports:
         pi5_2 = ehp.pi5_double_suspension(report)
         pi5_1 = ehp.pi5_suspension(report)
         coker = ehp.coker_H2(report)
         verdict = ehp.is_E_surjective(report)
         rules = []
-        for summand in report.sigma2:
+        for summand, _ in report.sigma2.pairs:
             try:
                 rule = ehp.hopf_table(summand).rule
             except catalog.TableMiss:
@@ -190,8 +222,8 @@ def run_cohomotopy(args) -> int:
             lines.append(f"  using: {rule}")
         lines.append("")
 
-    _emit(payloads[0] if single else payloads, args.json, lines[:-1])
-    return EXIT_OK
+    _emit(payloads[0] if batch.single else payloads, args.json, lines[:-1])
+    return batch.exit_code()
 
 
 # --------------------------------------------------------------------------

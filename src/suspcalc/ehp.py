@@ -19,8 +19,9 @@ would drop the quotiented Moore factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .abelian import RING_Z2LOCAL, FgAbelianGroup, ZERO_GROUP, direct_sum
+from .abelian import RING_Z2LOCAL, CyclicFactor, FgAbelianGroup, ZERO_GROUP
 from .catalog import (
     A_2R_ETA2,
     A_TILDE,
@@ -50,8 +51,10 @@ class UnsupportedBranch(ValueError):
     """The report does not come from a supported classifier branch."""
 
 
-def _z2local(rank: int = 1) -> FgAbelianGroup:
-    return FgAbelianGroup.free(rank, RING_Z2LOCAL)
+def _z2local(rank: int = 1, exponents: Iterable[int] = ()) -> FgAbelianGroup:
+    """Z_(2)^rank (+) (+)_e Z/2^e over ``exponents``, with Z/2^0 dropped."""
+    torsion = tuple(CyclicFactor(2, e) for e in exponents if e > 0)
+    return FgAbelianGroup(rank, torsion, RING_Z2LOCAL)
 
 
 def _cyclic2(exponent: int) -> FgAbelianGroup:
@@ -167,7 +170,7 @@ def _branch_top(report: DecompositionReport) -> ElementaryComplex:
         raise UnsupportedBranch(f"branch {report.branch!r} has no cohomotopy bookkeeping")
     if kind == SPHERE:
         return sphere(6)
-    for summand in report.sigma2:
+    for summand, _ in report.sigma2.pairs:
         if summand.kind == kind:
             return summand
     raise UnsupportedBranch(f"report for {report.branch} lacks its top summand")
@@ -178,12 +181,8 @@ def pi5_double_suspension(report: DecompositionReport) -> FgAbelianGroup:
     branch top-piece contribution."""
     inv = report.invariants
     top = _branch_top(report)
-    core = direct_sum(
-        _z2local(inv.m),
-        *[_cyclic2(r) for r in inv.two_exponents],
-    )
     extra = maps_group(top, sphere(5)).group
-    return core.direct_sum(extra)
+    return _z2local(inv.m, inv.two_exponents).direct_sum(extra)
 
 
 def pi5_suspension(report: DecompositionReport) -> FgAbelianGroup | None:
@@ -195,10 +194,10 @@ def pi5_suspension(report: DecompositionReport) -> FgAbelianGroup | None:
     if isinstance(report.sigma, Unresolved):
         return None
     out = ZERO_GROUP
-    for summand in report.sigma:
+    for summand, k in report.sigma.pairs:
         if summand.top_dim < 5:
             continue
-        out = out.direct_sum(maps_group(summand, sphere(5)).group)
+        out = out.direct_sum(maps_group(summand, sphere(5)).group.times(k))
     return out
 
 
@@ -206,10 +205,7 @@ def coker_H2(report: DecompositionReport) -> FgAbelianGroup:
     """Cokernel of H_2: [Sigma^2 M, S^3] -> [Sigma^2 M, S^5], 2-locally."""
     inv = report.invariants
     top = _branch_top(report)
-    out = direct_sum(
-        _z2local(inv.m),
-        *[_cyclic2(r - 1) for r in inv.two_exponents],
-    )
+    out = _z2local(inv.m, (r - 1 for r in inv.two_exponents))
     return out.direct_sum(hopf_table(top).cokernel)
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from suspcalc.abelian import FgAbelianGroup
 from suspcalc.classifier import (
@@ -14,6 +15,11 @@ from suspcalc.classifier import (
     Sq2Case,
     ThetaAction,
 )
+
+# One fixed profile, so that every run draws the same examples.
+settings.register_profile("suspcalc", derandomize=True, deadline=None, max_examples=100,
+                          database=None)
+settings.load_profile("suspcalc")
 
 
 def random_torsion(rng: random.Random, max_two_factors=3, max_exponent=4) -> FgAbelianGroup:

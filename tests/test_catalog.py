@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from suspcalc.abelian import FgAbelianGroup, NotTorsion
 from suspcalc.catalog import (
@@ -315,3 +316,67 @@ def test_canonical_wedge_order_is_stable():
     b = WedgeComplex.of(sphere(3), sphere(5), moore(4, 2))
     assert a == b
     assert a.notation == "S^3 v P^4(2) v S^5"
+
+
+# --------------------------------------------------------------------------
+# the multiset representation against a per-copy reference
+# --------------------------------------------------------------------------
+
+_n = st.integers(2, 6)
+_e = st.integers(1, 3)
+catalog_complexes = st.one_of(
+    st.builds(sphere, st.integers(1, 8)),
+    st.builds(moore, _n, st.sampled_from([2, 4, 8, 3, 9])),
+    st.builds(chang_eta, _n),
+    st.builds(chang_r, _n, _e),
+    st.builds(chang_t, _n, _e),
+    st.builds(chang_rt, _n, _e, _e),
+    st.builds(a_eta2, _n),
+    st.builds(a_tilde, _n, _e),
+    st.builds(a_2r_eta2, _n, _e),
+)
+
+
+def _per_copy_sq2(copies, k):
+    """The block-diagonal Sq^2 matrix of a wedge, assembled copy by copy."""
+    blocks = [sq2_action(x, k) for x in copies]
+    rows = sum(len(b) for b in blocks)
+    cols = sum(len(b[0]) if b else 0 for b in blocks)
+    matrix = [[0] * cols for _ in range(rows)]
+    ri = ci = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            matrix[ri + i][ci:ci + len(row)] = row
+        ri += len(b)
+        ci += len(b[0]) if b else 0
+    return matrix
+
+
+@given(st.lists(st.tuples(catalog_complexes, st.integers(0, 4)), max_size=6),
+       st.randoms(use_true_random=False))
+def test_wedge_aggregates_match_per_copy_reference(counts, rnd):
+    copies = [x for x, k in counts for _ in range(k)]
+    rnd.shuffle(copies)
+    w = WedgeComplex(counts=counts)
+    assert w == WedgeComplex(tuple(copies))
+    assert list(w.summands) == sorted(copies, key=lambda x: x.sort_key())
+    assert len(w.summands) == len(copies)
+    assert len(w.pairs) == len(set(copies))
+    for x, _ in counts:
+        assert w.count(x) == copies.count(x)
+    for i in range(0, 12):
+        expected = ZERO
+        for x in copies:
+            expected = expected.direct_sum(integral_homology(x, i))
+        assert integral_homology(w, i) == expected
+        assert mod2_cohomology_dim(w, i) == sum(mod2_cohomology_dim(x, i) for x in copies)
+        assert sq2_is_nonzero(w, i) == any(any(row) for row in _per_copy_sq2(copies, i))
+    assert bockstein_profile(w) == tuple(
+        sorted((p for x in copies for p in bockstein_profile(x)), key=lambda p: (p[1], p[0]))
+    )
+    assert theta_flag(w) == any(theta_flag(x) for x in copies)
+    notation = " v ".join(x.notation for x in w.summands) if copies else "*"
+    assert w.notation == notation
+    assert parse_wedge(notation) == w
+    assert w.wedge(w) == WedgeComplex(tuple(copies + copies))
+    assert w.suspend().desuspend() == w

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import random_invariants
-from suspcalc.abelian import FgAbelianGroup
+from suspcalc.abelian import CyclicFactor, FgAbelianGroup
 from suspcalc.catalog import (
     WedgeComplex,
     a_2r_eta2,
@@ -22,6 +22,8 @@ from suspcalc.classifier import (
     BRANCH_NONSPIN_CASE_C,
     BRANCH_SPIN_THETA_NONTRIVIAL,
     BRANCH_SPIN_THETA_TRIVIAL,
+    MAX_FREE_RANK,
+    MAX_TORSION_FACTORS,
     InvalidInvariants,
     ManifoldInvariants,
     OmittedCase,
@@ -374,3 +376,40 @@ def test_matrix_method_reproduces_nonspin_branches():
             components3.append((t, {}))
     phi3 = MapVector.of(sphere(5), components3)
     assert _assemble(inv3, cofiber(normalize(phi3))) == classify_double_suspension(inv3).sigma2
+
+
+# --------------------------------------------------------------------------
+# input bounds
+# --------------------------------------------------------------------------
+
+def test_classify_and_audit_at_the_input_bound():
+    """m = d = MAX_FREE_RANK with MAX_TORSION_FACTORS torsion factors: the
+    wedge has over three million copies but eight distinct summands, and
+    nothing is rendered."""
+    n = MAX_TORSION_FACTORS // 2
+    torsion = FgAbelianGroup(torsion=(CyclicFactor(2, 1),) * n + (CyclicFactor(2, 3),) * n)
+    inv = ManifoldInvariants(MAX_FREE_RANK, MAX_FREE_RANK, torsion, False,
+                             ThetaAction("trivial"), Sq2Case("B", n + 1), True)
+    assert MAX_FREE_RANK == 10**6
+    report = classify_double_suspension(inv)
+    checks = validate_roundtrip(inv, report)
+    assert [c.name for c in checks] == ["homology", "theta-flag", "sq2-degree-4",
+                                        "bockstein-profile"]
+    assert all(c.passed for c in checks), checks
+    assert report.sigma2.count(sphere(3)) == 10**6
+    assert report.sigma2.count(sphere(4)) == 10**6
+    assert report.sigma2.count(moore(5, 8)) == n - 1
+    assert report.sigma.count(chang_r(3, 3)) == 1
+    assert len(report.sigma2.pairs) == 8
+
+
+@pytest.mark.parametrize("m, d, factors", [
+    (MAX_FREE_RANK + 1, 0, 0),
+    (0, MAX_FREE_RANK + 1, 0),
+    (0, 0, MAX_TORSION_FACTORS + 1),
+])
+def test_invariants_over_the_input_bound_rejected(m, d, factors):
+    torsion = FgAbelianGroup(torsion=(CyclicFactor(2, 1),) * factors)
+    with pytest.raises(InvalidInvariants):
+        ManifoldInvariants(m, d, torsion, True, ThetaAction("trivial"),
+                           Sq2Case("not_applicable"), True)

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import suspcalc
+import suspcalc.cli
 from suspcalc.catalog import parse_wedge
-from suspcalc.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_OMITTED, main
+from suspcalc.classifier import CheckResult
+from suspcalc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, EXIT_OMITTED, main
 
 SPIN_DESCRIPTOR = {
     "label": "spin example",
@@ -302,3 +304,107 @@ def test_cli_imports_without_jsonschema():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# --------------------------------------------------------------------------
+# input bounds, unreadable input and declined batch members
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "descriptor, culprit",
+    [
+        pytest.param(spin_with(m=10**6 + 1), "at most 1000000", id="m-over-bound"),
+        pytest.param(spin_with(d=10**6 + 1), "at most 1000000", id="d-over-bound"),
+        pytest.param(spin_with(torsion=[{"prime": 2, "exponent": 1, "multiplicity": 10**8}]),
+                     "at most 10000 factors", id="multiplicity-1e8"),
+        pytest.param(spin_with(torsion=[{"prime": 2, "exponent": 1, "multiplicity": 6000},
+                                        {"prime": 3, "exponent": 1, "multiplicity": 4001}]),
+                     "at most 10000 factors", id="summed-multiplicity-over-bound"),
+        pytest.param(spin_with(torsion=[{"prime": 2, "exponent": 10**8}]), "2**64",
+                     id="exponent-1e8"),
+        pytest.param(spin_with(torsion=[{"prime": 2, "exponent": 64}]), "2**64",
+                     id="order-2-to-the-64"),
+        pytest.param(spin_with(torsion=[{"prime": 3, "exponent": 41}]), "2**64",
+                     id="order-3-to-the-41"),
+        pytest.param(spin_with(torsion=[{"prime": 2**64 + 13, "exponent": 1}]), "2**64",
+                     id="prime-over-bound"),
+    ],
+)
+@pytest.mark.parametrize("command", ["classify", "cohomotopy", "validate"])
+def test_input_over_bound_rejected(tmp_path, capsys, command, descriptor, culprit):
+    path = write(tmp_path, "d.json", descriptor)
+    code, out, err = run_cli([command, path], tmp_path, capsys)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert culprit in err
+
+
+def test_input_at_bound_accepted(tmp_path, capsys):
+    descriptor = spin_with(torsion=[{"prime": 2, "exponent": 63},
+                                    {"prime": 3, "exponent": 40, "multiplicity": 9999}])
+    path = write(tmp_path, "d.json", descriptor)
+    code, out, _ = run_cli(["classify", path, "--validate"], tmp_path, capsys)
+    assert code == EXIT_OK
+    assert f"P^4({2**63})" in out and out.count(f"P^5({3**40})") == 9999
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"[" + b"1" * 5000 + b"]", id="5000-digit-integer"),
+        pytest.param(b"\xff\xfe{", id="not-utf-8"),
+    ],
+)
+@pytest.mark.parametrize("command", ["classify", "normalize"])
+def test_unreadable_json_rejected(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli([command, str(path)], tmp_path, capsys)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: malformed JSON:") and err.count("\n") == 1
+
+
+def _batch_with_declined(tmp_path):
+    batch = [spin_with(label="first"), dict(OMITTED_DESCRIPTOR, label="no"),
+             spin_with(label="second", m=2)]
+    return write(tmp_path, "batch.json", batch)
+
+
+@pytest.mark.parametrize("args", [["classify", "--json", "--stages", "--validate"],
+                                  ["cohomotopy", "--json"]])
+def test_declined_member_leaves_the_batch_reported(tmp_path, capsys, args):
+    code, out, err = run_cli([*args, _batch_with_declined(tmp_path)], tmp_path, capsys)
+    assert code == EXIT_OMITTED
+    assert [item["label"] for item in json.loads(out)] == ["first", "second"]
+    assert err.startswith("declined: descriptor 1: ") and err.count("\n") == 1
+
+
+def test_declined_member_leaves_the_batch_validated(tmp_path, capsys):
+    code, out, err = run_cli(["validate", _batch_with_declined(tmp_path)], tmp_path, capsys)
+    assert code == EXIT_OMITTED
+    labels = [line.split(":")[0] for line in out.splitlines()]
+    assert labels == ["first"] * 4 + ["second"] * 4
+    assert "[pass]" in out and "FAIL" not in out
+    assert err.startswith("declined: descriptor 1: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["validate"], ["classify", "--validate"]])
+def test_failed_audit_outranks_declined_member(tmp_path, capsys, monkeypatch, args):
+    failing = [CheckResult("homology", False, "tampered")]
+    monkeypatch.setattr(suspcalc.cli, "validate_roundtrip", lambda inv, report: failing)
+    code, out, err = run_cli([*args, _batch_with_declined(tmp_path)], tmp_path, capsys)
+    assert code == EXIT_CHECK_FAILED
+    assert "[FAIL] homology: tampered" in out
+    assert err.startswith("declined: descriptor 1: ")
+
+
+@pytest.mark.parametrize("command", ["classify", "cohomotopy", "validate"])
+def test_lone_declined_descriptor(tmp_path, capsys, command):
+    path = write(tmp_path, "d.json", OMITTED_DESCRIPTOR)
+    code, out, err = run_cli([command, path], tmp_path, capsys)
+    assert code == EXIT_OMITTED
+    assert out == ""
+    assert err.startswith("declined: non-spin") and err.count("\n") == 1
