@@ -22,6 +22,10 @@ from sympy import factorint, isprime
 RING_Z = "Z"
 RING_Z2LOCAL = "Z_(2)"
 
+# Input bound on cyclic orders (torsion factors, Moore-space orders), so
+# that factoring one stays cheap.
+MAX_FACTOR_ORDER = 2**64
+
 
 class FactorAbsent(ValueError):
     """Requested cyclic factor does not occur in the group."""

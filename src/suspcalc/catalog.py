@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 from sympy import factorint
 
 from .abelian import (
+    MAX_FACTOR_ORDER,
     RING_Z2LOCAL,
     CyclicFactor,
     FgAbelianGroup,
@@ -80,6 +81,9 @@ class ElementaryComplex:
             raise ValueError("sphere dimension must be >= 1")
         if self.kind == MOORE and (self.n < 2 or self.order < 2):
             raise ValueError("Moore space needs n >= 2 and order >= 2")
+        if self.kind == MOORE and self.order >= MAX_FACTOR_ORDER:
+            bits = MAX_FACTOR_ORDER.bit_length() - 1
+            raise ValueError(f"Moore space order must be below 2**{bits}")
         if self.kind in (CHANG_ETA, CHANG_R, CHANG_T, CHANG_RT, A_ETA2, A_TILDE, A_2R_ETA2):
             if self.n < 2:
                 raise ValueError(f"{self.kind} is only defined for bottom cell n >= 2")
@@ -535,19 +539,37 @@ def peterson_of_group(n: int, group: FgAbelianGroup) -> WedgeComplex:
 # the homotopy / cohomotopy group table
 # --------------------------------------------------------------------------
 
+# Generator kinds: what each tabulated generator is, independent of its
+# dimensions.  The matrix method composes generators by kind.
+IOTA = "iota"  # identity of a sphere
+ETA = "eta"
+ETA2 = "eta2"
+NU_PRIME = "nu_prime"
+INCL = "incl"  # i: bottom cell of a Moore space
+INCL_ETA = "incl_eta"
+INCL_ETA2 = "incl_eta2"
+ETA_TILDE = "eta_tilde"  # coextension of eta into a mod-2^r Moore space
+PINCH = "pinch"  # q: Moore space onto its top cell
+ETA_PINCH = "eta_pinch"
+ETA2_PINCH = "eta2_pinch"
+ETA_BAR = "eta_bar"  # extension of eta over a mod-2^r Moore space
+OTHER = "other"  # generators out of the Chang and A-family complexes
+
+
 @dataclass(frozen=True)
 class MapsGroupEntry:
     """[source, target] with its generator alphabet.
 
-    ``generators`` and ``orders`` align positionally; order 0 marks a
-    Z_(2) summand.  The canonical-form group is recoverable but the
-    presentation order follows the generator list.
+    ``generators``, ``orders`` and ``kinds`` align positionally; order 0
+    marks a Z_(2) summand.  The canonical-form group is recoverable but
+    the presentation order follows the generator list.
     """
 
     source: ElementaryComplex
     target: ElementaryComplex
     generators: tuple[str, ...]
     orders: tuple[int, ...]
+    kinds: tuple[str, ...]
 
     @property
     def group(self) -> FgAbelianGroup:
@@ -567,8 +589,10 @@ class MapsGroupEntry:
         }
 
 
-def _entry(source, target, generators=(), orders=()) -> MapsGroupEntry:
-    return MapsGroupEntry(source, target, tuple(generators), tuple(orders))
+def _entry(source, target, *rows: tuple[str, int, str]) -> MapsGroupEntry:
+    """The entry whose generators are ``rows`` of (name, order, kind)."""
+    generators, orders, kinds = zip(*rows) if rows else ((), (), ())
+    return MapsGroupEntry(source, target, generators, orders, kinds)
 
 
 def _is_two_power(k: int) -> bool:
@@ -580,6 +604,7 @@ def _odd_prime_power(k: int) -> bool:
     return len(factors) == 1 and 2 not in factors
 
 
+@cache
 def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGroupEntry:
     """The tabulated group [source, target], 2-locally.
 
@@ -595,20 +620,20 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
         k, n = source.n, target.n
         if n >= 3:
             if k == n:
-                return _entry(source, target, ["iota"], [0])
+                return _entry(source, target, ("iota", 0, IOTA))
             if k == n + 1:
-                return _entry(source, target, ["eta"], [2])
+                return _entry(source, target, ("eta", 2, ETA))
             if k == n + 2:
-                return _entry(source, target, ["eta^2"], [2])
+                return _entry(source, target, ("eta^2", 2, ETA2))
             if k == n + 3 and n == 3:
-                return _entry(source, target, ["nu'"], [4])
+                return _entry(source, target, ("nu'", 4, NU_PRIME))
         raise TableMiss(f"[{source}, {target}]")
 
     if source.kind == SPHERE and target.kind == MOORE:
         k, nM, order = source.n, target.n, target.order
         if _odd_prime_power(order):
             if k == nM - 1:
-                return _entry(source, target, [f"i_{nM - 1}"], [order])
+                return _entry(source, target, (f"i_{nM - 1}", order, INCL))
             if k in (nM, nM + 1) and nM >= 3:
                 return _entry(source, target)
             raise TableMiss(f"[{source}, {target}]")
@@ -616,15 +641,16 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
             raise TableMiss(f"[{source}, {target}]")
         r = order.bit_length() - 1
         if k == nM - 1:
-            return _entry(source, target, [f"i_{nM - 1}"], [2**r])
+            return _entry(source, target, (f"i_{nM - 1}", 2**r, INCL))
         if k == nM and nM == 3:
-            return _entry(source, target, ["i_2 eta"], [2 ** (r + 1)])
+            return _entry(source, target, ("i_2 eta", 2 ** (r + 1), INCL_ETA))
         if k == nM and nM >= 4:
-            return _entry(source, target, [f"i_{nM - 1} eta"], [2])
+            return _entry(source, target, (f"i_{nM - 1} eta", 2, INCL_ETA))
         if k == nM + 1 and nM >= 3:
             if r == 1:
-                return _entry(source, target, ["eta~_1"], [4])
-            return _entry(source, target, [f"eta~_{r}", f"i_{nM - 1} eta^2"], [2, 2])
+                return _entry(source, target, ("eta~_1", 4, ETA_TILDE))
+            return _entry(source, target, (f"eta~_{r}", 2, ETA_TILDE),
+                          (f"i_{nM - 1} eta^2", 2, INCL_ETA2))
         raise TableMiss(f"[{source}, {target}]")
 
     if source.kind == MOORE and target.kind == SPHERE:
@@ -635,13 +661,14 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
             raise TableMiss(f"[{source}, {target}]")
         r = order.bit_length() - 1
         if nM == n and n >= 3:
-            return _entry(source, target, [f"q_{n}"], [2**r])
+            return _entry(source, target, (f"q_{n}", 2**r, PINCH))
         if nM == n + 1 and n >= 3:
-            return _entry(source, target, [f"eta q_{nM}"], [2])
+            return _entry(source, target, (f"eta q_{nM}", 2, ETA_PINCH))
         if nM == n + 2 and n >= 3:
             if r == 1:
-                return _entry(source, target, ["eta-_1"], [4])
-            return _entry(source, target, [f"eta-_{r}", f"eta^2 q_{nM}"], [2, 2])
+                return _entry(source, target, ("eta-_1", 4, ETA_BAR))
+            return _entry(source, target, (f"eta-_{r}", 2, ETA_BAR),
+                          (f"eta^2 q_{nM}", 2, ETA2_PINCH))
         raise TableMiss(f"[{source}, {target}]")
 
     if source.kind == CHANG_ETA and target.kind == SPHERE:
@@ -649,9 +676,9 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
         if (nC, n) == (2, 2):
             return _entry(source, target)
         if (nC, n) == (3, 3):
-            return _entry(source, target, ["zeta-"], [0])
+            return _entry(source, target, ("zeta-", 0, OTHER))
         if (nC, n) == (3, 5):
-            return _entry(source, target, ["q_5"], [0])
+            return _entry(source, target, ("q_5", 0, OTHER))
         if (nC, n) == (4, 5):
             return _entry(source, target)
         raise TableMiss(f"[{source}, {target}]")
@@ -659,27 +686,27 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
     if source.kind == CHANG_R and target.kind == SPHERE:
         nC, n, r = source.n, target.n, source.r
         if (nC, n) == (2, 2):
-            return _entry(source, target, ["eta q_3"], [2 ** (r + 1)])
+            return _entry(source, target, ("eta q_3", 2 ** (r + 1), OTHER))
         if (nC, n) == (3, 3):
-            return _entry(source, target, ["eta q_4"], [2])
+            return _entry(source, target, ("eta q_4", 2, OTHER))
         if (nC, n) == (3, 5):
-            return _entry(source, target, ["q_5"], [0])
+            return _entry(source, target, ("q_5", 0, OTHER))
         if (nC, n) == (4, 5):
-            return _entry(source, target, ["q_5"], [2 ** (r + 1)])
+            return _entry(source, target, ("q_5", 2 ** (r + 1), OTHER))
         raise TableMiss(f"[{source}, {target}]")
 
     if source.kind == A_2R_ETA2 and target.kind == SPHERE:
         nA, n, r = source.n, target.n, source.r
         if (nA, n) == (2, 3):
-            return _entry(source, target, ["q_3"], [2 ** (r + 1)])
+            return _entry(source, target, ("q_3", 2 ** (r + 1), OTHER))
         if (nA, n) == (2, 4):
-            return _entry(source, target, ["eta q_5"], [2])
+            return _entry(source, target, ("eta q_5", 2, OTHER))
         if (nA, n) == (2, 5):
-            return _entry(source, target, ["q_5"], [0])
+            return _entry(source, target, ("q_5", 0, OTHER))
         if (nA, n) == (3, 3):
-            return _entry(source, target, ["nu' q_6"], [2])
+            return _entry(source, target, ("nu' q_6", 2, OTHER))
         if (nA, n) == (3, 5):
-            return _entry(source, target, ["eta q_6"], [2])
+            return _entry(source, target, ("eta q_6", 2, OTHER))
         raise TableMiss(f"[{source}, {target}]")
 
     if source.kind == A_TILDE and target.kind == SPHERE:
@@ -687,9 +714,9 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
         if (nA, n) == (2, 3):
             if r == 1:
                 return _entry(source, target)
-            return _entry(source, target, ["2 q_3"], [2 ** (r - 1)])
+            return _entry(source, target, ("2 q_3", 2 ** (r - 1), OTHER))
         if (nA, n) == (2, 5):
-            return _entry(source, target, ["q_5"], [0])
+            return _entry(source, target, ("q_5", 0, OTHER))
         if (nA, n) == (3, 5):
             return _entry(source, target)
         raise TableMiss(f"[{source}, {target}]")
@@ -699,11 +726,11 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
         if (nA, n) == (2, 3):
             return _entry(source, target)
         if (nA, n) == (3, 3):
-            return _entry(source, target, ["nu' q_6", "xi"], [2, 0])
+            return _entry(source, target, ("nu' q_6", 2, OTHER), ("xi", 0, OTHER))
         if (nA, n) == (2, 5):
-            return _entry(source, target, ["q_5"], [0])
+            return _entry(source, target, ("q_5", 0, OTHER))
         if (nA, n) == (3, 5):
-            return _entry(source, target, ["eta q_6"], [2])
+            return _entry(source, target, ("eta q_6", 2, OTHER))
         raise TableMiss(f"[{source}, {target}]")
 
     raise TableMiss(f"[{source}, {target}]")

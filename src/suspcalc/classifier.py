@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import CyclicFactor, FgAbelianGroup, ZERO_GROUP
+from .abelian import MAX_FACTOR_ORDER, CyclicFactor, FgAbelianGroup, ZERO_GROUP
 from .catalog import (
     ElementaryComplex,
     WedgeComplex,
@@ -94,9 +94,9 @@ def _json_type(value) -> str:
 # Input bounds.  The wedge's cost follows its distinct summands, but its
 # printed form lists every copy, and the group arithmetic keeps torsion
 # factor by factor; these keep time, memory and output size bounded.
+# Every prime**exponent stays below abelian.MAX_FACTOR_ORDER.
 MAX_FREE_RANK = 10**6  # m and d
 MAX_TORSION_FACTORS = 10**4  # summed multiplicity of the torsion items
-MAX_FACTOR_ORDER = 2**64  # every prime**exponent stays below this
 
 
 THETA_TRIVIAL = "trivial"
@@ -323,41 +323,38 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class DecompositionReport:
+    """``top`` is the branch's degree-6 summand of ``sigma2``."""
+
     invariants: ManifoldInvariants
     branch: str
     sigma2: WedgeComplex
     sigma: WedgeComplex | Unresolved
     stages: StageDecompositions
+    top: ElementaryComplex
     notes: tuple[str, ...] = ()
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, level: int = 2, stages: bool = True) -> dict:
+        """The single suspension alone at ``level`` 1, both suspensions
+        and, with ``stages``, the stages at level 2; each wedge that goes
+        into it is rendered once."""
         if isinstance(self.sigma, Unresolved):
             sigma: object = {"unresolved": True, "note": self.sigma.reason}
         else:
             sigma = self.sigma.notation
-        return {
+        if level == 1:
+            return {"label": self.invariants.label, "branch": self.branch, "sigma": sigma,
+                    "notes": list(self.notes)}
+        out = {
             "label": self.invariants.label,
             "branch": self.branch,
             "sigma2": self.sigma2.notation,
             "sigma": sigma,
-            "stages": self.stages.to_json_dict(),
-            "notes": list(self.notes),
-            "invariants": self.invariants.to_json_dict(),
         }
-
-    def pretty(self) -> str:
-        lines = []
-        if self.invariants.label:
-            lines.append(f"label:   {self.invariants.label}")
-        lines.append(f"branch:  {self.branch}")
-        lines.append(f"Sigma^2 M ~ {self.sigma2.notation}")
-        if isinstance(self.sigma, Unresolved):
-            lines.append(f"Sigma M   : unresolved ({self.sigma.reason})")
-        else:
-            lines.append(f"Sigma M   ~ {self.sigma.notation}")
-        for note in self.notes:
-            lines.append(f"note:    {note}")
-        return "\n".join(lines)
+        if stages:
+            out["stages"] = self.stages.to_json_dict()
+        out["notes"] = list(self.notes)
+        out["invariants"] = self.invariants.to_json_dict()
+        return out
 
 
 def stage_decompositions(inv: ManifoldInvariants) -> StageDecompositions:
@@ -445,6 +442,7 @@ def classify_double_suspension(inv: ManifoldInvariants) -> DecompositionReport:
         sigma2=sigma2,
         sigma=sigma,
         stages=stage_decompositions(inv),
+        top=top,
         notes=tuple(notes),
     )
 

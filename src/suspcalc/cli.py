@@ -35,7 +35,6 @@ from .classifier import (
     InvalidInvariants,
     ManifoldInvariants,
     OmittedCase,
-    Unresolved,
     classify_double_suspension,
     validate_roundtrip,
 )
@@ -125,16 +124,7 @@ def run_classify(args) -> int:
     lines: list[str] = []
     all_ok = True
     for inv, report in batch.reports:
-        payload = report.to_json_dict()
-        if args.suspension_level == 1:
-            payload = {
-                "label": inv.label,
-                "branch": report.branch,
-                "sigma": payload["sigma"],
-                "notes": payload["notes"],
-            }
-        if not args.stages:
-            payload.pop("stages", None)
+        payload = report.to_json_dict(args.suspension_level, args.stages)
         checks = validate_roundtrip(inv, report) if args.validate else []
         all_ok &= all(c.passed for c in checks)
         if args.validate:
@@ -142,18 +132,28 @@ def run_classify(args) -> int:
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
             ]
         payloads.append(payload)
+        if args.json:
+            continue
 
+        sigma = payload["sigma"]
         if args.suspension_level == 1:
-            if isinstance(report.sigma, Unresolved):
-                lines.append(f"Sigma M: Unresolved ({report.sigma.reason})")
+            if isinstance(sigma, dict):
+                line = f"Sigma M: Unresolved ({sigma['note']})"
             else:
-                lines.append(f"Sigma M ~ {report.sigma.notation}")
-            if inv.label:
-                lines[-1] = f"{inv.label}: " + lines[-1]
+                line = f"Sigma M ~ {sigma}"
+            lines.append(f"{inv.label}: {line}" if inv.label else line)
         else:
-            lines.append(report.pretty())
+            if inv.label:
+                lines.append(f"label:   {inv.label}")
+            lines.append(f"branch:  {report.branch}")
+            lines.append(f"Sigma^2 M ~ {payload['sigma2']}")
+            if isinstance(sigma, dict):
+                lines.append(f"Sigma M   : unresolved ({sigma['note']})")
+            else:
+                lines.append(f"Sigma M   ~ {sigma}")
+            lines.extend(f"note:    {note}" for note in report.notes)
         if args.stages:
-            stages = report.stages.to_json_dict()
+            stages = payload.get("stages") or report.stages.to_json_dict()
             w4 = stages["W4"] if isinstance(stages["W4"], str) else stages["W4"]["symbolic"]
             lines.append(f"  W3 ~ {stages['W3']}")
             lines.append(f"  W4 ~ {w4}")

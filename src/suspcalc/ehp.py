@@ -47,10 +47,6 @@ from .classifier import (
 )
 
 
-class UnsupportedBranch(ValueError):
-    """The report does not come from a supported classifier branch."""
-
-
 def _z2local(rank: int = 1, exponents: Iterable[int] = ()) -> FgAbelianGroup:
     """Z_(2)^rank (+) (+)_e Z/2^e over ``exponents``, with Z/2^0 dropped."""
     torsion = tuple(CyclicFactor(2, e) for e in exponents if e > 0)
@@ -157,31 +153,11 @@ def hopf_table(summand: ElementaryComplex) -> HopfEntry:
     raise TableMiss(f"no Hopf data for {summand}")
 
 
-def _branch_top(report: DecompositionReport) -> ElementaryComplex:
-    tops = {
-        BRANCH_SPIN_THETA_TRIVIAL: SPHERE,
-        BRANCH_SPIN_THETA_NONTRIVIAL: A_2R_ETA2,
-        BRANCH_NONSPIN_CASE_A: CHANG_ETA,
-        BRANCH_NONSPIN_CASE_B: CHANG_R,
-        BRANCH_NONSPIN_CASE_C: A_TILDE,
-    }
-    kind = tops.get(report.branch)
-    if kind is None:
-        raise UnsupportedBranch(f"branch {report.branch!r} has no cohomotopy bookkeeping")
-    if kind == SPHERE:
-        return sphere(6)
-    for summand, _ in report.sigma2.pairs:
-        if summand.kind == kind:
-            return summand
-    raise UnsupportedBranch(f"report for {report.branch} lacks its top summand")
-
-
 def pi5_double_suspension(report: DecompositionReport) -> FgAbelianGroup:
     """[Sigma^2 M, S^5] 2-locally: Z_(2)^m (+) (+)_j Z/2^(r_j) plus the
     branch top-piece contribution."""
     inv = report.invariants
-    top = _branch_top(report)
-    extra = maps_group(top, sphere(5)).group
+    extra = maps_group(report.top, sphere(5)).group
     return _z2local(inv.m, inv.two_exponents).direct_sum(extra)
 
 
@@ -204,9 +180,8 @@ def pi5_suspension(report: DecompositionReport) -> FgAbelianGroup | None:
 def coker_H2(report: DecompositionReport) -> FgAbelianGroup:
     """Cokernel of H_2: [Sigma^2 M, S^3] -> [Sigma^2 M, S^5], 2-locally."""
     inv = report.invariants
-    top = _branch_top(report)
     out = _z2local(inv.m, (r - 1 for r in inv.two_exponents))
-    return out.direct_sum(hopf_table(top).cokernel)
+    return out.direct_sum(hopf_table(report.top).cokernel)
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,23 @@ lexicographically least orbit element; it exists to cross-check
 
 from __future__ import annotations
 
-import os
-import random
 from dataclasses import dataclass, replace
 
 from .catalog import (
+    ETA,
+    ETA2,
+    ETA2_PINCH,
+    ETA_BAR,
+    ETA_PINCH,
+    ETA_TILDE,
+    INCL,
+    INCL_ETA,
+    INCL_ETA2,
+    IOTA,
     MOORE,
+    NU_PRIME,
+    OTHER,
+    PINCH,
     SPHERE,
     ElementaryComplex,
     MapsGroupEntry,
@@ -71,38 +82,7 @@ class TooLarge(ValueError):
     """The oracle bounds (<= 4 targets, entry-group order <= 2^12) are exceeded."""
 
 
-# --------------------------------------------------------------------------
-# semantic kinds of the tabulated generators
-# --------------------------------------------------------------------------
-
-ZERO = "zero"
-IOTA = "iota"
-ETA = "eta"
-ETA2 = "eta2"
-NU_PRIME = "nu_prime"
-INCL = "incl"
-INCL_ETA = "incl_eta"
-INCL_ETA2 = "incl_eta2"
-ETA_TILDE = "eta_tilde"
-OTHER = "other"
-
-
-def _gen_kinds(source: ElementaryComplex, target: ElementaryComplex) -> tuple[str, ...]:
-    """Semantic kind of each generator of [source, target], positionally."""
-    entry = maps_group(source, target)
-    if source.kind == SPHERE and target.kind == SPHERE:
-        table = {0: IOTA, 1: ETA, 2: ETA2, 3: NU_PRIME}
-        return tuple(table[source.n - target.n] for _ in entry.generators)
-    if source.kind == SPHERE and target.kind == MOORE:
-        gap = source.n - (target.n - 1)
-        if gap == 0:
-            return tuple(INCL for _ in entry.generators)
-        if gap == 1:
-            return tuple(INCL_ETA for _ in entry.generators)
-        if gap == 2:
-            kinds = [ETA_TILDE, INCL_ETA2]
-            return tuple(kinds[: len(entry.generators)])
-    return tuple(OTHER for _ in entry.generators)
+ZERO = "zero"  # the kind of a zero class
 
 
 def _moore_exponent(x: ElementaryComplex) -> int:
@@ -176,7 +156,7 @@ class MapClass:
         """One of zero/eta/eta2/i-eta/i-eta2/eta~/iota/incl/other."""
         if self.is_zero:
             return ZERO
-        kinds = _gen_kinds(self.source, self.target)
+        kinds = self.table_entry.kinds
         if kinds and kinds[0] == ETA_TILDE:
             r = _moore_exponent(self.target)
             if r == 1:
@@ -217,20 +197,13 @@ class MapClass:
 # --------------------------------------------------------------------------
 
 # Transfer kinds: maps between two wedge summands usable in row operations.
-T_DEG = "deg"
-T_ETA = "eta"
-T_ETA2 = "eta2"
-T_INCL = "incl"
-T_INCL_ETA = "incl_eta"
-T_INCL_ETA2 = "incl_eta2"
-T_PINCH = "pinch"
-T_ETA_PINCH = "eta_pinch"
-T_ETA2_PINCH = "eta2_pinch"
-T_ETA_BAR = "eta_bar"
-T_CHI = "chi"
-T_INCL_PINCH = "incl_pinch"
-T_INCL_ETA_PINCH = "incl_eta_pinch"
-T_INCL_ETA_BAR = "incl_eta_bar"
+# A transfer that is a tabulated generator carries that generator's kind
+# (``catalog.ETA``, ``catalog.PINCH``, ...); these five are not generators.
+DEG = "deg"
+CHI = "chi"
+INCL_PINCH = "incl_pinch"
+INCL_ETA_PINCH = "incl_eta_pinch"
+INCL_ETA_BAR = "incl_eta_bar"
 
 
 @dataclass(frozen=True)
@@ -249,37 +222,37 @@ class GeneratorSymbol:
 
     @property
     def name(self) -> str:
-        if self.kind == T_DEG:
+        if self.kind == DEG:
             return "iota" if self.deg == 1 else f"deg {self.deg}"
-        if self.kind == T_ETA:
+        if self.kind == ETA:
             return "eta"
-        if self.kind == T_ETA2:
+        if self.kind == ETA2:
             return "eta^2"
         if self.kind == NU_PRIME:
             return "nu'"
-        if self.kind == T_INCL:
+        if self.kind == INCL:
             return f"i_{self.source.n}"
-        if self.kind == T_INCL_ETA:
+        if self.kind == INCL_ETA:
             return f"i_{self.target.n - 1} eta"
-        if self.kind == T_INCL_ETA2:
+        if self.kind == INCL_ETA2:
             return f"i_{self.target.n - 1} eta^2"
         if self.kind == ETA_TILDE:
             return f"eta~_{_moore_exponent(self.target)}"
-        if self.kind == T_ETA_BAR:
+        if self.kind == ETA_BAR:
             return f"eta-_{_moore_exponent(self.source)}"
-        if self.kind == T_PINCH:
+        if self.kind == PINCH:
             return f"q_{self.source.n}"
-        if self.kind == T_ETA_PINCH:
+        if self.kind == ETA_PINCH:
             return f"eta q_{self.source.n}"
-        if self.kind == T_ETA2_PINCH:
+        if self.kind == ETA2_PINCH:
             return f"eta^2 q_{self.source.n}"
-        if self.kind == T_CHI:
+        if self.kind == CHI:
             return f"chi^{_moore_exponent(self.source)}_{_moore_exponent(self.target)}"
-        if self.kind == T_INCL_PINCH:
+        if self.kind == INCL_PINCH:
             return f"i_{self.target.n - 1} q_{self.source.n}"
-        if self.kind == T_INCL_ETA_PINCH:
+        if self.kind == INCL_ETA_PINCH:
             return f"i_{self.target.n - 1} eta q_{self.source.n}"
-        if self.kind == T_INCL_ETA_BAR:
+        if self.kind == INCL_ETA_BAR:
             return f"i_{self.target.n - 1} eta-_{_moore_exponent(self.source)}"
         return self.kind
 
@@ -289,17 +262,17 @@ class GeneratorSymbol:
 
 def sym_eta(n: int) -> GeneratorSymbol:
     """eta: S^(n+1) -> S^n."""
-    return GeneratorSymbol(T_ETA, sphere(n + 1), sphere(n))
+    return GeneratorSymbol(ETA, sphere(n + 1), sphere(n))
 
 
 def sym_eta2(n: int) -> GeneratorSymbol:
     """eta^2: S^(n+2) -> S^n."""
-    return GeneratorSymbol(T_ETA2, sphere(n + 2), sphere(n))
+    return GeneratorSymbol(ETA2, sphere(n + 2), sphere(n))
 
 
 def sym_incl(nM: int, order: int) -> GeneratorSymbol:
     """i: S^(nM-1) -> P^nM(order)."""
-    return GeneratorSymbol(T_INCL, sphere(nM - 1), moore(nM, order))
+    return GeneratorSymbol(INCL, sphere(nM - 1), moore(nM, order))
 
 
 def sym_eta_tilde(nM: int, r: int) -> GeneratorSymbol:
@@ -309,32 +282,81 @@ def sym_eta_tilde(nM: int, r: int) -> GeneratorSymbol:
 
 def sym_eta_bar(nM: int, r: int) -> GeneratorSymbol:
     """eta-_r: P^nM(2^r) -> S^(nM-2)."""
-    return GeneratorSymbol(T_ETA_BAR, moore(nM, 2**r), sphere(nM - 2))
+    return GeneratorSymbol(ETA_BAR, moore(nM, 2**r), sphere(nM - 2))
 
 
 def sym_pinch(nM: int, order: int) -> GeneratorSymbol:
     """q: P^nM(order) -> S^nM."""
-    return GeneratorSymbol(T_PINCH, moore(nM, order), sphere(nM))
+    return GeneratorSymbol(PINCH, moore(nM, order), sphere(nM))
 
 
 def sym_chi(nM: int, r: int, s: int) -> GeneratorSymbol:
     """chi^r_s: P^nM(2^r) -> P^nM(2^s)."""
-    return GeneratorSymbol(T_CHI, moore(nM, 2**r), moore(nM, 2**s))
+    return GeneratorSymbol(CHI, moore(nM, 2**r), moore(nM, 2**s))
 
 
-def _contribution(target: ElementaryComplex, out_kind: str, coeff: int,
-                  acc: list[int], kinds: tuple[str, ...]) -> None:
-    """Accumulate coeff * (generator of semantic kind out_kind) into acc."""
-    if coeff == 0 or out_kind == ZERO:
+def _contribution(entry: MapsGroupEntry, kind: str, coeff: int, acc: list[int]) -> None:
+    """Accumulate coeff * (the generator of ``kind``) into acc, on the
+    generator basis of ``entry``."""
+    if coeff == 0:
         return
-    if target.kind == MOORE and out_kind == INCL_ETA2 and _moore_exponent(target) == 1:
+    if entry.target.kind == MOORE and kind == INCL_ETA2 and _moore_exponent(entry.target) == 1:
         # With r = 1 the group is Z/4 on eta~_1 and i eta^2 = 2 eta~_1.
-        idx = kinds.index(ETA_TILDE)
-        acc[idx] += 2 * coeff
+        acc[entry.kinds.index(ETA_TILDE)] += 2 * coeff
         return
-    if out_kind not in kinds:
-        raise TableMiss(f"no generator of kind {out_kind} in target group")
-    acc[kinds.index(out_kind)] += coeff
+    if kind not in entry.kinds:
+        raise TableMiss(f"no generator of kind {kind} in target group")
+    acc[entry.kinds.index(kind)] += coeff
+
+
+def _pure_entry(source, target, kind: str, coeff: int = 1) -> MapClass:
+    """``coeff`` times the generator of the given kind in [source, target]."""
+    entry = maps_group(source, target)
+    acc = [0] * len(entry.orders)
+    _contribution(entry, kind, coeff, acc)
+    return MapClass(source, target, tuple(acc))
+
+
+# Transfers through the pinch map q send eta~_r to their image (q eta~_r =
+# eta) and kill i, i eta and i eta^2, which q sends to zero.
+_THROUGH_PINCH = {
+    PINCH: (ETA, 1),
+    ETA_PINCH: (ETA2, 1),
+    ETA2_PINCH: (NU_PRIME, 2),
+    INCL_PINCH: (INCL_ETA, 1),
+    INCL_ETA_PINCH: (INCL_ETA2, 1),
+}
+
+# The composition law: (transfer kind, generator kind) -> (image kind,
+# multiple) for a transfer left-composed with one sphere-sourced
+# generator; image None means the composite is zero, and pairs left out
+# are not tabulated.  Degree maps keep the generator's kind; chi^r_s
+# multiplies by a power of 2 that depends on r and s (apply_transfer).
+_COMPOSITION: dict[tuple[str, str], tuple[str | None, int]] = {
+    (ETA, IOTA): (ETA, 1),
+    (ETA, ETA): (ETA2, 1),
+    (ETA, ETA2): (NU_PRIME, 2),  # eta^3 = 2 nu'
+    (ETA2, IOTA): (ETA2, 1),
+    (ETA2, ETA): (NU_PRIME, 2),
+    (INCL, IOTA): (INCL, 1),
+    (INCL, ETA): (INCL_ETA, 1),
+    (INCL, ETA2): (INCL_ETA2, 1),
+    (INCL_ETA, IOTA): (INCL_ETA, 1),
+    (INCL_ETA, ETA): (INCL_ETA2, 1),
+    (INCL_ETA2, IOTA): (INCL_ETA2, 1),
+    (ETA_BAR, INCL): (ETA, 1),  # eta-_r i = eta
+    (ETA_BAR, INCL_ETA): (ETA2, 1),
+    (ETA_BAR, ETA_TILDE): (NU_PRIME, 1),  # nu' = eta-_1 eta~_1, tabulated for r = 1 only
+    (ETA_BAR, INCL_ETA2): (NU_PRIME, 2),
+    (INCL_ETA_BAR, INCL): (INCL_ETA, 1),
+    (INCL_ETA_BAR, INCL_ETA): (INCL_ETA2, 1),
+    (CHI, INCL): (INCL, 1),
+    (CHI, INCL_ETA): (INCL_ETA, 1),
+    (CHI, INCL_ETA2): (INCL_ETA2, 1),
+    (CHI, ETA_TILDE): (ETA_TILDE, 1),
+    **{(q, ETA_TILDE): image for q, image in _THROUGH_PINCH.items()},
+    **{(q, kind): (None, 0) for q in _THROUGH_PINCH for kind in (INCL, INCL_ETA, INCL_ETA2)},
+}
 
 
 def apply_transfer(transfer: GeneratorSymbol, entry: MapClass) -> MapClass:
@@ -345,130 +367,37 @@ def apply_transfer(transfer: GeneratorSymbol, entry: MapClass) -> MapClass:
     if src.kind != SPHERE:
         raise TableMiss("only sphere-sourced classes can be pushed along transfers")
     out_entry = maps_group(src, out_target)
-    out_kinds = _gen_kinds(src, out_target)
     acc = [0] * len(out_entry.orders)
-    in_kinds = _gen_kinds(src, entry.target)
-    tk = transfer.kind
-    for gen_kind, coeff in zip(in_kinds, entry.coeffs):
+    for gen_kind, coeff in zip(entry.table_entry.kinds, entry.coeffs):
         if coeff == 0:
             continue
-        if tk == T_DEG:
+        if transfer.kind == DEG:
             if gen_kind == NU_PRIME and transfer.deg not in (0, 1):
                 raise TableMiss("degree maps do not act linearly on nu'")
-            _contribution(out_target, gen_kind, transfer.deg * coeff, acc, out_kinds)
-        elif tk == T_ETA:
-            image = {IOTA: ETA, ETA: ETA2}.get(gen_kind)
-            if image is not None:
-                _contribution(out_target, image, coeff, acc, out_kinds)
-            elif gen_kind == ETA2 and out_target == sphere(3):
-                _contribution(out_target, NU_PRIME, 2 * coeff, acc, out_kinds)
-            else:
-                raise TableMiss(f"eta . {gen_kind} is not tabulated")
-        elif tk == T_ETA2:
-            if gen_kind == IOTA:
-                _contribution(out_target, ETA2, coeff, acc, out_kinds)
-            elif gen_kind == ETA and out_target == sphere(3):
-                _contribution(out_target, NU_PRIME, 2 * coeff, acc, out_kinds)
-            else:
-                raise TableMiss(f"eta^2 . {gen_kind} is not tabulated")
-        elif tk == T_INCL:
-            image = {IOTA: INCL, ETA: INCL_ETA, ETA2: INCL_ETA2}.get(gen_kind)
-            if image is None:
-                raise TableMiss(f"i . {gen_kind} is not tabulated")
-            _contribution(out_target, image, coeff, acc, out_kinds)
-        elif tk == T_INCL_ETA:
-            image = {IOTA: INCL_ETA, ETA: INCL_ETA2}.get(gen_kind)
-            if image is None:
-                raise TableMiss(f"i eta . {gen_kind} is not tabulated")
-            _contribution(out_target, image, coeff, acc, out_kinds)
-        elif tk == T_INCL_ETA2:
-            if gen_kind != IOTA:
-                raise TableMiss(f"i eta^2 . {gen_kind} is not tabulated")
-            _contribution(out_target, INCL_ETA2, coeff, acc, out_kinds)
-        elif tk == T_PINCH:
-            if gen_kind == ETA_TILDE:
-                _contribution(out_target, ETA, coeff, acc, out_kinds)
-            # q kills i, i eta, i eta^2
-        elif tk == T_ETA_PINCH:
-            if gen_kind == ETA_TILDE:
-                _contribution(out_target, ETA2, coeff, acc, out_kinds)
-        elif tk == T_ETA2_PINCH:
-            if gen_kind == ETA_TILDE:
-                if out_target != sphere(3):
-                    raise TableMiss("eta^3 is only tabulated into S^3")
-                _contribution(out_target, NU_PRIME, 2 * coeff, acc, out_kinds)
-        elif tk == T_ETA_BAR:
-            r = _moore_exponent(transfer.source)
-            if gen_kind == INCL:
-                _contribution(out_target, ETA, coeff, acc, out_kinds)
-            elif gen_kind == INCL_ETA:
-                _contribution(out_target, ETA2, coeff, acc, out_kinds)
-            elif gen_kind == ETA_TILDE:
-                if r != 1:
-                    raise TableMiss("eta-_r . eta~_r is only tabulated for r = 1")
-                _contribution(out_target, NU_PRIME, coeff, acc, out_kinds)
-            elif gen_kind == INCL_ETA2:
-                if out_target != sphere(3):
-                    raise TableMiss("eta^3 is only tabulated into S^3")
-                _contribution(out_target, NU_PRIME, 2 * coeff, acc, out_kinds)
-            else:
-                raise TableMiss(f"eta- . {gen_kind} is not tabulated")
-        elif tk == T_CHI:
-            r = _moore_exponent(transfer.source)
-            s = _moore_exponent(transfer.target)
-            factor = 1 if r >= s else 2 ** (s - r)
-            if gen_kind in (INCL, INCL_ETA, INCL_ETA2):
-                _contribution(out_target, gen_kind, factor * coeff, acc, out_kinds)
-            elif gen_kind == ETA_TILDE:
-                # chi^r_s eta~_r = eta~_s for s >= r and 2^(r-s) eta~_s for s <= r.
-                tilde_factor = 1 if s >= r else 2 ** (r - s)
-                _contribution(out_target, ETA_TILDE, tilde_factor * coeff, acc, out_kinds)
-            else:
-                raise TableMiss(f"chi . {gen_kind} is not tabulated")
-        elif tk == T_INCL_PINCH:
-            if gen_kind == ETA_TILDE:
-                _contribution(out_target, INCL_ETA, coeff, acc, out_kinds)
-        elif tk == T_INCL_ETA_PINCH:
-            if gen_kind == ETA_TILDE:
-                _contribution(out_target, INCL_ETA2, coeff, acc, out_kinds)
-        elif tk == T_INCL_ETA_BAR:
-            if gen_kind == INCL:
-                _contribution(out_target, INCL_ETA, coeff, acc, out_kinds)
-            elif gen_kind == INCL_ETA:
-                _contribution(out_target, INCL_ETA2, coeff, acc, out_kinds)
-            elif gen_kind == INCL_ETA2:
-                pass  # i eta^3 vanishes below the tabulated range
-            else:
-                raise TableMiss(f"i eta- . {gen_kind} is not tabulated")
+            image, multiple = gen_kind, transfer.deg
+        elif (transfer.kind, gen_kind) in _COMPOSITION:
+            image, multiple = _COMPOSITION[transfer.kind, gen_kind]
         else:
-            raise TableMiss(f"unknown transfer kind {tk}")
+            raise TableMiss(f"{transfer.kind} . {gen_kind} is not tabulated")
+        if (transfer.kind, gen_kind) == (ETA_BAR, ETA_TILDE) and _moore_exponent(entry.target) > 1:
+            raise TableMiss("eta-_r . eta~_r is only tabulated for r = 1")
+        if transfer.kind == CHI:
+            # chi^r_s i = 2^(s-r) i for r <= s and chi^r_s eta~_r = 2^(r-s) eta~_s
+            # for s <= r; both are unit multiples the other way.
+            r, s = _moore_exponent(transfer.source), _moore_exponent(transfer.target)
+            multiple *= 2 ** max(r - s if gen_kind == ETA_TILDE else s - r, 0)
+        if image is not None:
+            _contribution(out_entry, image, multiple * coeff, acc)
     return MapClass(src, out_target, tuple(acc))
 
 
-_UNIT_KINDS = {
-    T_DEG: IOTA,
-    T_ETA: ETA,
-    T_ETA2: ETA2,
-    T_INCL: INCL,
-    T_INCL_ETA: INCL_ETA,
-    T_INCL_ETA2: INCL_ETA2,
-    ETA_TILDE: ETA_TILDE,
-}
-
-
 def _symbol_as_class(symbol: GeneratorSymbol) -> MapClass | None:
-    """View a sphere-sourced symbol as the unit class of its group."""
+    """View a sphere-sourced symbol as the unit class of its group, a
+    degree map as that multiple of the identity."""
     if symbol.source.kind != SPHERE:
         return None
-    sem = _UNIT_KINDS.get(symbol.kind)
-    if sem is None:
-        return None
-    entry = maps_group(symbol.source, symbol.target)
-    kinds = _gen_kinds(symbol.source, symbol.target)
-    acc = [0] * len(entry.orders)
-    coeff = symbol.deg if symbol.kind == T_DEG else 1
-    _contribution(symbol.target, sem, coeff, acc, kinds)
-    return MapClass(symbol.source, symbol.target, tuple(acc))
+    kind, coeff = (IOTA, symbol.deg) if symbol.kind == DEG else (symbol.kind, 1)
+    return _pure_entry(symbol.source, symbol.target, kind, coeff)
 
 
 def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
@@ -478,13 +407,12 @@ def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
     as_class = _symbol_as_class(right)
     if as_class is not None:
         return apply_transfer(left, as_class)
-    if right.kind == T_CHI and left.kind in (T_PINCH, T_ETA_PINCH):
+    if right.kind == CHI and left.kind in (PINCH, ETA_PINCH):
         # q chi^r_s = 2^(r-s) q for r >= s, q for r <= s; likewise after eta.
         r = _moore_exponent(right.source)
         s = _moore_exponent(right.target)
         factor = 2 ** (r - s) if r >= s else 1
-        name = f"q_{right.source.n}" if left.kind == T_PINCH else f"eta q_{right.source.n}"
-        return MapClass.of(right.source, left.target, {name: factor})
+        return _pure_entry(right.source, left.target, left.kind, factor)
     raise NotComposable(f"no relation stored for {left.name} . {right.name}")
 
 
@@ -594,34 +522,34 @@ def transfer_alphabet(src: ElementaryComplex, dst: ElementaryComplex) -> tuple[G
     out: list[GeneratorSymbol] = []
     if src.kind == SPHERE and dst.kind == SPHERE:
         if dst.n == src.n:
-            out.append(GeneratorSymbol(T_DEG, src, dst, 1))
+            out.append(GeneratorSymbol(DEG, src, dst, 1))
         elif dst.n == src.n - 1 and dst.n >= 3:
-            out.append(GeneratorSymbol(T_ETA, src, dst))
+            out.append(GeneratorSymbol(ETA, src, dst))
         elif dst.n == src.n - 2 and dst.n >= 3:
-            out.append(GeneratorSymbol(T_ETA2, src, dst))
+            out.append(GeneratorSymbol(ETA2, src, dst))
     elif src.kind == SPHERE and dst.kind == MOORE and not dst.order % 2:
         if src.n == dst.n - 1:
-            out.append(GeneratorSymbol(T_INCL, src, dst))
+            out.append(GeneratorSymbol(INCL, src, dst))
         elif src.n == dst.n:
-            out.append(GeneratorSymbol(T_INCL_ETA, src, dst))
+            out.append(GeneratorSymbol(INCL_ETA, src, dst))
         elif src.n == dst.n + 1:
-            out.append(GeneratorSymbol(T_INCL_ETA2, src, dst))
+            out.append(GeneratorSymbol(INCL_ETA2, src, dst))
     elif src.kind == MOORE and dst.kind == SPHERE and not src.order % 2:
         if dst.n == src.n:
-            out.append(GeneratorSymbol(T_PINCH, src, dst))
+            out.append(GeneratorSymbol(PINCH, src, dst))
         elif dst.n == src.n - 1 and dst.n >= 3:
-            out.append(GeneratorSymbol(T_ETA_PINCH, src, dst))
+            out.append(GeneratorSymbol(ETA_PINCH, src, dst))
         elif dst.n == src.n - 2 and dst.n >= 3:
-            out.append(GeneratorSymbol(T_ETA_BAR, src, dst))
-            out.append(GeneratorSymbol(T_ETA2_PINCH, src, dst))
+            out.append(GeneratorSymbol(ETA_BAR, src, dst))
+            out.append(GeneratorSymbol(ETA2_PINCH, src, dst))
     elif src.kind == MOORE and dst.kind == MOORE and not src.order % 2 and not dst.order % 2:
         if dst.n == src.n:
-            out.append(GeneratorSymbol(T_CHI, src, dst))
-            out.append(GeneratorSymbol(T_INCL_ETA_PINCH, src, dst))
+            out.append(GeneratorSymbol(CHI, src, dst))
+            out.append(GeneratorSymbol(INCL_ETA_PINCH, src, dst))
         elif dst.n == src.n + 1:
-            out.append(GeneratorSymbol(T_INCL_PINCH, src, dst))
+            out.append(GeneratorSymbol(INCL_PINCH, src, dst))
         elif dst.n == src.n - 1:
-            out.append(GeneratorSymbol(T_INCL_ETA_BAR, src, dst))
+            out.append(GeneratorSymbol(INCL_ETA_BAR, src, dst))
     return tuple(out)
 
 
@@ -637,7 +565,7 @@ def _apply_self_equiv(entry: MapClass, op: str) -> MapClass:
     if op == "neg":
         return entry.neg()
     if op == "unit_plus_i_eta_q":
-        transfer = GeneratorSymbol(T_INCL_ETA_PINCH, entry.target, entry.target)
+        transfer = GeneratorSymbol(INCL_ETA_PINCH, entry.target, entry.target)
         return entry.add(apply_transfer(transfer, entry))
     raise IllegalOp(f"unknown self-equivalence {op!r}")
 
@@ -692,15 +620,6 @@ def _classify_rows(v: MapVector) -> list[str]:
             )
         kinds.append(k)
     return kinds
-
-
-def _pure_entry(source, target, kind: str) -> MapClass:
-    """The canonical single-generator entry of the given semantic kind."""
-    entry = maps_group(source, target)
-    kinds = _gen_kinds(source, target)
-    acc = [0] * len(entry.orders)
-    _contribution(target, kind, 1, acc, kinds)
-    return MapClass(source, target, tuple(acc))
 
 
 def normalize(v: MapVector) -> MapVector:
@@ -821,11 +740,6 @@ def orbit(v: MapVector) -> dict[tuple, MapVector]:
     if total > 2**12:
         raise TooLarge(f"total entry-group order {total} exceeds 2^12")
     moves = _all_moves(v)
-    seed = os.environ.get("SUSPCALC_SEED")
-    if seed is not None:
-        # Exploration order is irrelevant to the result; the seed only
-        # shuffles the queue to make that easy to demonstrate.
-        random.Random(seed).shuffle(moves)
     seen: dict[tuple, MapVector] = {v.key(): v}
     frontier = [v]
     while frontier:

@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from suspcalc.abelian import FgAbelianGroup, NotTorsion
+from suspcalc.cli import build_tables
 from suspcalc.catalog import (
+    OTHER,
+    SPHERE,
     TableMiss,
     WedgeComplex,
     a_2r_eta2,
@@ -269,6 +272,15 @@ def test_maps_group_odd_vanishes():
 def test_maps_group_dimension_rule():
     assert maps_group(sphere(3), sphere(5)).is_trivial
     assert maps_group(moore(4, 2), sphere(5)).is_trivial
+
+
+def test_maps_group_kinds_align_with_generators():
+    for row in build_tables()["maps_groups"]:
+        source, target = parse_complex(row["source"]), parse_complex(row["target"])
+        entry = maps_group(source, target)
+        assert len(entry.generators) == len(entry.orders) == len(entry.kinds)
+        if source.kind == SPHERE:
+            assert OTHER not in entry.kinds, (row["source"], row["target"])
 
 
 def test_maps_group_table_miss():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import suspcalc
 import suspcalc.cli
-from suspcalc.catalog import parse_wedge
+from suspcalc.catalog import WedgeComplex, parse_wedge
 from suspcalc.classifier import CheckResult
 from suspcalc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, EXIT_OMITTED, main
 
@@ -64,6 +65,19 @@ def test_classify_json_byte_stable(tmp_path, capsys):
     code2, out2, _ = run_cli(["classify", path, "--json", "--stages"], tmp_path, capsys)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+@pytest.mark.parametrize("args, renders", [(["--stages"], 5), (["--json"], 2)])
+def test_classify_renders_each_printed_wedge_once(tmp_path, capsys, monkeypatch, args, renders):
+    # --stages prints Sigma^2 M, Sigma M, W3, W4 and Sigma W4; --json only the first two.
+    rendered = []
+    notation = WedgeComplex.notation.fget
+    monkeypatch.setattr(WedgeComplex, "notation",
+                        property(lambda w: rendered.append(w) or notation(w)))
+    path = write(tmp_path, "d.json", SPIN_DESCRIPTOR)
+    code, _, _ = run_cli(["classify", path, *args], tmp_path, capsys)
+    assert code == EXIT_OK
+    assert len(rendered) == renders
 
 
 def test_classify_suspension_level_one_unresolved(tmp_path, capsys):
@@ -235,6 +249,10 @@ def test_normalize_command(tmp_path, capsys):
     assert payload["normal_form"]["entries"][0]["coefficients"] == {}
 
 
+# A 60-digit Moore order with two large prime factors, far too slow to factor.
+HUGE_ORDER = (2**89 - 1) * (2**107 - 1)
+
+
 def s5_to_s4(coefficients, source="S^5", target="S^4"):
     return {"source": source, "entries": [{"target": target, "coefficients": coefficients}]}
 
@@ -248,6 +266,8 @@ def s5_to_s4(coefficients, source="S^5", target="S^4"):
         pytest.param(s5_to_s4({"eta": 1.5}), "eta", id="float-coefficient"),
         pytest.param(s5_to_s4({"eta": 1}, source=5), "source", id="non-string-source"),
         pytest.param(s5_to_s4({"eta": 1}, target=["S^4"]), "target", id="non-string-target"),
+        pytest.param(s5_to_s4({}, target=f"P^4({HUGE_ORDER})"), "2**64", id="huge-moore-target"),
+        pytest.param(s5_to_s4({}, source=f"P^6({HUGE_ORDER})"), "2**64", id="huge-moore-source"),
     ],
 )
 def test_normalize_rejects_unknown_generator(tmp_path, capsys, vector, culprit):
@@ -304,6 +324,13 @@ def test_cli_imports_without_jsonschema():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_no_module_reads_the_environment():
+    # Output depends on the arguments and the input alone.
+    package = Path(suspcalc.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert not re.search(r"\b(environ|getenv)\b", path.read_text(encoding="utf-8")), path.name
 
 
 # --------------------------------------------------------------------------

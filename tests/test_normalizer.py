@@ -1,8 +1,12 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from suspcalc import normalizer
 from suspcalc.catalog import (
+    TableMiss,
     WedgeComplex,
     a_2r_eta2,
     a_eta2,
@@ -25,6 +29,7 @@ from suspcalc.normalizer import (
     SwapRows,
     TooLarge,
     UnsupportedVector,
+    apply_transfer,
     cofiber,
     compose_relation,
     normalize,
@@ -42,6 +47,7 @@ from suspcalc.normalizer import (
 )
 
 S3, S4, S5 = sphere(3), sphere(4), sphere(5)
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def vec(source, *components):
@@ -97,6 +103,45 @@ def test_nu_prime_factorization():
     eta_cubed = compose_relation(sym_eta(3), sym_eta2(4))
     assert eta_cubed.coefficients() == {"nu'": 2}
     assert compose_relation(sym_eta2(3), sym_eta(5)).coefficients() == {"nu'": 2}
+
+
+def _unit(i, n):
+    return tuple(int(j == i) for j in range(n))
+
+
+def _unit_compositions():
+    """Every move of the transfer alphabet applied to every unit generator,
+    for sources S^3..S^8 and row targets S^3..S^6, P^3..P^6(2^r) with
+    r <= 3, and P^4(3): (source, target, generator, transfer kind, image
+    target, image coefficients or None for TableMiss)."""
+    rows = ([sphere(n) for n in range(3, 7)]
+            + [moore(n, 2**r) for n in range(3, 7) for r in (1, 2, 3)] + [moore(4, 3)])
+    for source in map(sphere, range(3, 9)):
+        for target in rows:
+            try:
+                entry = maps_group(source, target)
+            except TableMiss:
+                continue
+            for i, name in enumerate(entry.generators):
+                unit = MapClass(source, target, _unit(i, len(entry.orders)))
+                for into in rows:
+                    for transfer in transfer_alphabet(target, into):
+                        try:
+                            coeffs = list(apply_transfer(transfer, unit).coeffs)
+                        except TableMiss:
+                            coeffs = None
+                        yield [source.notation, target.notation, name, transfer.kind,
+                               into.notation, coeffs]
+
+
+def test_unit_compositions_match_golden():
+    # Recorded data, so that the composition law is checked apart from how it is encoded.
+    expected = json.loads((DATA_DIR / "compositions.json").read_text(encoding="utf-8"))
+    actual = list(_unit_compositions())
+    assert len(actual) == 677
+    assert sum(row[-1] is None for row in actual) == 98
+    for got, want in zip(actual, expected, strict=True):
+        assert got == want
 
 
 def test_not_composable():
@@ -360,12 +405,18 @@ def _coeff_products(orders):
 
 
 def test_oracle_seed_insensitive(monkeypatch):
-    v = vec(S5, (S4, {"eta": 1}), (moore(4, 4), {"eta~_2": 1}))
-    monkeypatch.setenv("SUSPCALC_SEED", "12345")
-    with_seed = oracle_normal_form(v)
-    monkeypatch.delenv("SUSPCALC_SEED")
-    without_seed = oracle_normal_form(v)
-    assert with_seed == without_seed
+    # The exploration order of the orbit does not change the oracle's answer.
+    v = vec(S5, (S4, {"eta": 1}), (moore(4, 4), {"eta~_2": 1}), (moore(4, 2), {"eta~_1": 1}))
+    in_order = oracle_normal_form(v)
+    all_moves = normalizer._all_moves
+    for seed in range(5):
+        def shuffled_moves(w, seed=seed):
+            moves = all_moves(w)
+            random.Random(seed).shuffle(moves)
+            return moves
+
+        monkeypatch.setattr(normalizer, "_all_moves", shuffled_moves)
+        assert oracle_normal_form(v) == in_order
 
 
 # --------------------------------------------------------------------------
