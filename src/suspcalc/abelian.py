@@ -15,9 +15,9 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
+from math import gcd
 from typing import Sequence
-
-from sympy import factorint, isprime
 
 RING_Z = "Z"
 RING_Z2LOCAL = "Z_(2)"
@@ -25,6 +25,58 @@ RING_Z2LOCAL = "Z_(2)"
 # Input bound on cyclic orders (torsion factors, Moore-space orders), so
 # that factoring one stays cheap.
 MAX_FACTOR_ORDER = 2**64
+
+# Miller-Rabin on the prime bases up to 37 has no strong pseudoprime below
+# psi_12 (Sorenson and Webster, 2015), which lies above MAX_FACTOR_ORDER.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+
+
+def isprime(n: int) -> bool:
+    """Deterministic Miller-Rabin: exact below psi_12, and a ValueError
+    from there on rather than a probable answer."""
+    if n >= _PSI_12:
+        raise ValueError(f"isprime is exact only below {_PSI_12}, got {n}")
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s  # n - 1 = d * 2**s with d odd
+    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in _MR_BASES)
+
+
+def factorint(n: int) -> dict[int, int]:
+    """The factorization {prime: exponent} of n >= 1, primes ascending:
+    trial division, then isprime and Pollard rho on the cofactor."""
+    factors: dict[int, int] = {}
+    for p in chain((2,), range(3, 1024, 2)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if isprime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            g = _rho(m)
+            stack += (g, m // g)
+    return dict(sorted(factors.items()))
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the composite n: Pollard rho, Floyd's cycle search."""
+    for c in count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = ((y * y + c) ** 2 + c) % n  # two steps
+            g = gcd(x - y, n)
+        if g != n:
+            return g
 
 
 class FactorAbsent(ValueError):
@@ -114,7 +166,7 @@ class FgAbelianGroup:
                 continue
             else:
                 for p, e in factorint(k).items():
-                    factors.append(CyclicFactor(int(p), int(e)))
+                    factors.append(CyclicFactor(p, e))
         return cls(free_rank=rank, torsion=tuple(factors), free_ring=free_ring)
 
     # ----- basic queries ------------------------------------------------
@@ -178,12 +230,6 @@ class FgAbelianGroup:
     def two_primary_exponents(self) -> tuple[int, ...]:
         """Sorted exponents r_1 <= ... <= r_n of the 2-primary factors."""
         return tuple(sorted(f.exponent for f in self.torsion if f.prime == 2))
-
-    def odd_primary(self) -> "FgAbelianGroup":
-        """The subgroup of torsion factors at odd primes."""
-        return FgAbelianGroup(
-            torsion=tuple(f for f in self.torsion if f.prime != 2)
-        )
 
     def quotient_by_factor(self, factor: CyclicFactor) -> "FgAbelianGroup":
         """Drop one occurrence of a cyclic factor.

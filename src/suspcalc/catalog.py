@@ -20,14 +20,13 @@ from functools import cache
 from itertools import chain, repeat
 from typing import Iterable, Iterator
 
-from sympy import factorint
-
 from .abelian import (
     MAX_FACTOR_ORDER,
     RING_Z2LOCAL,
     CyclicFactor,
     FgAbelianGroup,
     NotTorsion,
+    factorint,
 )
 
 SPHERE = "sphere"
@@ -56,6 +55,8 @@ _KIND_ORDER = (
 
 class TableMiss(KeyError):
     """The requested (source, target) pair is outside the stored tables."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,9 @@ def run_normalize(args) -> int:
         vector = normalizer.MapVector.from_json_dict(data)
         normal = normalizer.normalize(vector)
         cofib = normalizer.cofiber(normal)
-    except (KeyError, ValueError, catalog.TableMiss) as err:
+    except catalog.TableMiss as err:
+        raise InputError(f"not tabulated: {err}") from None
+    except (KeyError, ValueError) as err:
         raise InputError(str(err)) from None
     payload = {
         "normal_form": normal.to_json_dict(),

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import suspcalc.abelian
 from suspcalc.abelian import (
@@ -11,6 +12,8 @@ from suspcalc.abelian import (
     FgAbelianGroup,
     RING_Z2LOCAL,
     direct_sum,
+    factorint,
+    isprime,
     smith_normal_form,
 )
 
@@ -144,6 +147,80 @@ def test_mixed_free_rings_rejected():
         Z.direct_sum(local)
     # A rank-0 side never clashes.
     assert orders(2).direct_sum(local).free_ring == RING_Z2LOCAL
+
+
+# --------------------------------------------------------------------------
+# isprime / factorint
+# --------------------------------------------------------------------------
+
+P32, Q32 = 4294967291, 4294967279  # the two largest primes below 2**32
+PSI_11, PSI_12 = 3825123056546413051, 318665857834031151167461
+
+
+def trial_division(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_number_theory_matches_trial_division():
+    assert not isprime(0) and not isprime(1)
+    for n in range(1, 10**4):
+        expected = trial_division(n)
+        assert factorint(n) == expected, n
+        assert isprime(n) == (expected == {n: 1}), n
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (561, {3: 1, 11: 1, 17: 1}),  # Carmichael numbers
+        (41041, {7: 1, 11: 1, 13: 1, 41: 1}),
+        (3215031751, {151: 1, 751: 1, 28351: 1}),  # strong pseudoprimes to small bases
+        (PSI_11, {149491: 1, 747451: 1, 34233211: 1}),
+        (2**61 - 1, {2**61 - 1: 1}),
+        (2**64 - 59, {2**64 - 59: 1}),
+        (P32 * Q32, {Q32: 1, P32: 1}),
+        (P32**2, {P32: 2}),
+        (3**40, {3: 40}),
+        (2**63, {2: 63}),
+    ],
+)
+def test_number_theory_named_cases(n, factors):
+    assert factorint(n) == factors
+    assert isprime(n) == (factors == {n: 1})
+
+
+def test_number_theory_refuses_to_guess_at_psi_12():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on every
+    # prime base up to 37, so no answer at all beats a probable one.
+    with pytest.raises(ValueError):
+        isprime(PSI_12)
+    with pytest.raises(ValueError):
+        factorint(PSI_12)
+
+
+@given(st.integers(1, 2**64 - 1))
+def test_factorint_product_of_primes(n):
+    factors = factorint(n)
+    assert math.prod(p**e for p, e in factors.items()) == n
+    assert all(isprime(p) and e >= 1 for p, e in factors.items())
+
+
+def test_number_theory_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2)
+    for bits in (16, 32, 48, 64):
+        for _ in range(50):
+            n = rng.randrange(2, 2**bits)
+            assert factorint(n) == sympy.factorint(n), n
+            assert isprime(n) == sympy.isprime(n), n
 
 
 # --------------------------------------------------------------------------

@@ -305,7 +305,7 @@ def _phi_targets(inv):
 
 
 def _assemble(inv, c_phi):
-    odd = inv.torsion.odd_primary()
+    odd = FgAbelianGroup(torsion=tuple(f for f in inv.torsion.torsion if f.prime != 2))
     return (
         WedgeComplex(tuple(sphere(3) for _ in range(inv.m)))
         .wedge(WedgeComplex(tuple(sphere(5) for _ in range(inv.m))))

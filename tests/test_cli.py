@@ -268,6 +268,8 @@ def s5_to_s4(coefficients, source="S^5", target="S^4"):
         pytest.param(s5_to_s4({"eta": 1}, target=["S^4"]), "target", id="non-string-target"),
         pytest.param(s5_to_s4({}, target=f"P^4({HUGE_ORDER})"), "2**64", id="huge-moore-target"),
         pytest.param(s5_to_s4({}, source=f"P^6({HUGE_ORDER})"), "2**64", id="huge-moore-source"),
+        pytest.param(s5_to_s4({}, target="P^4(6)"), "error: not tabulated: [S^5, P^4(6)]\n",
+                     id="untabulated-pair"),
     ],
 )
 def test_normalize_rejects_unknown_generator(tmp_path, capsys, vector, culprit):
@@ -314,10 +316,11 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["maps_groups"]
 
 
-def test_cli_imports_without_jsonschema():
+@pytest.mark.parametrize("module", ["jsonschema", "sympy"])
+def test_cli_imports_without(module):
     src = str(Path(suspcalc.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, suspcalc.cli; print('jsonschema' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, suspcalc.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
