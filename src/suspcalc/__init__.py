@@ -3,7 +3,7 @@
 
 __version__ = "0.1.0"
 
-from .abelian import CyclicFactor, FgAbelianGroup, smith_normal_form  # noqa: F401
+from .abelian import CyclicFactor, FgAbelianGroup  # noqa: F401
 from .catalog import (  # noqa: F401
     ElementaryComplex,
     WedgeComplex,

@@ -5,10 +5,10 @@ together with a sorted multiset of cyclic factors Z/p^e.  The free part
 may be tagged as free over Z or over the 2-local integers Z_(2); the tag
 is purely formal and only affects printing and serialization.
 
->>> G = smith_normal_form([[2, 4], [4, 2]])
+>>> G = FgAbelianGroup.of_orders(2, 6)
 >>> print(G)
 Z/2 + Z/2 + Z/3
->>> G == FgAbelianGroup.of_orders(2, 6)
+>>> G == FgAbelianGroup.of_orders(6, 2)
 True
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, count
 from math import gcd
-from typing import Sequence
 
 RING_Z = "Z"
 RING_Z2LOCAL = "Z_(2)"
@@ -43,6 +42,14 @@ def isprime(n: int) -> bool:
     d = (n - 1) >> s  # n - 1 = d * 2**s with d odd
     return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
                for a in _MR_BASES)
+
+
+def iroot(k: int, e: int) -> int:
+    """The integer part of the e-th root of k >= 1, exactly (Newton from above)."""
+    x = 1 << -(-k.bit_length() // e)
+    while (y := ((e - 1) * x + k // x ** (e - 1)) // e) < x:
+        x = y
+    return x
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -294,81 +301,3 @@ def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
     for g in groups:
         out = out.direct_sum(g)
     return out
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> FgAbelianGroup:
-    """Cokernel of an integer matrix, in canonical form.
-
-    Rows index generators and columns index relations, so an m x 0
-    matrix presents Z^m and diag(d_1, ..., d_k) presents (+) Z/d_i.
-
-    >>> print(smith_normal_form([[2, 0], [0, 0]]))
-    Z + Z/2
-    >>> print(smith_normal_form([[], [], []]))
-    Z^3
-    """
-    matrix = [list(map(int, row)) for row in rows]
-    n_gens = len(matrix)
-    width = len(matrix[0]) if matrix else 0
-    if any(len(row) != width for row in matrix):
-        raise ValueError("ragged matrix")
-    divisors = _diagonalize(matrix)
-    orders = [d for d in divisors if d != 1]
-    rank = n_gens - len(divisors)
-    return FgAbelianGroup.of_orders(*([0] * rank + orders))
-
-
-def _diagonalize(matrix: list[list[int]]) -> list[int]:
-    """Diagonalize by row/column operations; return nonzero diagonal entries.
-
-    Exact Python-int arithmetic; the divisibility chain is not enforced
-    because the primary decomposition of the cokernel does not need it.
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if matrix else 0
-    divisors: list[int] = []
-    top = 0
-    while True:
-        pivot = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if matrix[i][j] != 0:
-                    if pivot is None or abs(matrix[i][j]) < abs(matrix[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        matrix[top], matrix[pi] = matrix[pi], matrix[top]
-        for row in matrix:
-            row[top], row[pj] = row[pj], row[top]
-        # Clear the pivot row and column; restart if a remainder survives,
-        # since it is strictly smaller than the pivot.
-        while True:
-            p = matrix[top][top]
-            dirty = False
-            for i in range(top + 1, m):
-                q = matrix[i][top] // p
-                if q:
-                    for j in range(top, n):
-                        matrix[i][j] -= q * matrix[top][j]
-                if matrix[i][top]:
-                    matrix[top], matrix[i] = matrix[i], matrix[top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                q = matrix[top][j] // p
-                if q:
-                    for i in range(top, m):
-                        matrix[i][j] -= q * matrix[i][top]
-                if matrix[top][j]:
-                    for row in matrix:
-                        row[top], row[j] = row[j], row[top]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        divisors.append(abs(matrix[top][top]))
-        top += 1
-    return divisors

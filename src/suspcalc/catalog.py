@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import chain, repeat
+from string import Formatter
 from typing import Iterable, Iterator
 
 from .abelian import (
@@ -26,7 +27,8 @@ from .abelian import (
     CyclicFactor,
     FgAbelianGroup,
     NotTorsion,
-    factorint,
+    iroot,
+    isprime,
 )
 
 SPHERE = "sphere"
@@ -39,18 +41,74 @@ A_ETA2 = "a_eta2"
 A_TILDE = "a_tilde"
 A_2R_ETA2 = "a_2r_eta2"
 
-# Order of kind tags inside one bottom dimension, for canonical sorting.
-_KIND_ORDER = (
-    SPHERE,
-    MOORE,
-    CHANG_ETA,
-    CHANG_R,
-    CHANG_T,
-    CHANG_RT,
-    A_ETA2,
-    A_TILDE,
-    A_2R_ETA2,
-)
+# The least value of each parameter a kind may require.
+_LEAST = {"order": 2, "r": 1, "t": 1}
+_FIELDS = ("n", "top", *_LEAST)  # what a notation template may name
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Every fact of one kind of elementary complex, relative to ``n``.
+
+    ``notation`` is a ``str.format`` template over ``n``, ``top`` (the top
+    dimension), ``order``, ``r`` and ``t``; the parameters it names besides
+    ``n`` and ``top`` are the ones the kind requires.  ``homology`` is the
+    reduced integral homology of the minimal cell structure as
+    ``(degree offset, order)`` pairs, the order being ``"Z"`` or the
+    parameter that gives the degree of the cell above (``order``, or
+    ``r``/``t`` for 2^r/2^t): every cellular chain complex in the catalog
+    splits into free cells and such pairs, so nothing needs diagonalizing.
+    ``sq2`` is the degree offset where Sq^2 is an isomorphism (it vanishes
+    everywhere else), ``theta`` whether the secondary operation on Sq^3
+    acts, and ``pontryagin`` whether the n = 2 member pins down the
+    Pontryagin square (coefficient 1).
+    """
+
+    notation: str
+    least_n: int
+    homology: tuple[tuple[int, str], ...]
+    family: str
+    sq2: int | None = None
+    theta: bool = False
+    pontryagin: bool = False
+    # Derived once, here, so that no ElementaryComplex call recomputes them.
+    params: tuple[str, ...] = field(init=False)
+    bottom: int = field(init=False)
+    top: int = field(init=False)
+    pattern: re.Pattern = field(init=False)
+    positional: str = field(init=False)
+
+    def __post_init__(self):
+        parts = list(Formatter().parse(self.notation))  # (literal, field or None, ...)
+        derive = partial(object.__setattr__, self)
+        derive("params", tuple(p for p in _LEAST if any(f == p for _, f, _, _ in parts)))
+        derive("bottom", min(offset for offset, _ in self.homology))
+        derive("top", max(offset + (order != "Z") for offset, order in self.homology))
+        derive("pattern", re.compile("".join(
+            re.escape(text) + (rf"(?P<{f}>\d+)" if f else "") for text, f, _, _ in parts)))
+        # The template with positional fields, (n, top, order, r, t): faster to fill.
+        derive("positional", "".join(
+            text.replace("{", "{{").replace("}", "}}") + (f"{{{_FIELDS.index(f)}}}" if f else "")
+            for text, f, _, _ in parts))
+
+
+# One row per kind, in the canonical order of kinds within a bottom dimension
+# (Chang 1950; Baues, Homotopy Type and Homology, 1996).
+_KINDS = {
+    SPHERE: _Kind("S^{n}", 1, ((0, "Z"),), "sphere"),
+    MOORE: _Kind("P^{n}({order})", 2, ((-1, "order"),), "moore"),
+    CHANG_ETA: _Kind("C^{top}_eta", 2, ((0, "Z"), (2, "Z")), "chang", sq2=0, pontryagin=True),
+    CHANG_R: _Kind("C^{top}_{r}", 2, ((0, "r"), (2, "Z")), "chang", sq2=0, pontryagin=True),
+    CHANG_T: _Kind("C^{{{top},{t}}}", 2, ((0, "Z"), (1, "t")), "chang", sq2=0),
+    CHANG_RT: _Kind("C^{{{top},{t}}}_{r}", 2, ((0, "r"), (1, "t")), "chang", sq2=0),
+    A_ETA2: _Kind("A^{top}(eta^2)", 2, ((0, "Z"), (3, "Z")), "a3", theta=True),
+    A_TILDE: _Kind("A^{top}(eta~_{r})", 2, ((0, "r"), (3, "Z")), "a3", sq2=1),
+    A_2R_ETA2: _Kind("A^{top}(2^{r} eta^2)", 2, ((0, "r"), (3, "Z")), "a3", theta=True),
+}
+_RANK = {kind: i for i, kind in enumerate(_KINDS)}
+
+# The --filter choices of the tables dump, in kind order.
+FAMILIES = tuple(dict.fromkeys(row.family for row in _KINDS.values()))
 
 
 class TableMiss(KeyError):
@@ -76,52 +134,34 @@ class ElementaryComplex:
     t: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
+        row = _KINDS.get(self.kind)
+        if row is None:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == SPHERE and self.n < 1:
-            raise ValueError("sphere dimension must be >= 1")
-        if self.kind == MOORE and (self.n < 2 or self.order < 2):
-            raise ValueError("Moore space needs n >= 2 and order >= 2")
-        if self.kind == MOORE and self.order >= MAX_FACTOR_ORDER:
+        if self.n < row.least_n:
+            raise ValueError(f"{self.kind} needs n >= {row.least_n}")
+        for name in row.params:
+            if getattr(self, name) < _LEAST[name]:
+                raise ValueError(f"{self.kind} needs {name} >= {_LEAST[name]}")
+        if self.order >= MAX_FACTOR_ORDER:
             bits = MAX_FACTOR_ORDER.bit_length() - 1
             raise ValueError(f"Moore space order must be below 2**{bits}")
-        if self.kind in (CHANG_ETA, CHANG_R, CHANG_T, CHANG_RT, A_ETA2, A_TILDE, A_2R_ETA2):
-            if self.n < 2:
-                raise ValueError(f"{self.kind} is only defined for bottom cell n >= 2")
-        if self.kind in (CHANG_R, CHANG_RT, A_TILDE, A_2R_ETA2) and self.r < 1:
-            raise ValueError("exponent r must be >= 1")
-        if self.kind in (CHANG_T, CHANG_RT) and self.t < 1:
-            raise ValueError("exponent t must be >= 1")
 
     # ----- dimensions ---------------------------------------------------
 
     @property
     def bottom_dim(self) -> int:
-        if self.kind == SPHERE:
-            return self.n
-        if self.kind == MOORE:
-            return self.n - 1
-        return self.n
+        return self.n + _KINDS[self.kind].bottom
 
     @property
     def top_dim(self) -> int:
-        if self.kind == SPHERE:
-            return self.n
-        if self.kind == MOORE:
-            return self.n
-        if self.kind in (CHANG_ETA, CHANG_R, CHANG_T, CHANG_RT):
-            return self.n + 2
-        return self.n + 3
+        return self.n + _KINDS[self.kind].top
+
+    @property
+    def family(self) -> str:
+        return _KINDS[self.kind].family
 
     def sort_key(self):
-        return (
-            self.bottom_dim,
-            _KIND_ORDER.index(self.kind),
-            self.n,
-            self.order,
-            self.r,
-            self.t,
-        )
+        return (self.bottom_dim, _RANK[self.kind], self.n, self.order, self.r, self.t)
 
     # ----- suspension ---------------------------------------------------
 
@@ -135,23 +175,8 @@ class ElementaryComplex:
 
     @property
     def notation(self) -> str:
-        if self.kind == SPHERE:
-            return f"S^{self.n}"
-        if self.kind == MOORE:
-            return f"P^{self.n}({self.order})"
-        if self.kind == CHANG_ETA:
-            return f"C^{self.n + 2}_eta"
-        if self.kind == CHANG_R:
-            return f"C^{self.n + 2}_{self.r}"
-        if self.kind == CHANG_T:
-            return f"C^{{{self.n + 2},{self.t}}}"
-        if self.kind == CHANG_RT:
-            return f"C^{{{self.n + 2},{self.t}}}_{self.r}"
-        if self.kind == A_ETA2:
-            return f"A^{self.n + 3}(eta^2)"
-        if self.kind == A_TILDE:
-            return f"A^{self.n + 3}(eta~_{self.r})"
-        return f"A^{self.n + 3}(2^{self.r} eta^2)"
+        row = _KINDS[self.kind]
+        return row.positional.format(self.n, self.n + row.top, self.order, self.r, self.t)
 
     def __str__(self):
         return self.notation
@@ -313,31 +338,14 @@ def suspend(x: "WedgeComplex | ElementaryComplex"):
 # notation parsing
 # --------------------------------------------------------------------------
 
-_PATTERNS = [
-    (re.compile(r"^S\^(\d+)$"), lambda m: sphere(int(m[1]))),
-    (re.compile(r"^P\^(\d+)\((\d+)\)$"), lambda m: moore(int(m[1]), int(m[2]))),
-    (re.compile(r"^C\^(\d+)_eta$"), lambda m: chang_eta(int(m[1]) - 2)),
-    (re.compile(r"^C\^(\d+)_(\d+)$"), lambda m: chang_r(int(m[1]) - 2, int(m[2]))),
-    (re.compile(r"^C\^\{(\d+),(\d+)\}$"), lambda m: chang_t(int(m[1]) - 2, int(m[2]))),
-    (
-        re.compile(r"^C\^\{(\d+),(\d+)\}_(\d+)$"),
-        lambda m: chang_rt(int(m[1]) - 2, int(m[3]), int(m[2])),
-    ),
-    (re.compile(r"^A\^(\d+)\(eta\^2\)$"), lambda m: a_eta2(int(m[1]) - 3)),
-    (re.compile(r"^A\^(\d+)\(eta~_(\d+)\)$"), lambda m: a_tilde(int(m[1]) - 3, int(m[2]))),
-    (
-        re.compile(r"^A\^(\d+)\(2\^(\d+) eta\^2\)$"),
-        lambda m: a_2r_eta2(int(m[1]) - 3, int(m[2])),
-    ),
-]
-
-
 def parse_complex(text: str) -> ElementaryComplex:
     text = text.strip()
-    for pattern, build in _PATTERNS:
-        m = pattern.match(text)
+    for kind, row in _KINDS.items():
+        m = row.pattern.fullmatch(text)
         if m:
-            return build(m)
+            fields = {name: int(value) for name, value in m.groupdict().items()}
+            n = fields.pop("top") - row.top if "top" in fields else fields.pop("n")
+            return ElementaryComplex(kind, n, **fields)
     raise ValueError(f"cannot parse complex notation {text!r}")
 
 
@@ -355,26 +363,9 @@ def parse_wedge(text: str) -> WedgeComplex:
 @cache
 def _homology_pairs(x: ElementaryComplex) -> tuple[tuple[int, FgAbelianGroup], ...]:
     """Reduced integral homology as (degree, group) pairs."""
-    z = FgAbelianGroup.free(1)
-    if x.kind == SPHERE:
-        return ((x.n, z),)
-    if x.kind == MOORE:
-        return ((x.n - 1, FgAbelianGroup.cyclic(x.order)),)
-    if x.kind == CHANG_ETA:
-        return ((x.n, z), (x.n + 2, z))
-    if x.kind == CHANG_R:
-        return ((x.n, FgAbelianGroup.cyclic(2**x.r)), (x.n + 2, z))
-    if x.kind == CHANG_T:
-        return ((x.n, z), (x.n + 1, FgAbelianGroup.cyclic(2**x.t)))
-    if x.kind == CHANG_RT:
-        return (
-            (x.n, FgAbelianGroup.cyclic(2**x.r)),
-            (x.n + 1, FgAbelianGroup.cyclic(2**x.t)),
-        )
-    if x.kind == A_ETA2:
-        return ((x.n, z), (x.n + 3, z))
-    # A_TILDE and A_2R_ETA2 share the homology of a Moore space plus a top cell.
-    return ((x.n, FgAbelianGroup.cyclic(2**x.r)), (x.n + 3, z))
+    orders = {"Z": 0, "order": x.order, "r": 2**x.r, "t": 2**x.t}
+    return tuple((x.n + offset, FgAbelianGroup.cyclic(orders[order]))
+                 for offset, order in _KINDS[x.kind].homology)
 
 
 def integral_homology(x: "ElementaryComplex | WedgeComplex", i: int) -> FgAbelianGroup:
@@ -408,22 +399,15 @@ def mod2_cohomology_dim(x: "ElementaryComplex | WedgeComplex", k: int) -> int:
 def _sq2_block(x: ElementaryComplex, k: int) -> list[list[int]]:
     """Matrix of Sq^2: H^k(X;Z/2) -> H^(k+2)(X;Z/2) for one summand.
 
-    Sq^2 is an isomorphism from the bottom class of every C-family
-    complex, and from the degree-(n+1) class of A^(n+3)(eta~_r); it
-    vanishes on everything else in the catalog (in particular on
-    A^(n+3)(2^r eta^2), whose attaching map dies under the pinch map).
+    Sq^2 is an isomorphism from the degree the kind's row names and
+    vanishes everywhere else (on A^(n+3)(2^r eta^2) too, whose attaching
+    map dies under the pinch map).
     """
     rows = _mod2_basis(x, k + 2)
     cols = _mod2_basis(x, k)
     block = [[0] * cols for _ in range(rows)]
-    if rows == 0 or cols == 0:
-        return block
-    iso = False
-    if x.kind in (CHANG_ETA, CHANG_R, CHANG_T, CHANG_RT) and k == x.n:
-        iso = True
-    if x.kind == A_TILDE and k == x.n + 1:
-        iso = True
-    if iso:
+    sq2 = _KINDS[x.kind].sq2
+    if rows and cols and sq2 is not None and k == x.n + sq2:
         block[0][0] = 1
     return block
 
@@ -442,7 +426,7 @@ def sq2_is_nonzero(x: "ElementaryComplex | WedgeComplex", k: int) -> bool:
 def theta_flag(x: "ElementaryComplex | WedgeComplex") -> bool:
     """Whether the secondary operation built on Sq^3 = Sq^1 Sq^2 acts
     nontrivially; true exactly for the eta^2-attached three-cell kinds."""
-    return any(s.kind in (A_ETA2, A_2R_ETA2) for s, _ in _distinct(x))
+    return any(_KINDS[s.kind].theta for s, _ in _distinct(x))
 
 
 def bockstein_profile(x: "ElementaryComplex | WedgeComplex") -> tuple[tuple[int, int], ...]:
@@ -477,11 +461,7 @@ def _pontryagin_coeff(x: ElementaryComplex) -> int | None:
     """Coefficient of the Pontryagin square on the degree-2 class, where
     the catalog pins it down (bottom cell 2 with a 4-cell attached by an
     eta-type map, i.e. the C(t != 0) models)."""
-    if x.kind == CHANG_ETA and x.n == 2:
-        return 1
-    if x.kind == CHANG_R and x.n == 2:
-        return 1
-    return None
+    return 1 if _KINDS[x.kind].pontryagin and x.n == 2 else None
 
 
 @dataclass(frozen=True)
@@ -601,8 +581,10 @@ def _is_two_power(k: int) -> bool:
 
 
 def _odd_prime_power(k: int) -> bool:
-    factors = factorint(k)
-    return len(factors) == 1 and 2 not in factors
+    """Whether k = p^e for an odd prime p; exact e-th roots, nothing factored."""
+    return k % 2 == 1 and any(
+        p**e == k and isprime(p)
+        for e in range(1, k.bit_length()) for p in (iroot(k, e),))
 
 
 @cache

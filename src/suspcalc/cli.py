@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import catalog, ehp, normalizer
 from .catalog import (
+    SPHERE,
     ElementaryComplex,
     a_2r_eta2,
     a_eta2,
@@ -258,103 +259,105 @@ def run_normalize(args) -> int:
 
 def _maps_rows() -> list[dict]:
     """Every tabulated (source, target) pair in the dump window."""
-    pairs: list[tuple[str, ElementaryComplex, ElementaryComplex]] = []
+    pairs: list[tuple[ElementaryComplex, ElementaryComplex]] = []
     for n in range(3, 7):
-        pairs.append(("sphere", sphere(n), sphere(n)))
+        pairs.append((sphere(n), sphere(n)))
     for n in range(3, 6):
-        pairs.append(("sphere", sphere(n + 1), sphere(n)))
+        pairs.append((sphere(n + 1), sphere(n)))
     for n in range(3, 5):
-        pairs.append(("sphere", sphere(n + 2), sphere(n)))
-    pairs.append(("sphere", sphere(6), sphere(3)))
+        pairs.append((sphere(n + 2), sphere(n)))
+    pairs.append((sphere(6), sphere(3)))
     for r in (1, 2, 3):
         for nM in (3, 4, 5):
             P = moore(nM, 2**r)
-            pairs.append(("moore", sphere(nM - 1), P))
-            pairs.append(("moore", sphere(nM), P))
-            pairs.append(("moore", sphere(nM + 1), P))
-            pairs.append(("moore", P, sphere(nM)))
+            pairs.append((sphere(nM - 1), P))
+            pairs.append((sphere(nM), P))
+            pairs.append((sphere(nM + 1), P))
+            pairs.append((P, sphere(nM)))
             if nM >= 4:
-                pairs.append(("moore", P, sphere(nM - 1)))
+                pairs.append((P, sphere(nM - 1)))
             if nM == 5:
-                pairs.append(("moore", P, sphere(3)))
-    pairs.append(("moore", sphere(4), moore(4, 3)))
-    pairs.append(("moore", sphere(5), moore(4, 3)))
+                pairs.append((P, sphere(3)))
+    pairs.append((sphere(4), moore(4, 3)))
+    pairs.append((sphere(5), moore(4, 3)))
     for r in (1, 2, 3):
-        pairs.append(("chang", chang_eta(2), sphere(2)))
-        pairs.append(("chang", chang_r(2, r), sphere(2)))
-        pairs.append(("chang", chang_eta(3), sphere(3)))
-        pairs.append(("chang", chang_eta(3), sphere(5)))
-        pairs.append(("chang", chang_r(3, r), sphere(3)))
-        pairs.append(("chang", chang_r(3, r), sphere(5)))
-        pairs.append(("chang", chang_eta(4), sphere(5)))
-        pairs.append(("chang", chang_r(4, r), sphere(5)))
-        pairs.append(("a3", a_2r_eta2(2, r), sphere(3)))
-        pairs.append(("a3", a_2r_eta2(2, r), sphere(4)))
-        pairs.append(("a3", a_2r_eta2(2, r), sphere(5)))
-        pairs.append(("a3", a_2r_eta2(3, r), sphere(3)))
-        pairs.append(("a3", a_2r_eta2(3, r), sphere(5)))
-        pairs.append(("a3", a_tilde(2, r), sphere(3)))
-        pairs.append(("a3", a_tilde(2, r), sphere(5)))
-        pairs.append(("a3", a_tilde(3, r), sphere(5)))
+        pairs.append((chang_eta(2), sphere(2)))
+        pairs.append((chang_r(2, r), sphere(2)))
+        pairs.append((chang_eta(3), sphere(3)))
+        pairs.append((chang_eta(3), sphere(5)))
+        pairs.append((chang_r(3, r), sphere(3)))
+        pairs.append((chang_r(3, r), sphere(5)))
+        pairs.append((chang_eta(4), sphere(5)))
+        pairs.append((chang_r(4, r), sphere(5)))
+        pairs.append((a_2r_eta2(2, r), sphere(3)))
+        pairs.append((a_2r_eta2(2, r), sphere(4)))
+        pairs.append((a_2r_eta2(2, r), sphere(5)))
+        pairs.append((a_2r_eta2(3, r), sphere(3)))
+        pairs.append((a_2r_eta2(3, r), sphere(5)))
+        pairs.append((a_tilde(2, r), sphere(3)))
+        pairs.append((a_tilde(2, r), sphere(5)))
+        pairs.append((a_tilde(3, r), sphere(5)))
 
     rows = []
     seen = set()
-    for family, src, tgt in pairs:
+    for src, tgt in pairs:
         key = (src.notation, tgt.notation)
         if key in seen:
             continue
         seen.add(key)
         entry = maps_group(src, tgt)
+        # A row belongs to the family of its non-sphere member.
+        family = tgt.family if src.kind == SPHERE else src.family
         rows.append({"family": family, **entry.to_json_dict()})
     rows.sort(key=lambda row: (row["family"], row["source"], row["target"]))
     return rows
 
 
 def _profile_rows() -> list[dict]:
-    complexes: list[tuple[str, ElementaryComplex]] = []
+    complexes: list[ElementaryComplex] = []
     for n in range(2, 7):
-        complexes.append(("sphere", sphere(n)))
+        complexes.append(sphere(n))
     for nM in (3, 4, 5):
         for r in (1, 2, 3):
-            complexes.append(("moore", moore(nM, 2**r)))
-    complexes.append(("moore", moore(4, 3)))
+            complexes.append(moore(nM, 2**r))
+    complexes.append(moore(4, 3))
     for n in (2, 3, 4):
-        complexes.append(("chang", chang_eta(n)))
+        complexes.append(chang_eta(n))
         for r in (1, 2, 3):
-            complexes.append(("chang", chang_r(n, r)))
+            complexes.append(chang_r(n, r))
         for t in (1, 2):
-            complexes.append(("chang", chang_t(n, t)))
+            complexes.append(chang_t(n, t))
             for r in (1, 2):
-                complexes.append(("chang", chang_rt(n, r, t)))
+                complexes.append(chang_rt(n, r, t))
     for n in (2, 3):
-        complexes.append(("a3", a_eta2(n)))
+        complexes.append(a_eta2(n))
         for r in (1, 2, 3):
-            complexes.append(("a3", a_tilde(n, r)))
-            complexes.append(("a3", a_2r_eta2(n, r)))
+            complexes.append(a_tilde(n, r))
+            complexes.append(a_2r_eta2(n, r))
     rows = [
-        {"family": family, **operation_profile(x).to_json_dict()}
-        for family, x in complexes
+        {"family": x.family, **operation_profile(x).to_json_dict()}
+        for x in complexes
     ]
     rows.sort(key=lambda row: (row["family"], row["complex"]))
     return rows
 
 
 def _hopf_rows() -> list[dict]:
-    summands: list[tuple[str, ElementaryComplex]] = []
+    summands: list[ElementaryComplex] = []
     for n in (3, 4, 5, 6):
-        summands.append(("sphere", sphere(n)))
+        summands.append(sphere(n))
     for r in (1, 2, 3):
-        summands.append(("moore", moore(4, 2**r)))
-        summands.append(("moore", moore(5, 2**r)))
-    summands.append(("moore", moore(5, 3)))
-    summands.append(("chang", chang_eta(4)))
+        summands.append(moore(4, 2**r))
+        summands.append(moore(5, 2**r))
+    summands.append(moore(5, 3))
+    summands.append(chang_eta(4))
     for r in (1, 2, 3):
-        summands.append(("chang", chang_r(4, r)))
-        summands.append(("a3", a_tilde(3, r)))
-        summands.append(("a3", a_2r_eta2(3, r)))
+        summands.append(chang_r(4, r))
+        summands.append(a_tilde(3, r))
+        summands.append(a_2r_eta2(3, r))
     rows = [
-        {"family": family, **ehp.hopf_table(x).to_json_dict()}
-        for family, x in summands
+        {"family": x.family, **ehp.hopf_table(x).to_json_dict()}
+        for x in summands
     ]
     rows.sort(key=lambda row: (row["family"], row["summand"]))
     return rows
@@ -413,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_normalize)
 
     p = sub.add_parser("tables", help="dump the catalog tables as JSON")
-    p.add_argument("--filter", choices=("sphere", "moore", "chang", "a3"))
+    p.add_argument("--filter", choices=catalog.FAMILIES)
     p.set_defaults(func=run_tables)
 
     p = sub.add_parser("validate", help="roundtrip audit; exit 1 on failures")

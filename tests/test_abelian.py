@@ -13,9 +13,11 @@ from suspcalc.abelian import (
     RING_Z2LOCAL,
     direct_sum,
     factorint,
+    iroot,
     isprime,
-    smith_normal_form,
 )
+import suspcalc.catalog
+from suspcalc.catalog import TableMiss, _odd_prime_power, maps_group, moore, sphere
 
 Z = FgAbelianGroup.free(1)
 ZERO = FgAbelianGroup.zero()
@@ -23,63 +25,6 @@ ZERO = FgAbelianGroup.zero()
 
 def orders(*ks):
     return FgAbelianGroup.of_orders(*ks)
-
-
-# --------------------------------------------------------------------------
-# smith_normal_form
-# --------------------------------------------------------------------------
-
-def test_snf_already_diagonal():
-    assert smith_normal_form([[2, 0], [0, 0]]) == orders(2, 0)
-
-
-def test_snf_empty_matrix_is_free():
-    assert smith_normal_form([[], [], []]) == FgAbelianGroup.free(3)
-    assert smith_normal_form([]) == ZERO
-
-
-def test_snf_gcd_oracle_2x2():
-    # Independent 2x2 oracle: d1 = gcd of the entries, d2 = |det| / d1.
-    matrix = [[2, 4], [4, 2]]
-    d1 = math.gcd(2, 4, 4, 2)
-    d2 = abs(2 * 2 - 4 * 4) // d1
-    assert (d1, d2) == (2, 6)
-    assert smith_normal_form(matrix) == orders(d1, d2)
-
-
-def test_snf_zero_columns_and_rows():
-    assert smith_normal_form([[0, 0], [0, 0]]) == FgAbelianGroup.free(2)
-    assert smith_normal_form([[0], [3]]) == Z.direct_sum(orders(3))
-
-
-def test_snf_invariant_under_elementary_operations():
-    rng = random.Random(7)
-    for _ in range(150):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        expected = smith_normal_form(matrix)
-        mutated = [row[:] for row in matrix]
-        for _ in range(12):
-            op = rng.choice(["rswap", "cswap", "radd", "cadd"])
-            i, j = rng.randrange(m), rng.randrange(m)
-            a, b = rng.randrange(n), rng.randrange(n)
-            c = rng.randint(-3, 3)
-            if op == "rswap":
-                mutated[i], mutated[j] = mutated[j], mutated[i]
-            elif op == "cswap":
-                for row in mutated:
-                    row[a], row[b] = row[b], row[a]
-            elif op == "radd" and i != j:
-                mutated[i] = [x + c * y for x, y in zip(mutated[i], mutated[j])]
-            elif op == "cadd" and a != b:
-                for row in mutated:
-                    row[a] += c * row[b]
-        assert smith_normal_form(mutated) == expected, (matrix, mutated)
-
-
-def test_snf_big_entries_stay_exact():
-    big = 2**40
-    assert smith_normal_form([[big]]) == orders(big)
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +120,7 @@ def test_number_theory_matches_trial_division():
         expected = trial_division(n)
         assert factorint(n) == expected, n
         assert isprime(n) == (expected == {n: 1}), n
+        assert _odd_prime_power(n) == (len(expected) == 1 and 2 not in expected), n
 
 
 @pytest.mark.parametrize(
@@ -195,6 +141,20 @@ def test_number_theory_matches_trial_division():
 def test_number_theory_named_cases(n, factors):
     assert factorint(n) == factors
     assert isprime(n) == (factors == {n: 1})
+    assert _odd_prime_power(n) == (len(factors) == 1 and 2 not in factors)
+
+
+def test_moore_maps_factor_nothing(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorint({n}) called")
+
+    monkeypatch.setattr(suspcalc.abelian, "factorint", refuse)
+    monkeypatch.setattr(suspcalc.catalog, "factorint", refuse, raising=False)
+    lookup = maps_group.__wrapped__  # past the cache, so the table is consulted
+    with pytest.raises(TableMiss):
+        lookup(sphere(3), moore(4, P32 * Q32))
+    for k in (P32**2, 3**40):
+        assert lookup(sphere(3), moore(4, k)).generators == ("i_3",)
 
 
 def test_number_theory_refuses_to_guess_at_psi_12():
@@ -211,6 +171,12 @@ def test_factorint_product_of_primes(n):
     factors = factorint(n)
     assert math.prod(p**e for p, e in factors.items()) == n
     assert all(isprime(p) and e >= 1 for p, e in factors.items())
+
+
+@given(st.integers(1, 2**64 - 1), st.integers(1, 63))
+def test_iroot_is_the_exact_integer_root(k, e):
+    p = iroot(k, e)
+    assert p**e <= k < (p + 1) ** e
 
 
 def test_number_theory_agrees_with_sympy():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -392,3 +395,50 @@ def test_wedge_aggregates_match_per_copy_reference(counts, rnd):
     assert parse_wedge(notation) == w
     assert w.wedge(w) == WedgeComplex(tuple(copies + copies))
     assert w.suspend().desuspend() == w
+
+
+# --------------------------------------------------------------------------
+# every kind fact, against a recorded file
+# --------------------------------------------------------------------------
+
+DATA_DIR = Path(__file__).parent / "data"
+_E = (1, 2, 3)
+
+
+def _fact_window():
+    """Every kind with n from its least value to 7, r, t in {1, 2, 3} and
+    Moore orders {2, 4, 8, 3, 9, 6, 12}."""
+    yield from (sphere(n) for n in range(1, 8))
+    yield from (moore(n, k) for n in range(2, 8) for k in (2, 4, 8, 3, 9, 6, 12))
+    for n in range(2, 8):
+        yield chang_eta(n)
+        yield from (chang_r(n, r) for r in _E)
+        yield from (chang_t(n, t) for t in _E)
+        yield from (chang_rt(n, r, t) for r in _E for t in _E)
+        yield a_eta2(n)
+        yield from (a_tilde(n, r) for r in _E)
+        yield from (a_2r_eta2(n, r) for r in _E)
+
+
+def _catalog_facts():
+    for x in _fact_window():
+        yield [
+            x.notation,
+            parse_complex(x.notation) == x,
+            x.bottom_dim,
+            x.top_dim,
+            list(x.sort_key()),
+            [str(integral_homology(x, i)) for i in range(12)],
+            operation_profile(x).to_json_dict(),
+        ]
+
+
+def test_catalog_facts_match_recording():
+    # Recorded while each kind's facts were still spelled out in per-kind
+    # if chains, so the kind table is checked against an independent source,
+    # also outside the window of the tables dump.
+    expected = json.loads((DATA_DIR / "catalog_facts.json").read_text(encoding="utf-8"))
+    actual = list(_catalog_facts())
+    assert len(actual) == 187
+    for got, want in zip(actual, expected, strict=True):
+        assert got == want

@@ -270,6 +270,12 @@ def s5_to_s4(coefficients, source="S^5", target="S^4"):
         pytest.param(s5_to_s4({}, source=f"P^6({HUGE_ORDER})"), "2**64", id="huge-moore-source"),
         pytest.param(s5_to_s4({}, target="P^4(6)"), "error: not tabulated: [S^5, P^4(6)]\n",
                      id="untabulated-pair"),
+        pytest.param(s5_to_s4({}, source="S^0"), "sphere needs n >= 1", id="sphere-below-least-n"),
+        pytest.param(s5_to_s4({}, target="C^3_eta"), "chang_eta needs n >= 2", id="chang-below-least-n"),
+        pytest.param(s5_to_s4({}, target="C^5_0"), "chang_r needs r >= 1", id="chang-r-zero"),
+        pytest.param(s5_to_s4({}, target="C^{5,0}"), "chang_t needs t >= 1", id="chang-t-zero"),
+        pytest.param(s5_to_s4({}, target="A^4(eta~_1)"), "a_tilde needs n >= 2", id="a-tilde-below-least-n"),
+        pytest.param(s5_to_s4({}, target="P^4(1)"), "moore needs order >= 2", id="moore-order-one"),
     ],
 )
 def test_normalize_rejects_unknown_generator(tmp_path, capsys, vector, culprit):
