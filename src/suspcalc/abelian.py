@@ -14,9 +14,11 @@ True
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, count
-from math import gcd
+from itertools import chain, count, repeat
+from math import gcd, prod
+from typing import Callable, Iterable
 
 RING_Z = "Z"
 RING_Z2LOCAL = "Z_(2)"
@@ -52,9 +54,20 @@ def iroot(k: int, e: int) -> int:
     return x
 
 
+def perfect_power(k: int) -> tuple[int, int]:
+    """``(root, e)`` with root**e == k >= 1 and e as large as possible, so
+    that k is a prime power exactly when the root is prime."""
+    for e in range(k.bit_length() - 1, 1, -1):
+        root = iroot(k, e)
+        if root**e == k:
+            return root, e
+    return k, 1
+
+
 def factorint(n: int) -> dict[int, int]:
     """The factorization {prime: exponent} of n >= 1, primes ascending:
-    trial division, then isprime and Pollard rho on the cofactor."""
+    trial division, then on each cofactor a perfect-power test, and
+    Pollard rho when the root is not prime."""
     factors: dict[int, int] = {}
     for p in chain((2,), range(3, 1024, 2)):
         if p * p > n:
@@ -62,14 +75,15 @@ def factorint(n: int) -> dict[int, int]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []  # (cofactor, the power it divides n to)
     while stack:
-        m = stack.pop()
-        if isprime(m):
-            factors[m] = factors.get(m, 0) + 1
+        m, k = stack.pop()
+        root, e = perfect_power(m)
+        if isprime(root):
+            factors[root] = factors.get(root, 0) + k * e
         else:
-            g = _rho(m)
-            stack += (g, m // g)
+            g = _rho(root)
+            stack += ((g, k * e), (root // g, k * e))
     return dict(sorted(factors.items()))
 
 
@@ -86,6 +100,18 @@ def _rho(n: int) -> int:
             return g
 
 
+def merge_counts(pairs: Iterable[tuple], key: Callable | None = None) -> tuple:
+    """``(item, multiplicity)`` pairs merged into one pair per distinct
+    item, zeros dropped, sorted by ``key`` of the pair (by the item when
+    None); a negative multiplicity raises ValueError."""
+    merged: dict = {}
+    for x, k in pairs:
+        if k < 0:
+            raise ValueError(f"negative multiplicity {k} of {x}")
+        merged[x] = merged.get(x, 0) + k
+    return tuple(sorted([(x, k) for x, k in merged.items() if k], key=key))
+
+
 class FactorAbsent(ValueError):
     """Requested cyclic factor does not occur in the group."""
 
@@ -94,18 +120,18 @@ class NotTorsion(ValueError):
     """A torsion group was required but the argument has free rank > 0."""
 
 
-@dataclass(frozen=True, order=True)
-class CyclicFactor:
-    """The cyclic group Z/prime**exponent."""
+class CyclicFactor(namedtuple("CyclicFactor", "prime exponent")):
+    """The cyclic group Z/prime**exponent; a tuple, so that the hashing,
+    equality and order that every merge of factors runs on are builtin."""
 
-    prime: int
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isprime(self.prime):
-            raise ValueError(f"prime must be prime, got {self.prime}")
-        if self.exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent}")
+    def __new__(cls, prime: int, exponent: int):
+        if not isprime(prime):
+            raise ValueError(f"prime must be prime, got {prime}")
+        if exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {exponent}")
+        return super().__new__(cls, prime, exponent)
 
     @property
     def order(self) -> int:
@@ -115,31 +141,45 @@ class CyclicFactor:
         return f"Z/{self.order}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FgAbelianGroup:
     """A finitely generated abelian group in primary canonical form.
 
-    Equality is equality of canonical forms, so e.g.
+    The torsion is held as ``pairs``, one ``(factor, multiplicity)`` per
+    distinct factor, ascending, so that every operation costs what the
+    distinct factors cost.  ``torsion=`` takes factors copy by copy and
+    ``counts=`` takes pairs; both are merged.  Equal canonical forms are
+    equal groups:
 
     >>> FgAbelianGroup.of_orders(6) == FgAbelianGroup.of_orders(2, 3)
     True
     >>> FgAbelianGroup.of_orders(8) == FgAbelianGroup.of_orders(2, 4)
     False
+    >>> FgAbelianGroup(torsion=[CyclicFactor(2, 1)] * 3).pairs
+    ((CyclicFactor(prime=2, exponent=1), 3),)
     """
 
-    free_rank: int = 0
-    torsion: tuple[CyclicFactor, ...] = ()
-    free_ring: str = RING_Z
+    free_rank: int
+    pairs: tuple[tuple[CyclicFactor, int], ...]
+    free_ring: str
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: Iterable[CyclicFactor] = (),
+                 free_ring: str = RING_Z, counts: Iterable[tuple[CyclicFactor, int]] = ()):
+        if free_rank < 0:
             raise ValueError("free_rank must be non-negative")
-        if self.free_ring not in (RING_Z, RING_Z2LOCAL):
-            raise ValueError(f"unknown free ring tag {self.free_ring!r}")
-        object.__setattr__(self, "torsion", tuple(sorted(self.torsion)))
-        if self.free_rank == 0:
-            # The ring tag is meaningless without a free part.
-            object.__setattr__(self, "free_ring", RING_Z)
+        if free_ring not in (RING_Z, RING_Z2LOCAL):
+            raise ValueError(f"unknown free ring tag {free_ring!r}")
+        if torsion:
+            counts = chain(zip(torsion, repeat(1)), counts)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "pairs", merge_counts(counts))
+        # The ring tag is meaningless without a free part.
+        object.__setattr__(self, "free_ring", free_ring if free_rank else RING_Z)
+
+    @property
+    def torsion(self) -> tuple[CyclicFactor, ...]:
+        """The cyclic factors copy by copy, ascending."""
+        return tuple(chain.from_iterable(repeat(f, k) for f, k in self.pairs))
 
     # ----- constructors -------------------------------------------------
 
@@ -165,32 +205,21 @@ class FgAbelianGroup:
         """
         rank = 0
         factors: list[CyclicFactor] = []
-        for k in orders:
-            k = abs(k)
+        for k in map(abs, orders):
             if k == 0:
                 rank += 1
-            elif k == 1:
-                continue
-            else:
-                for p, e in factorint(k).items():
-                    factors.append(CyclicFactor(p, e))
-        return cls(free_rank=rank, torsion=tuple(factors), free_ring=free_ring)
+            elif k > 1:
+                factors += (CyclicFactor(p, e) for p, e in factorint(k).items())
+        return cls(free_rank=rank, torsion=factors, free_ring=free_ring)
 
     # ----- basic queries ------------------------------------------------
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     @property
     def is_torsion(self) -> bool:
         return self.free_rank == 0
 
     def torsion_order(self) -> int:
-        out = 1
-        for f in self.torsion:
-            out *= f.order
-        return out
+        return prod(f.order**k for f, k in self.pairs)
 
     def order(self) -> int | None:
         """Group order, or None when the group is infinite."""
@@ -210,11 +239,8 @@ class FgAbelianGroup:
         if self.free_rank and other.free_rank and self.free_ring != other.free_ring:
             raise ValueError("cannot sum free parts over different rings")
         ring = self.free_ring if self.free_rank else other.free_ring
-        return FgAbelianGroup(
-            free_rank=self.free_rank + other.free_rank,
-            torsion=self.torsion + other.torsion,
-            free_ring=ring,
-        )
+        return FgAbelianGroup(self.free_rank + other.free_rank, free_ring=ring,
+                              counts=self.pairs + other.pairs)
 
     def times(self, k: int) -> "FgAbelianGroup":
         """The direct sum of k copies.
@@ -222,7 +248,8 @@ class FgAbelianGroup:
         >>> print(FgAbelianGroup.of_orders(0, 2).times(2))
         Z^2 + Z/2 + Z/2
         """
-        return FgAbelianGroup(k * self.free_rank, k * self.torsion, self.free_ring)
+        return FgAbelianGroup(k * self.free_rank, free_ring=self.free_ring,
+                              counts=((f, k * m) for f, m in self.pairs))
 
     def two_primary(self) -> "FgAbelianGroup":
         """The 2-primary subgroup (free rank discarded).
@@ -230,13 +257,12 @@ class FgAbelianGroup:
         >>> print(FgAbelianGroup.of_orders(12, 5).two_primary())
         Z/4
         """
-        return FgAbelianGroup(
-            torsion=tuple(f for f in self.torsion if f.prime == 2)
-        )
+        return FgAbelianGroup(counts=((f, k) for f, k in self.pairs if f.prime == 2))
 
     def two_primary_exponents(self) -> tuple[int, ...]:
         """Sorted exponents r_1 <= ... <= r_n of the 2-primary factors."""
-        return tuple(sorted(f.exponent for f in self.torsion if f.prime == 2))
+        return tuple(chain.from_iterable(
+            repeat(f.exponent, k) for f, k in self.pairs if f.prime == 2))
 
     def quotient_by_factor(self, factor: CyclicFactor) -> "FgAbelianGroup":
         """Drop one occurrence of a cyclic factor.
@@ -245,42 +271,33 @@ class FgAbelianGroup:
         >>> print(G.quotient_by_factor(CyclicFactor(2, 2)))
         Z/2
         """
-        factors = list(self.torsion)
-        try:
-            factors.remove(factor)
-        except ValueError:
-            raise FactorAbsent(f"{factor} does not occur in {self}") from None
-        return FgAbelianGroup(self.free_rank, tuple(factors), self.free_ring)
+        if all(f != factor for f, _ in self.pairs):
+            raise FactorAbsent(f"{factor} does not occur in {self}")
+        return FgAbelianGroup(self.free_rank, free_ring=self.free_ring,
+                              counts=((f, k - (f == factor)) for f, k in self.pairs))
 
     # ----- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        torsion = []
-        seen: dict[CyclicFactor, int] = {}
-        for f in self.torsion:
-            seen[f] = seen.get(f, 0) + 1
-        for f in sorted(seen):
-            torsion.append(
-                {"prime": f.prime, "exponent": f.exponent, "multiplicity": seen[f]}
-            )
         return {
             "free_rank": self.free_rank,
             "free_ring": self.free_ring,
-            "torsion": torsion,
+            "torsion": [{"prime": f.prime, "exponent": f.exponent, "multiplicity": k}
+                        for f, k in self.pairs],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FgAbelianGroup":
-        factors: list[CyclicFactor] = []
+        counts: list[tuple[CyclicFactor, int]] = []
         for item in data.get("torsion", ()):
             mult = item.get("multiplicity", 1)
             if mult < 1:
                 raise ValueError("multiplicity must be >= 1")
-            factors.extend([CyclicFactor(item["prime"], item["exponent"])] * mult)
+            counts.append((CyclicFactor(item["prime"], item["exponent"]), mult))
         return cls(
             free_rank=data.get("free_rank", 0),
-            torsion=tuple(factors),
             free_ring=data.get("free_ring", RING_Z),
+            counts=counts,
         )
 
     def __str__(self):
@@ -289,7 +306,8 @@ class FgAbelianGroup:
             parts.append(self.free_ring)
         elif self.free_rank > 1:
             parts.append(f"{self.free_ring}^{self.free_rank}")
-        parts.extend(str(f) for f in self.torsion)
+        for f, k in self.pairs:
+            parts += [str(f)] * k
         return " + ".join(parts) if parts else "0"
 
 

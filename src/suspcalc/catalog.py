@@ -14,7 +14,6 @@ Z_(2) and odd-primary torsion maps to zero.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import chain, repeat
@@ -27,8 +26,9 @@ from .abelian import (
     CyclicFactor,
     FgAbelianGroup,
     NotTorsion,
-    iroot,
     isprime,
+    merge_counts,
+    perfect_power,
 )
 
 SPHERE = "sphere"
@@ -73,6 +73,7 @@ class _Kind:
     pontryagin: bool = False
     # Derived once, here, so that no ElementaryComplex call recomputes them.
     params: tuple[str, ...] = field(init=False)
+    unused: tuple[str, ...] = field(init=False)
     bottom: int = field(init=False)
     top: int = field(init=False)
     pattern: re.Pattern = field(init=False)
@@ -82,6 +83,7 @@ class _Kind:
         parts = list(Formatter().parse(self.notation))  # (literal, field or None, ...)
         derive = partial(object.__setattr__, self)
         derive("params", tuple(p for p in _LEAST if any(f == p for _, f, _, _ in parts)))
+        derive("unused", tuple(p for p in _LEAST if p not in self.params))
         derive("bottom", min(offset for offset, _ in self.homology))
         derive("top", max(offset + (order != "Z") for offset, order in self.homology))
         derive("pattern", re.compile("".join(
@@ -142,6 +144,9 @@ class ElementaryComplex:
         for name in row.params:
             if getattr(self, name) < _LEAST[name]:
                 raise ValueError(f"{self.kind} needs {name} >= {_LEAST[name]}")
+        for name in row.unused:
+            if getattr(self, name):
+                raise ValueError(f"{self.kind} takes no {name}")
         if self.order >= MAX_FACTOR_ORDER:
             bits = MAX_FACTOR_ORDER.bit_length() - 1
             raise ValueError(f"Moore space order must be below 2**{bits}")
@@ -265,22 +270,12 @@ class WedgeComplex:
         summands: Iterable[ElementaryComplex] = (),
         counts: Iterable[tuple[ElementaryComplex, int]] = (),
     ):
-        copies = Counter(summands).items() if summands else ()
-        object.__setattr__(self, "pairs", (*copies, *counts))
+        object.__setattr__(self, "pairs", (*zip(summands, repeat(1)), *counts))
         self.__post_init__()
 
     def __post_init__(self):
-        merged: dict[ElementaryComplex, int] = {}
-        for x, k in self.pairs:
-            if k < 0:
-                raise ValueError(f"negative multiplicity {k} of {x}")
-            merged[x] = merged.get(x, 0) + k
-        object.__setattr__(
-            self,
-            "pairs",
-            tuple(sorted(((x, k) for x, k in merged.items() if k),
-                         key=lambda pair: pair[0].sort_key())),
-        )
+        object.__setattr__(self, "pairs",
+                           merge_counts(self.pairs, lambda pair: pair[0].sort_key()))
 
     @classmethod
     def of(cls, *summands: ElementaryComplex) -> "WedgeComplex":
@@ -371,13 +366,13 @@ def _homology_pairs(x: ElementaryComplex) -> tuple[tuple[int, FgAbelianGroup], .
 def integral_homology(x: "ElementaryComplex | WedgeComplex", i: int) -> FgAbelianGroup:
     """Reduced integral homology in degree i, additive over wedges."""
     rank = 0
-    torsion: list[CyclicFactor] = []
+    counts: list[tuple[CyclicFactor, int]] = []
     for summand, k in _distinct(x):
         for degree, group in _homology_pairs(summand):
             if degree == i:
                 rank += k * group.free_rank
-                torsion.extend(k * group.torsion)
-    return FgAbelianGroup(rank, tuple(torsion))
+                counts += [(f, k * m) for f, m in group.pairs]
+    return FgAbelianGroup(rank, counts=counts)
 
 
 def _mod2_basis(x: ElementaryComplex, k: int) -> int:
@@ -435,12 +430,11 @@ def bockstein_profile(x: "ElementaryComplex | WedgeComplex") -> tuple[tuple[int,
     Each Z/2^r summand of H_k contributes one beta_r from degree k to
     degree k+1 in mod-2 cohomology; free homology contributes none.
     """
-    pairs = []
-    for s, k in _distinct(x):
-        for degree, group in _homology_pairs(s):
-            for r in group.two_primary_exponents():
-                pairs.extend(k * [(r, degree)])
-    return tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
+    counts = (((degree, f.exponent), k * m)
+              for s, k in _distinct(x) for degree, group in _homology_pairs(s)
+              for f, m in group.pairs if f.prime == 2)
+    return tuple(chain.from_iterable(
+        repeat((r, degree), k) for (degree, r), k in merge_counts(counts)))
 
 
 def pontryagin_square_Ct(t: int, u: int, multiple: int = 1) -> int:
@@ -512,8 +506,7 @@ def peterson_of_group(n: int, group: FgAbelianGroup) -> WedgeComplex:
     """P^n(G) for torsion G, split into one Moore space per primary factor."""
     if group.free_rank:
         raise NotTorsion(f"{group} has free rank {group.free_rank}")
-    counts = Counter(group.torsion)
-    return WedgeComplex(counts=((moore(n, f.order), k) for f, k in counts.items()))
+    return WedgeComplex(counts=((moore(n, f.order), k) for f, k in group.pairs))
 
 
 # --------------------------------------------------------------------------
@@ -582,9 +575,7 @@ def _is_two_power(k: int) -> bool:
 
 def _odd_prime_power(k: int) -> bool:
     """Whether k = p^e for an odd prime p; exact e-th roots, nothing factored."""
-    return k % 2 == 1 and any(
-        p**e == k and isprime(p)
-        for e in range(1, k.bit_length()) for p in (iroot(k, e),))
+    return k % 2 == 1 and isprime(perfect_power(k)[0])
 
 
 @cache

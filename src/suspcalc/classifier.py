@@ -91,9 +91,10 @@ def _json_type(value) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
-# Input bounds.  The wedge's cost follows its distinct summands, but its
-# printed form lists every copy, and the group arithmetic keeps torsion
-# factor by factor; these keep time, memory and output size bounded.
+# Input bounds.  Wedges and torsion groups cost what their distinct
+# summands and factors cost, but printed wedges and groups, the j-indices
+# and the Bockstein audit list every copy; these keep time, memory and
+# output size bounded.
 # Every prime**exponent stays below abelian.MAX_FACTOR_ORDER.
 MAX_FREE_RANK = 10**6  # m and d
 MAX_TORSION_FACTORS = 10**4  # summed multiplicity of the torsion items
@@ -164,8 +165,9 @@ class ManifoldInvariants:
             raise InvalidInvariants("m and d must be non-negative")
         if max(self.m, self.d) > MAX_FREE_RANK:
             raise InvalidInvariants(f"m and d must be at most {MAX_FREE_RANK}")
-        if len(self.torsion.torsion) > MAX_TORSION_FACTORS:
-            raise InvalidInvariants(f"torsion may have at most {MAX_TORSION_FACTORS} factors")
+        if sum(k for _, k in self.torsion.pairs) > MAX_TORSION_FACTORS:
+            raise InvalidInvariants(f"torsion may have at most {MAX_TORSION_FACTORS} factors "
+                                    "(summed multiplicity)")
         if not self.torsion.is_torsion:
             raise InvalidInvariants("torsion group must have free rank 0")
         n = len(self.two_exponents)
@@ -234,7 +236,6 @@ class ManifoldInvariants:
         required = ("m", "d", "spin", "theta", "sq2_case", "postnikov_trivial")
         json_fields(data, "descriptor", required, ("label", "torsion"))
         items = json_value(data, "torsion", list, "descriptor", [])
-        factors = 0
         for i, item in enumerate(items):
             where = f"torsion[{i}]"
             json_fields(item, where, ("prime", "exponent"), ("multiplicity",))
@@ -243,12 +244,6 @@ class ManifoldInvariants:
             if not _order_below_bound(item["prime"], item["exponent"]):
                 bits = MAX_FACTOR_ORDER.bit_length() - 1
                 raise InvalidInvariants(f"{where}: prime**exponent must be below 2**{bits}")
-            factors += max(item.get("multiplicity", 1), 0)
-            if factors > MAX_TORSION_FACTORS:
-                raise InvalidInvariants(
-                    f"torsion may have at most {MAX_TORSION_FACTORS} factors "
-                    "(summed multiplicity)"
-                )
         theta_data = json_fields(data["theta"], "theta", ("action",), ("j0",))
         theta = ThetaAction(
             json_value(theta_data, "action", str, "theta"),
@@ -363,7 +358,7 @@ def stage_decompositions(inv: ManifoldInvariants) -> StageDecompositions:
     p3, p4, p5 = (peterson_of_group(n, T).pairs for n in (3, 4, 5))
     w3 = WedgeComplex(counts=((sphere(3), inv.d), *p3, *p4))
     sigma_w4 = WedgeComplex(counts=((sphere(4), inv.d), *p4, *p5, (sphere(5), inv.m)))
-    if inv.postnikov_trivial or not T.two_primary_exponents():
+    if inv.postnikov_trivial or not T.two_primary().pairs:
         w4 = WedgeComplex(counts=(*w3.pairs, (sphere(4), inv.m)))
         return StageDecompositions(w3, w4, None, sigma_w4)
     known = WedgeComplex(counts=((sphere(3), inv.d), *p4))
@@ -492,10 +487,8 @@ def validate_roundtrip(inv: ManifoldInvariants, report: DecompositionReport) -> 
         )
     )
 
-    expected_pairs = sorted(
-        [(r, 3) for r in inv.two_exponents] + [(r, 4) for r in inv.two_exponents],
-        key=lambda p: (p[1], p[0]),
-    )
+    exps = inv.two_exponents  # ascending, so the pairs come sorted by (degree, r)
+    expected_pairs = [(r, 3) for r in exps] + [(r, 4) for r in exps]
     actual_pairs = list(bockstein_profile(report.sigma2))
     checks.append(
         CheckResult(

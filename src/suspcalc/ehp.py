@@ -47,17 +47,10 @@ from .classifier import (
 )
 
 
-def _z2local(rank: int = 1, exponents: Iterable[int] = ()) -> FgAbelianGroup:
-    """Z_(2)^rank (+) (+)_e Z/2^e over ``exponents``, with Z/2^0 dropped."""
-    torsion = tuple(CyclicFactor(2, e) for e in exponents if e > 0)
-    return FgAbelianGroup(rank, torsion, RING_Z2LOCAL)
-
-
-def _cyclic2(exponent: int) -> FgAbelianGroup:
-    """Z/2^exponent, with Z/2^0 silently dropped to the zero group."""
-    if exponent <= 0:
-        return ZERO_GROUP
-    return FgAbelianGroup.of_orders(2**exponent)
+def _z2local(rank: int = 1, exponents: Iterable[tuple[int, int]] = ()) -> FgAbelianGroup:
+    """Z_(2)^rank (+) (+)_e Z/2^e over ``(e, multiplicity)`` pairs, Z/2^0 dropped."""
+    counts = ((CyclicFactor(2, e), k) for e, k in exponents if e > 0)
+    return FgAbelianGroup(rank, free_ring=RING_Z2LOCAL, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,7 @@ def hopf_table(summand: ElementaryComplex) -> HopfEntry:
                 "a 4-dimensional complex has trivial degree-5 cohomotopy",
             )
         return HopfEntry(
-            summand, domain, codomain, _cyclic2(r - 1), False,
+            summand, domain, codomain, _z2local(0, [(r - 1, 1)]), False,
             "H(eta-_r) generates the order-2 subgroup of Z/2^r",
         )
     if summand.kind == CHANG_ETA and summand.n == 4:
@@ -137,7 +130,7 @@ def hopf_table(summand: ElementaryComplex) -> HopfEntry:
         )
     if summand.kind == CHANG_R and summand.n == 4:
         return HopfEntry(
-            summand, None, _group_of(summand, s5), _cyclic2(summand.r), None,
+            summand, None, _group_of(summand, s5), _z2local(0, [(summand.r, 1)]), None,
             "the EHP sequence pins coker(H) to Z/2^r inside Z/2^(r+1)",
         )
     if summand.kind == A_TILDE and summand.n == 3:
@@ -158,7 +151,8 @@ def pi5_double_suspension(report: DecompositionReport) -> FgAbelianGroup:
     branch top-piece contribution."""
     inv = report.invariants
     extra = maps_group(report.top, sphere(5)).group
-    return _z2local(inv.m, inv.two_exponents).direct_sum(extra)
+    exponents = ((f.exponent, k) for f, k in inv.torsion.two_primary().pairs)
+    return _z2local(inv.m, exponents).direct_sum(extra)
 
 
 def pi5_suspension(report: DecompositionReport) -> FgAbelianGroup | None:
@@ -180,7 +174,7 @@ def pi5_suspension(report: DecompositionReport) -> FgAbelianGroup | None:
 def coker_H2(report: DecompositionReport) -> FgAbelianGroup:
     """Cokernel of H_2: [Sigma^2 M, S^3] -> [Sigma^2 M, S^5], 2-locally."""
     inv = report.invariants
-    out = _z2local(inv.m, (r - 1 for r in inv.two_exponents))
+    out = _z2local(inv.m, ((f.exponent - 1, k) for f, k in inv.torsion.two_primary().pairs))
     return out.direct_sum(hopf_table(report.top).cokernel)
 
 

@@ -15,6 +15,7 @@ from suspcalc.abelian import (
     factorint,
     iroot,
     isprime,
+    perfect_power,
 )
 import suspcalc.catalog
 from suspcalc.catalog import TableMiss, _odd_prime_power, maps_group, moore, sphere
@@ -86,6 +87,49 @@ def test_direct_sum_commutative_associative(rng):
         assert a.direct_sum(b.direct_sum(c)) == a.direct_sum(b).direct_sum(c)
 
 
+FACTORS = st.builds(CyclicFactor, st.sampled_from([2, 3, 5]), st.integers(1, 3))
+
+
+@given(st.lists(FACTORS, max_size=12), st.lists(FACTORS, max_size=12),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 3), FACTORS, st.data())
+def test_multiset_group_matches_per_copy_reference(a, b, rank_a, rank_b, k, factor, data):
+    """Every operation on (factor, multiplicity) pairs against a sorted
+    list of CyclicFactor copies."""
+    ref_a, ref_b = sorted(a), sorted(b)
+    split = data.draw(st.integers(0, len(a)))
+    ga = FgAbelianGroup(rank_a, a[:split], counts=[(f, 1) for f in a[split:]])
+    gb = FgAbelianGroup(rank_b, b[::-1])
+    assert ga.torsion == tuple(ref_a)
+    assert ga.pairs == tuple((f, ref_a.count(f)) for f in sorted(set(a)))
+
+    total = ga.direct_sum(gb)
+    assert (total.free_rank, total.torsion) == (rank_a + rank_b, tuple(sorted(a + b)))
+    copies = ga.times(k)
+    assert (copies.free_rank, copies.torsion) == (k * rank_a, tuple(sorted(k * a)))
+    assert ga.two_primary().torsion == tuple(f for f in ref_a if f.prime == 2)
+    assert ga.two_primary().free_rank == 0
+    assert ga.two_primary_exponents() == tuple(f.exponent for f in ref_a if f.prime == 2)
+    assert ga.torsion_order() == math.prod(f.order for f in a)
+
+    if factor in a:
+        rest = list(ref_a)
+        rest.remove(factor)
+        assert ga.quotient_by_factor(factor) == FgAbelianGroup(rank_a, rest)
+        assert ga.quotient_by_factor(factor).torsion == tuple(rest)
+    else:
+        with pytest.raises(FactorAbsent):
+            ga.quotient_by_factor(factor)
+
+    data_a = ga.to_json_dict()
+    assert [(t["prime"], t["exponent"], t["multiplicity"]) for t in data_a["torsion"]] == [
+        (f.prime, f.exponent, ref_a.count(f)) for f in sorted(set(a))]
+    assert FgAbelianGroup.from_json_dict(data_a) == ga
+
+    free = [] if not rank_a else ["Z" if rank_a == 1 else f"Z^{rank_a}"]
+    assert str(ga) == (" + ".join(free + [f"Z/{f.prime ** f.exponent}" for f in ref_a]) or "0")
+    assert (ga == gb) == ((rank_a, ref_a) == (rank_b, ref_b))
+
+
 def test_mixed_free_rings_rejected():
     local = FgAbelianGroup.free(1, RING_Z2LOCAL)
     with pytest.raises(ValueError):
@@ -121,6 +165,8 @@ def test_number_theory_matches_trial_division():
         assert factorint(n) == expected, n
         assert isprime(n) == (expected == {n: 1}), n
         assert _odd_prime_power(n) == (len(expected) == 1 and 2 not in expected), n
+        e = math.gcd(*expected.values()) or 1
+        assert perfect_power(n) == (math.prod(p ** (a // e) for p, a in expected.items()), e), n
 
 
 @pytest.mark.parametrize(
@@ -155,6 +201,16 @@ def test_moore_maps_factor_nothing(monkeypatch):
         lookup(sphere(3), moore(4, P32 * Q32))
     for k in (P32**2, 3**40):
         assert lookup(sphere(3), moore(4, k)).generators == ("i_3",)
+
+
+def test_factorint_takes_perfect_powers_without_rho(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"_rho({n}) called")
+
+    monkeypatch.setattr(suspcalc.abelian, "_rho", refuse)
+    assert factorint(P32**2) == {P32: 2}
+    assert factorint(8 * P32**2) == {2: 3, P32: 2}
+    assert factorint((2**31 - 1) ** 2) == {2**31 - 1: 2}
 
 
 def test_number_theory_refuses_to_guess_at_psi_12():

@@ -9,6 +9,7 @@ from suspcalc.cli import build_tables
 from suspcalc.catalog import (
     OTHER,
     SPHERE,
+    ElementaryComplex,
     TableMiss,
     WedgeComplex,
     a_2r_eta2,
@@ -210,6 +211,19 @@ def test_suspend_preserves_kind_homology_and_profiles():
 def test_desuspend_inverts_suspend():
     for x in ALL_SAMPLE_COMPLEXES:
         assert x.suspend().desuspend() == x
+
+
+@pytest.mark.parametrize("kind, n, params", [
+    ("sphere", 3, {"order": 5}),
+    ("sphere", 3, {"r": 1}),
+    ("moore", 4, {"order": 2, "r": 7}),
+    ("chang_eta", 2, {"t": 1}),
+    ("chang_t", 2, {"t": 1, "r": 2}),
+    ("a_tilde", 2, {"r": 1, "order": 3}),
+])
+def test_constructor_rejects_parameters_the_kind_does_not_use(kind, n, params):
+    with pytest.raises(ValueError, match="takes no"):
+        ElementaryComplex(kind, n, **params)
 
 
 def test_desuspension_floor():
