@@ -235,15 +235,6 @@ class FiberOfE:
     coker: FgAbelianGroup | None  # torsor structure when non-empty
     cardinality: int | None  # None when empty or infinite
 
-    def describe(self) -> str:
-        if self.empty:
-            return "empty (the class is not in the kernel of H_1)"
-        if self.cardinality is None:
-            return f"in bijection with {self.coker} (infinite)"
-        if self.cardinality == 1:
-            return "a singleton"
-        return f"in bijection with {self.coker} ({self.cardinality} elements)"
-
 
 def fiber_of_E(alpha_in_kernel_H1: bool, report: DecompositionReport) -> FiberOfE:
     """Fibers of E are empty off ker(H_1) and coker(H_2)-torsors on it."""

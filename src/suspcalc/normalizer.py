@@ -93,31 +93,33 @@ def _moore_exponent(x: ElementaryComplex) -> int:
 
 @dataclass(frozen=True)
 class MapClass:
-    """A homotopy class in [source, target], as coefficients on the
-    tabulated generator basis, each reduced modulo its order."""
+    """A homotopy class in the tabulated group ``entry`` = [source, target],
+    as coefficients on its generator basis, each reduced modulo its order."""
 
-    source: ElementaryComplex
-    target: ElementaryComplex
+    entry: MapsGroupEntry
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        entry = self.table_entry
-        if len(self.coeffs) != len(entry.orders):
+        orders = self.entry.orders
+        if len(self.coeffs) != len(orders):
             raise ValueError(
-                f"expected {len(entry.orders)} coefficients for [{self.source}, {self.target}]"
+                f"expected {len(orders)} coefficients for [{self.source}, {self.target}]"
             )
-        reduced = tuple(
-            c % o if o else c for c, o in zip(self.coeffs, entry.orders)
-        )
+        reduced = tuple(c % o if o else c for c, o in zip(self.coeffs, orders))
         object.__setattr__(self, "coeffs", reduced)
 
     @property
-    def table_entry(self) -> MapsGroupEntry:
-        return maps_group(self.source, self.target)
+    def source(self) -> ElementaryComplex:
+        return self.entry.source
+
+    @property
+    def target(self) -> ElementaryComplex:
+        return self.entry.target
 
     @classmethod
     def zero(cls, source, target) -> "MapClass":
-        return cls(source, target, (0,) * len(maps_group(source, target).orders))
+        entry = maps_group(source, target)
+        return cls(entry, (0,) * len(entry.orders))
 
     @classmethod
     def of(cls, source, target, coefficients: dict[str, int]) -> "MapClass":
@@ -126,29 +128,25 @@ class MapClass:
         unknown = set(coefficients) - set(entry.generators)
         if unknown:
             raise ValueError(f"unknown generators {sorted(unknown)} for [{source}, {target}]")
-        coeffs = tuple(coefficients.get(g, 0) for g in entry.generators)
-        return cls(source, target, coeffs)
+        return cls(entry, tuple(coefficients.get(g, 0) for g in entry.generators))
 
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def add(self, other: "MapClass") -> "MapClass":
-        if (self.source, self.target) != (other.source, other.target):
+        if self.entry != other.entry:
             raise ValueError("cannot add classes in different groups")
-        return MapClass(
-            self.source, self.target, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return MapClass(self.entry, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, k: int) -> "MapClass":
-        return MapClass(self.source, self.target, tuple(k * c for c in self.coeffs))
+        return MapClass(self.entry, tuple(k * c for c in self.coeffs))
 
     def neg(self) -> "MapClass":
         return self.scale(-1)
 
     def coefficients(self) -> dict[str, int]:
-        entry = self.table_entry
-        return {g: c for g, c in zip(entry.generators, self.coeffs) if c}
+        return {g: c for g, c in zip(self.entry.generators, self.coeffs) if c}
 
     # ----- semantic classification ---------------------------------------
 
@@ -156,26 +154,18 @@ class MapClass:
         """One of zero/eta/eta2/i-eta/i-eta2/eta~/iota/incl/other."""
         if self.is_zero:
             return ZERO
-        kinds = self.table_entry.kinds
-        if kinds and kinds[0] == ETA_TILDE:
-            r = _moore_exponent(self.target)
-            if r == 1:
-                c = self.coeffs[0] % 4
-                if c % 2 == 1:
-                    return ETA_TILDE
-                if c == 2:
-                    return INCL_ETA2
-                return ZERO
-            z = self.coeffs[0] % 2
-            w = self.coeffs[1] % 2 if len(self.coeffs) > 1 else 0
-            if z:
+        kinds, c = self.entry.kinds, self.coeffs
+        if kinds[0] == ETA_TILDE:
+            # eta~_r and i eta^2 on two Z/2's for r >= 2; for r = 1 one Z/4
+            # on eta~_1 with i eta^2 = 2 eta~_1.
+            z = c[0]
+            w = c[1] if len(c) > 1 else z >> 1
+            if z % 2:
                 return ETA_TILDE
-            if w:
-                return INCL_ETA2
-            return ZERO
-        live = [k for k, c in zip(kinds, self.coeffs) if c]
+            return INCL_ETA2 if w % 2 else ZERO
+        live = [k for k, x in zip(kinds, c) if x]
         if len(live) == 1 and live[0] in (ETA, ETA2, INCL_ETA, IOTA, INCL):
-            if live[0] == INCL_ETA and self.coeffs[0] % 2 == 0:
+            if live[0] == INCL_ETA and c[0] % 2 == 0:
                 return OTHER
             return live[0]
         return OTHER
@@ -183,9 +173,8 @@ class MapClass:
     def __str__(self):
         if self.is_zero:
             return "0"
-        entry = self.table_entry
         parts = []
-        for g, c in zip(entry.generators, self.coeffs):
+        for g, c in zip(self.entry.generators, self.coeffs):
             if c == 0:
                 continue
             parts.append(g if c == 1 else f"{c}({g})")
@@ -208,7 +197,7 @@ INCL_ETA_BAR = "incl_eta_bar"
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    """A named generator or structural map with its (co)domain.
+    """A generator or structural map with its (co)domain, printed by kind.
 
     ``kind`` covers the identity and degree maps, the Hopf classes eta,
     eta^2, nu', the Moore-space structure maps i, q, eta~_r, eta-_r, the
@@ -220,44 +209,9 @@ class GeneratorSymbol:
     target: ElementaryComplex
     deg: int = 1  # payload for degree maps
 
-    @property
-    def name(self) -> str:
-        if self.kind == DEG:
-            return "iota" if self.deg == 1 else f"deg {self.deg}"
-        if self.kind == ETA:
-            return "eta"
-        if self.kind == ETA2:
-            return "eta^2"
-        if self.kind == NU_PRIME:
-            return "nu'"
-        if self.kind == INCL:
-            return f"i_{self.source.n}"
-        if self.kind == INCL_ETA:
-            return f"i_{self.target.n - 1} eta"
-        if self.kind == INCL_ETA2:
-            return f"i_{self.target.n - 1} eta^2"
-        if self.kind == ETA_TILDE:
-            return f"eta~_{_moore_exponent(self.target)}"
-        if self.kind == ETA_BAR:
-            return f"eta-_{_moore_exponent(self.source)}"
-        if self.kind == PINCH:
-            return f"q_{self.source.n}"
-        if self.kind == ETA_PINCH:
-            return f"eta q_{self.source.n}"
-        if self.kind == ETA2_PINCH:
-            return f"eta^2 q_{self.source.n}"
-        if self.kind == CHI:
-            return f"chi^{_moore_exponent(self.source)}_{_moore_exponent(self.target)}"
-        if self.kind == INCL_PINCH:
-            return f"i_{self.target.n - 1} q_{self.source.n}"
-        if self.kind == INCL_ETA_PINCH:
-            return f"i_{self.target.n - 1} eta q_{self.source.n}"
-        if self.kind == INCL_ETA_BAR:
-            return f"i_{self.target.n - 1} eta-_{_moore_exponent(self.source)}"
-        return self.kind
-
     def __str__(self):
-        return f"{self.name}: {self.source} -> {self.target}"
+        label = f"{DEG} {self.deg}" if self.kind == DEG else self.kind
+        return f"{label}: {self.source} -> {self.target}"
 
 
 def sym_eta(n: int) -> GeneratorSymbol:
@@ -314,7 +268,7 @@ def _pure_entry(source, target, kind: str, coeff: int = 1) -> MapClass:
     entry = maps_group(source, target)
     acc = [0] * len(entry.orders)
     _contribution(entry, kind, coeff, acc)
-    return MapClass(source, target, tuple(acc))
+    return MapClass(entry, tuple(acc))
 
 
 # Transfers through the pinch map q send eta~_r to their image (q eta~_r =
@@ -359,16 +313,16 @@ _COMPOSITION: dict[tuple[str, str], tuple[str | None, int]] = {
 }
 
 
-def apply_transfer(transfer: GeneratorSymbol, entry: MapClass) -> MapClass:
+def apply_transfer(transfer: GeneratorSymbol, x: MapClass) -> MapClass:
     """Left-compose a transfer map with a sphere-sourced class."""
-    if transfer.source != entry.target:
-        raise NotComposable(f"{transfer} cannot follow a class into {entry.target}")
-    src, out_target = entry.source, transfer.target
+    if transfer.source != x.target:
+        raise NotComposable(f"{transfer} cannot follow a class into {x.target}")
+    src, out_target = x.source, transfer.target
     if src.kind != SPHERE:
         raise TableMiss("only sphere-sourced classes can be pushed along transfers")
     out_entry = maps_group(src, out_target)
     acc = [0] * len(out_entry.orders)
-    for gen_kind, coeff in zip(entry.table_entry.kinds, entry.coeffs):
+    for gen_kind, coeff in zip(x.entry.kinds, x.coeffs):
         if coeff == 0:
             continue
         if transfer.kind == DEG:
@@ -379,7 +333,7 @@ def apply_transfer(transfer: GeneratorSymbol, entry: MapClass) -> MapClass:
             image, multiple = _COMPOSITION[transfer.kind, gen_kind]
         else:
             raise TableMiss(f"{transfer.kind} . {gen_kind} is not tabulated")
-        if (transfer.kind, gen_kind) == (ETA_BAR, ETA_TILDE) and _moore_exponent(entry.target) > 1:
+        if (transfer.kind, gen_kind) == (ETA_BAR, ETA_TILDE) and _moore_exponent(x.target) > 1:
             raise TableMiss("eta-_r . eta~_r is only tabulated for r = 1")
         if transfer.kind == CHI:
             # chi^r_s i = 2^(s-r) i for r <= s and chi^r_s eta~_r = 2^(r-s) eta~_s
@@ -388,7 +342,7 @@ def apply_transfer(transfer: GeneratorSymbol, entry: MapClass) -> MapClass:
             multiple *= 2 ** max(r - s if gen_kind == ETA_TILDE else s - r, 0)
         if image is not None:
             _contribution(out_entry, image, multiple * coeff, acc)
-    return MapClass(src, out_target, tuple(acc))
+    return MapClass(out_entry, tuple(acc))
 
 
 def _symbol_as_class(symbol: GeneratorSymbol) -> MapClass | None:
@@ -413,7 +367,7 @@ def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
         s = _moore_exponent(right.target)
         factor = 2 ** (r - s) if r >= s else 1
         return _pure_entry(right.source, left.target, left.kind, factor)
-    raise NotComposable(f"no relation stored for {left.name} . {right.name}")
+    raise NotComposable(f"no relation stored for {left.kind} . {right.kind}")
 
 
 # --------------------------------------------------------------------------
@@ -462,10 +416,6 @@ class MapVector:
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
-
-    def pretty(self) -> str:
-        rows = [f"  {e} : {self.source} -> {t}" for t, e in zip(self.targets, self.entries)]
-        return "(\n" + "\n".join(rows) + "\n)"
 
     def to_json_dict(self) -> dict:
         return {
@@ -517,40 +467,38 @@ class ActBySelfEquiv:
     op: str  # "neg" or "unit_plus_i_eta_q"
 
 
+# The move alphabet: (source kind, target kind, target.n - source.n) ->
+# the kinds of the tabulated maps between two wedge summands usable in row
+# additions.  Moore summands must have even order, and a sphere target
+# below its source needs n >= 3 (_move_kinds).
+_MOVES: dict[tuple[str, str, int], tuple[str, ...]] = {
+    (SPHERE, SPHERE, 0): (DEG,),
+    (SPHERE, SPHERE, -1): (ETA,),
+    (SPHERE, SPHERE, -2): (ETA2,),
+    (SPHERE, MOORE, 1): (INCL,),
+    (SPHERE, MOORE, 0): (INCL_ETA,),
+    (SPHERE, MOORE, -1): (INCL_ETA2,),
+    (MOORE, SPHERE, 0): (PINCH,),
+    (MOORE, SPHERE, -1): (ETA_PINCH,),
+    (MOORE, SPHERE, -2): (ETA_BAR, ETA2_PINCH),
+    (MOORE, MOORE, 0): (CHI, INCL_ETA_PINCH),
+    (MOORE, MOORE, 1): (INCL_PINCH,),
+    (MOORE, MOORE, -1): (INCL_ETA_BAR,),
+}
+
+
+def _move_kinds(src: ElementaryComplex, dst: ElementaryComplex) -> tuple[str, ...]:
+    offset = dst.n - src.n
+    if any(x.kind == MOORE and x.order % 2 for x in (src, dst)):
+        return ()
+    if dst.kind == SPHERE and offset < 0 and dst.n < 3:
+        return ()
+    return _MOVES.get((src.kind, dst.kind, offset), ())
+
+
 def transfer_alphabet(src: ElementaryComplex, dst: ElementaryComplex) -> tuple[GeneratorSymbol, ...]:
     """Tabulated maps src -> dst usable for row additions."""
-    out: list[GeneratorSymbol] = []
-    if src.kind == SPHERE and dst.kind == SPHERE:
-        if dst.n == src.n:
-            out.append(GeneratorSymbol(DEG, src, dst, 1))
-        elif dst.n == src.n - 1 and dst.n >= 3:
-            out.append(GeneratorSymbol(ETA, src, dst))
-        elif dst.n == src.n - 2 and dst.n >= 3:
-            out.append(GeneratorSymbol(ETA2, src, dst))
-    elif src.kind == SPHERE and dst.kind == MOORE and not dst.order % 2:
-        if src.n == dst.n - 1:
-            out.append(GeneratorSymbol(INCL, src, dst))
-        elif src.n == dst.n:
-            out.append(GeneratorSymbol(INCL_ETA, src, dst))
-        elif src.n == dst.n + 1:
-            out.append(GeneratorSymbol(INCL_ETA2, src, dst))
-    elif src.kind == MOORE and dst.kind == SPHERE and not src.order % 2:
-        if dst.n == src.n:
-            out.append(GeneratorSymbol(PINCH, src, dst))
-        elif dst.n == src.n - 1 and dst.n >= 3:
-            out.append(GeneratorSymbol(ETA_PINCH, src, dst))
-        elif dst.n == src.n - 2 and dst.n >= 3:
-            out.append(GeneratorSymbol(ETA_BAR, src, dst))
-            out.append(GeneratorSymbol(ETA2_PINCH, src, dst))
-    elif src.kind == MOORE and dst.kind == MOORE and not src.order % 2 and not dst.order % 2:
-        if dst.n == src.n:
-            out.append(GeneratorSymbol(CHI, src, dst))
-            out.append(GeneratorSymbol(INCL_ETA_PINCH, src, dst))
-        elif dst.n == src.n + 1:
-            out.append(GeneratorSymbol(INCL_PINCH, src, dst))
-        elif dst.n == src.n - 1:
-            out.append(GeneratorSymbol(INCL_ETA_BAR, src, dst))
-    return tuple(out)
+    return tuple(GeneratorSymbol(kind, src, dst) for kind in _move_kinds(src, dst))
 
 
 def self_equivalences(target: ElementaryComplex) -> tuple[str, ...]:
@@ -589,9 +537,8 @@ def row_op(v: MapVector, op) -> MapVector:
         g = op.transfer
         if (g.source, g.target) != (v.targets[op.src], v.targets[op.dst]):
             raise IllegalOp(f"{g} does not map row {op.src} to row {op.dst}")
-        legal = transfer_alphabet(g.source, g.target)
-        if not any(h.kind == g.kind for h in legal):
-            raise IllegalOp(f"{g.name} is not in the move alphabet")
+        if g.kind not in _move_kinds(g.source, g.target):
+            raise IllegalOp(f"{g.kind} is not in the move alphabet")
         try:
             image = apply_transfer(g, v.entries[op.src])
         except TableMiss as err:
@@ -610,11 +557,30 @@ def row_op(v: MapVector, op) -> MapVector:
 # normalization
 # --------------------------------------------------------------------------
 
+# The normal-form survivors in dominance order: kind -> (whether the
+# highest rather than the lowest (exponent, index) wins, the catalog
+# constructor of the cofiber summand that replaces its target).  The
+# constructor takes the target's bottom cell and the exponents of
+# _exponent; a sphere target has none, so its index alone decides.
+_SURVIVORS = {
+    ETA_TILDE: (False, a_tilde),
+    ETA: (False, chang_eta),
+    INCL_ETA: (True, chang_r),
+    ETA2: (False, a_eta2),
+    INCL_ETA2: (True, a_2r_eta2),
+}
+
+
+def _exponent(x: ElementaryComplex) -> tuple[int, ...]:
+    """(r,) for P^n(2^r), () for a sphere."""
+    return (_moore_exponent(x),) if x.kind == MOORE else ()
+
+
 def _classify_rows(v: MapVector) -> list[str]:
     kinds = []
     for entry in v.entries:
         k = entry.kind()
-        if k in (IOTA, INCL, OTHER):
+        if k != ZERO and k not in _SURVIVORS:
             raise UnsupportedVector(
                 f"entry {entry} in [{v.source}, {entry.target}] is outside the normal-form range"
             )
@@ -623,42 +589,20 @@ def _classify_rows(v: MapVector) -> list[str]:
 
 
 def normalize(v: MapVector) -> MapVector:
-    """Canonical orbit representative with at most one nonzero entry.
-
-    Survivor selection: an odd eta~ at minimal (exponent, index); else an
-    eta at minimal index; else an i-eta at maximal (exponent, index);
-    else an eta^2 at minimal index; else an i-eta^2 at maximal
-    (exponent, index); else the zero vector.
-    """
+    """Canonical orbit representative with at most one nonzero entry: the
+    unit generator of the first _SURVIVORS kind present, at its winning
+    (exponent, index), or the zero vector."""
     if v.theta_remainder:
         raise UnsupportedVector("vector carries an unresolved Whitehead-product remainder")
     if v.source.kind != SPHERE:
         raise UnsupportedVector("only sphere-sourced vectors are normalized")
     kinds = _classify_rows(v)
-
-    def slots(kind):
-        return [i for i, k in enumerate(kinds) if k == kind]
-
-    survivor = None
-    survivor_kind = None
-    if slots(ETA_TILDE):
-        survivor = min(slots(ETA_TILDE), key=lambda i: (_moore_exponent(v.targets[i]), i))
-        survivor_kind = ETA_TILDE
-    elif slots(ETA):
-        survivor = min(slots(ETA))
-        survivor_kind = ETA
-    elif slots(INCL_ETA):
-        survivor = max(slots(INCL_ETA), key=lambda i: (_moore_exponent(v.targets[i]), i))
-        survivor_kind = INCL_ETA
-    elif slots(ETA2):
-        survivor = min(slots(ETA2))
-        survivor_kind = ETA2
-    elif slots(INCL_ETA2):
-        survivor = max(slots(INCL_ETA2), key=lambda i: (_moore_exponent(v.targets[i]), i))
-        survivor_kind = INCL_ETA2
     out = MapVector.zero(v.source, v.targets)
-    if survivor is not None:
-        out = out.with_entry(survivor, _pure_entry(v.source, v.targets[survivor], survivor_kind))
+    for kind, (highest, _) in _SURVIVORS.items():
+        slots = [(_exponent(v.targets[i]), i) for i, k in enumerate(kinds) if k == kind]
+        if slots:
+            _, i = max(slots) if highest else min(slots)
+            return out.with_entry(i, _pure_entry(v.source, v.targets[i], kind))
     return out
 
 
@@ -679,18 +623,10 @@ def cofiber(v: MapVector) -> WedgeComplex:
     i, entry = live[0]
     kind = entry.kind()
     target = v.targets[i]
-    if kind == ETA and target.kind == SPHERE:
-        summands[i] = chang_eta(target.n)
-    elif kind == ETA2 and target.kind == SPHERE:
-        summands[i] = a_eta2(target.n)
-    elif kind == INCL_ETA and target.kind == MOORE:
-        summands[i] = chang_r(target.n - 1, _moore_exponent(target))
-    elif kind == INCL_ETA2 and target.kind == MOORE:
-        summands[i] = a_2r_eta2(target.n - 1, _moore_exponent(target))
-    elif kind == ETA_TILDE and target.kind == MOORE:
-        summands[i] = a_tilde(target.n - 1, _moore_exponent(target))
-    else:
+    if kind not in _SURVIVORS:
         raise UnsupportedVector(f"no catalog cofiber for a {kind} entry on {target}")
+    _, construct = _SURVIVORS[kind]
+    summands[i] = construct(target.bottom_dim, *_exponent(target))
     return WedgeComplex(tuple(summands))
 
 

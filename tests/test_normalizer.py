@@ -1,10 +1,13 @@
+import io
 import json
 import random
+import sys
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
-from suspcalc import normalizer
+from suspcalc import cli, normalizer
 from suspcalc.catalog import (
     TableMiss,
     WedgeComplex,
@@ -123,7 +126,7 @@ def _unit_compositions():
             except TableMiss:
                 continue
             for i, name in enumerate(entry.generators):
-                unit = MapClass(source, target, _unit(i, len(entry.orders)))
+                unit = MapClass(entry, _unit(i, len(entry.orders)))
                 for into in rows:
                     for transfer in transfer_alphabet(target, into):
                         try:
@@ -314,6 +317,31 @@ def test_normalize_rejects_homologically_nontrivial():
         normalize(v)
 
 
+def _criterion_4_pool():
+    """The 1580 vectors of the acceptance suite's criterion 4, in its order."""
+    pool = {
+        S4: [S3, moore(4, 2), moore(4, 4), moore(4, 8)],
+        S5: [S3, S4, moore(4, 2), moore(4, 4), moore(4, 8)],
+    }
+    for source, choices in pool.items():
+        for size in (1, 2, 3):
+            for targets in combinations_with_replacement(choices, size):
+                entries = [maps_group(source, t) for t in targets]
+                for combo in product(*(_coeff_products(e.orders) for e in entries)):
+                    yield MapVector(source, targets, tuple(map(MapClass, entries, combo)))
+
+
+def test_normal_forms_match_golden():
+    # Recorded data: criterion 4 checks only orbit membership and the
+    # cofiber, so a changed tie-break between survivors would pass it.
+    expected = json.loads((DATA_DIR / "normal_forms.json").read_text(encoding="utf-8"))
+    assert len(expected) == 1580
+    for v, want in zip(_criterion_4_pool(), expected, strict=True):
+        got = [v.source.notation, [t.notation for t in v.targets],
+               [list(c) for c in v.key()], [list(c) for c in normalize(v).key()]]
+        assert got == want
+
+
 # --------------------------------------------------------------------------
 # cofiber
 # --------------------------------------------------------------------------
@@ -426,3 +454,80 @@ def test_oracle_seed_insensitive(monkeypatch):
 def test_vector_json_roundtrip():
     v = vec(S5, (S4, {"eta": 1}), (moore(4, 4), {"eta~_2": 1, "i_3 eta^2": 1}))
     assert MapVector.from_json_dict(v.to_json_dict()) == v
+
+
+# --------------------------------------------------------------------------
+# the normalize command on mutated input
+# --------------------------------------------------------------------------
+
+# Valid vectors from the tests above; the last two are rejected by normalize.
+VALID_VECTORS = [
+    vec(S4, (S3, {"eta": 1}), (S3, {"eta": 1}), (S3, {"eta": 1}), (S3, {})),
+    vec(S5, (moore(4, 2), {"eta~_1": 1}), (moore(4, 4), {"eta~_2": 1})),
+    vec(S5, (S4, {"eta": 1}), (moore(5, 4), {"i_4 eta": 1})),
+    vec(S4, (moore(4, 2), {"i_3 eta": 1}), (moore(4, 4), {"i_3 eta": 1})),
+    vec(S5, (S3, {"eta^2": 1}), (moore(4, 8), {"i_3 eta^2": 1})),
+    vec(S5, (S4, {"eta": 1}), (moore(4, 4), {"eta~_2": 1, "i_3 eta^2": 1}),
+        (moore(4, 2), {"eta~_1": 2})),
+    vec(S4, (moore(5, 4), {"i_4": 1})),
+    MapVector.of(S5, [(S4, {"eta": 1})], theta_remainder=True),
+]
+
+ODD_VALUES = [None, True, 0, -1, 1.5, "1", "", [], {}, [1], {"eta": 1}]
+ODD_NOTATIONS = [
+    "S^0", "S^1", "S^2", "S^-1", "S^100", "P^1(2)", "P^2(2)", "P^3(2)", "P^4(1)", "P^4(0)",
+    "P^4(3)", "P^4(6)", "P^4(9)", f"P^4({2**63})", f"P^4({2**64})", "P^100(2)", "C^5_eta",
+    "C^4_eta", "C^5_2", "C^5_0", "C^{5,2}", "C^{5,3}_2", "A^6(eta^2)", "A^6(eta~_2)",
+    "A^6(2^1 eta^2)", "A^4(eta~_1)", "S^3 v S^4", "s^3", "garbage",
+]
+
+
+def _nodes(data):
+    """(container, key) for every field of a vector's JSON form."""
+    out = [(data, key) for key in data]
+    entries = data.get("entries")
+    for item in entries if isinstance(entries, list) else []:
+        if isinstance(item, dict):
+            out += [(item, key) for key in item]
+            coefficients = item.get("coefficients")
+            if isinstance(coefficients, dict):
+                out += [(coefficients, key) for key in coefficients]
+    return out
+
+
+def _mutant(rng: random.Random) -> str:
+    data = json.loads(json.dumps(rng.choice(VALID_VECTORS).to_json_dict()))
+    for _ in range(rng.randint(1, 3)):
+        container, key = rng.choice(_nodes(data))
+        how = rng.randrange(5)
+        if how == 0:
+            container[key] = rng.choice(ODD_VALUES)
+        elif how == 1:
+            del container[key]
+        elif how == 2:
+            container[rng.choice(["extra", "eta", "i_3", key + "_"])] = rng.choice([1, "x", None])
+        elif how == 3:
+            container[key] = rng.choice([-1, 1]) * 10 ** rng.choice([19, 20, 64, 400, 4299])
+        else:
+            container[key] = rng.choice(ODD_NOTATIONS)
+        if not _nodes(data):
+            break
+    text = json.dumps(data)
+    if rng.random() < 0.2:
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def test_normalize_cli_survives_mutated_vectors(monkeypatch, capsys):
+    # Every input ends in a report (exit 0) or one error line (exit 2).
+    rng = random.Random(8)
+    for _ in range(300):
+        text = _mutant(rng)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = cli.main(["normalize", "-"])
+        out, err = capsys.readouterr()
+        if code == cli.EXIT_OK:
+            assert out and not err, text
+        else:
+            assert code == cli.EXIT_BAD_INPUT, text
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, text
