@@ -578,133 +578,77 @@ def _odd_prime_power(k: int) -> bool:
     return k % 2 == 1 and isprime(perfect_power(k)[0])
 
 
+# [source, target] by (source kind, target kind, source.n - target.n, and
+# the target n for a fact of one dimension, else None), with the least
+# target n of the row and its generators as (name, order, kind).  A name
+# is a str.format template over ``bottom`` (the target's bottom cell),
+# ``top`` (the source's top cell) and ``r``; an order 0 is a Z_(2)
+# summand, and "k", "2k" and "k/2" scale k, the Moore order or 2^r of the
+# source (Toda 1962; Baues, Homotopy Type and Homology, 1996).
+_GROUPS = {
+    (SPHERE, SPHERE, 0, None): (3, (("iota", 0, IOTA),)),
+    (SPHERE, SPHERE, 1, None): (3, (("eta", 2, ETA),)),
+    (SPHERE, SPHERE, 2, None): (3, (("eta^2", 2, ETA2),)),
+    (SPHERE, SPHERE, 3, 3): (3, (("nu'", 4, NU_PRIME),)),
+    (SPHERE, MOORE, -1, None): (2, (("i_{bottom}", "k", INCL),)),
+    (SPHERE, MOORE, 0, 3): (3, (("i_{bottom} eta", "2k", INCL_ETA),)),
+    (SPHERE, MOORE, 0, None): (4, (("i_{bottom} eta", 2, INCL_ETA),)),
+    (SPHERE, MOORE, 1, None): (3, (("eta~_{r}", 2, ETA_TILDE),
+                                   ("i_{bottom} eta^2", 2, INCL_ETA2))),
+    (MOORE, SPHERE, 0, None): (3, (("q_{top}", "k", PINCH),)),
+    (MOORE, SPHERE, 1, None): (3, (("eta q_{top}", 2, ETA_PINCH),)),
+    (MOORE, SPHERE, 2, None): (3, (("eta-_{r}", 2, ETA_BAR), ("eta^2 q_{top}", 2, ETA2_PINCH))),
+    # The unstable maps out of the Chang and A-family complexes.
+    (CHANG_ETA, SPHERE, 0, 2): (2, ()),
+    (CHANG_ETA, SPHERE, 0, 3): (3, (("zeta-", 0, OTHER),)),
+    (CHANG_ETA, SPHERE, -2, 5): (5, (("q_5", 0, OTHER),)),
+    (CHANG_ETA, SPHERE, -1, 5): (5, ()),
+    (CHANG_R, SPHERE, 0, 2): (2, (("eta q_3", "2k", OTHER),)),
+    (CHANG_R, SPHERE, 0, 3): (3, (("eta q_4", 2, OTHER),)),
+    (CHANG_R, SPHERE, -2, 5): (5, (("q_5", 0, OTHER),)),
+    (CHANG_R, SPHERE, -1, 5): (5, (("q_5", "2k", OTHER),)),
+    (A_2R_ETA2, SPHERE, -1, 3): (3, (("q_3", "2k", OTHER),)),
+    (A_2R_ETA2, SPHERE, -2, 4): (4, (("eta q_5", 2, OTHER),)),
+    (A_2R_ETA2, SPHERE, -3, 5): (5, (("q_5", 0, OTHER),)),
+    (A_2R_ETA2, SPHERE, 0, 3): (3, (("nu' q_6", 2, OTHER),)),
+    (A_2R_ETA2, SPHERE, -2, 5): (5, (("eta q_6", 2, OTHER),)),
+    (A_TILDE, SPHERE, -1, 3): (3, (("2 q_3", "k/2", OTHER),)),
+    (A_TILDE, SPHERE, -3, 5): (5, (("q_5", 0, OTHER),)),
+    (A_TILDE, SPHERE, -2, 5): (5, ()),
+    (A_ETA2, SPHERE, -1, 3): (3, ()),
+    (A_ETA2, SPHERE, 0, 3): (3, (("nu' q_6", 2, OTHER), ("xi", 0, OTHER))),
+    (A_ETA2, SPHERE, -3, 5): (5, (("q_5", 0, OTHER),)),
+    (A_ETA2, SPHERE, -2, 5): (5, (("eta q_6", 2, OTHER),)),
+}
+
+
 @cache
 def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGroupEntry:
     """The tabulated group [source, target], 2-locally.
 
     Raises TableMiss for pairs the tables do not determine.
     """
-    # Maps out of a complex into a sphere above its dimension vanish.
-    if target.kind == SPHERE and source.top_dim < target.n:
+    pair = (source.kind, target.kind)
+    # Maps into a sphere above the source's top dimension vanish, and so do
+    # maps of a sphere below a Moore space's bottom cell.
+    if source.top_dim < target.bottom_dim and (target.kind == SPHERE or pair == (SPHERE, MOORE)):
         return _entry(source, target)
-    if target.kind == MOORE and source.kind == SPHERE and source.n < target.n - 1:
+    order = source.order or target.order  # of the Moore space, if one takes part
+    # P^n(p^e) for an odd prime p is a point 2-locally: nothing maps out of
+    # it into a sphere, and only the bottom cell's i maps into it.
+    point = _odd_prime_power(order)
+    if point and pair == (MOORE, SPHERE):
         return _entry(source, target)
-
-    if source.kind == SPHERE and target.kind == SPHERE:
-        k, n = source.n, target.n
-        if n >= 3:
-            if k == n:
-                return _entry(source, target, ("iota", 0, IOTA))
-            if k == n + 1:
-                return _entry(source, target, ("eta", 2, ETA))
-            if k == n + 2:
-                return _entry(source, target, ("eta^2", 2, ETA2))
-            if k == n + 3 and n == 3:
-                return _entry(source, target, ("nu'", 4, NU_PRIME))
+    d = source.n - target.n
+    least, rows = _GROUPS.get((*pair, d, target.n)) or _GROUPS.get((*pair, d, None)) or (None, ())
+    if least is None or target.n < least or (order and not point and not _is_two_power(order)):
         raise TableMiss(f"[{source}, {target}]")
-
-    if source.kind == SPHERE and target.kind == MOORE:
-        k, nM, order = source.n, target.n, target.order
-        if _odd_prime_power(order):
-            if k == nM - 1:
-                return _entry(source, target, (f"i_{nM - 1}", order, INCL))
-            if k in (nM, nM + 1) and nM >= 3:
-                return _entry(source, target)
-            raise TableMiss(f"[{source}, {target}]")
-        if not _is_two_power(order):
-            raise TableMiss(f"[{source}, {target}]")
-        r = order.bit_length() - 1
-        if k == nM - 1:
-            return _entry(source, target, (f"i_{nM - 1}", 2**r, INCL))
-        if k == nM and nM == 3:
-            return _entry(source, target, ("i_2 eta", 2 ** (r + 1), INCL_ETA))
-        if k == nM and nM >= 4:
-            return _entry(source, target, (f"i_{nM - 1} eta", 2, INCL_ETA))
-        if k == nM + 1 and nM >= 3:
-            if r == 1:
-                return _entry(source, target, ("eta~_1", 4, ETA_TILDE))
-            return _entry(source, target, (f"eta~_{r}", 2, ETA_TILDE),
-                          (f"i_{nM - 1} eta^2", 2, INCL_ETA2))
-        raise TableMiss(f"[{source}, {target}]")
-
-    if source.kind == MOORE and target.kind == SPHERE:
-        nM, order, n = source.n, source.order, target.n
-        if _odd_prime_power(order):
-            return _entry(source, target)
-        if not _is_two_power(order):
-            raise TableMiss(f"[{source}, {target}]")
-        r = order.bit_length() - 1
-        if nM == n and n >= 3:
-            return _entry(source, target, (f"q_{n}", 2**r, PINCH))
-        if nM == n + 1 and n >= 3:
-            return _entry(source, target, (f"eta q_{nM}", 2, ETA_PINCH))
-        if nM == n + 2 and n >= 3:
-            if r == 1:
-                return _entry(source, target, ("eta-_1", 4, ETA_BAR))
-            return _entry(source, target, (f"eta-_{r}", 2, ETA_BAR),
-                          (f"eta^2 q_{nM}", 2, ETA2_PINCH))
-        raise TableMiss(f"[{source}, {target}]")
-
-    if source.kind == CHANG_ETA and target.kind == SPHERE:
-        nC, n = source.n, target.n
-        if (nC, n) == (2, 2):
-            return _entry(source, target)
-        if (nC, n) == (3, 3):
-            return _entry(source, target, ("zeta-", 0, OTHER))
-        if (nC, n) == (3, 5):
-            return _entry(source, target, ("q_5", 0, OTHER))
-        if (nC, n) == (4, 5):
-            return _entry(source, target)
-        raise TableMiss(f"[{source}, {target}]")
-
-    if source.kind == CHANG_R and target.kind == SPHERE:
-        nC, n, r = source.n, target.n, source.r
-        if (nC, n) == (2, 2):
-            return _entry(source, target, ("eta q_3", 2 ** (r + 1), OTHER))
-        if (nC, n) == (3, 3):
-            return _entry(source, target, ("eta q_4", 2, OTHER))
-        if (nC, n) == (3, 5):
-            return _entry(source, target, ("q_5", 0, OTHER))
-        if (nC, n) == (4, 5):
-            return _entry(source, target, ("q_5", 2 ** (r + 1), OTHER))
-        raise TableMiss(f"[{source}, {target}]")
-
-    if source.kind == A_2R_ETA2 and target.kind == SPHERE:
-        nA, n, r = source.n, target.n, source.r
-        if (nA, n) == (2, 3):
-            return _entry(source, target, ("q_3", 2 ** (r + 1), OTHER))
-        if (nA, n) == (2, 4):
-            return _entry(source, target, ("eta q_5", 2, OTHER))
-        if (nA, n) == (2, 5):
-            return _entry(source, target, ("q_5", 0, OTHER))
-        if (nA, n) == (3, 3):
-            return _entry(source, target, ("nu' q_6", 2, OTHER))
-        if (nA, n) == (3, 5):
-            return _entry(source, target, ("eta q_6", 2, OTHER))
-        raise TableMiss(f"[{source}, {target}]")
-
-    if source.kind == A_TILDE and target.kind == SPHERE:
-        nA, n, r = source.n, target.n, source.r
-        if (nA, n) == (2, 3):
-            if r == 1:
-                return _entry(source, target)
-            return _entry(source, target, ("2 q_3", 2 ** (r - 1), OTHER))
-        if (nA, n) == (2, 5):
-            return _entry(source, target, ("q_5", 0, OTHER))
-        if (nA, n) == (3, 5):
-            return _entry(source, target)
-        raise TableMiss(f"[{source}, {target}]")
-
-    if source.kind == A_ETA2 and target.kind == SPHERE:
-        nA, n = source.n, target.n
-        if (nA, n) == (2, 3):
-            return _entry(source, target)
-        if (nA, n) == (3, 3):
-            return _entry(source, target, ("nu' q_6", 2, OTHER), ("xi", 0, OTHER))
-        if (nA, n) == (2, 5):
-            return _entry(source, target, ("q_5", 0, OTHER))
-        if (nA, n) == (3, 5):
-            return _entry(source, target, ("eta q_6", 2, OTHER))
-        raise TableMiss(f"[{source}, {target}]")
-
-    raise TableMiss(f"[{source}, {target}]")
+    k = order or 2**source.r
+    fields = {"bottom": target.bottom_dim, "top": source.top_dim, "r": k.bit_length() - 1}
+    scaled = {"k": k, "2k": 2 * k, "k/2": k // 2}
+    gens = [(name.format(**fields), scaled.get(size, size), kind)
+            for name, size, kind in rows if not point or kind == INCL]
+    if k == 2 and gens and gens[-1][2] in (INCL_ETA2, ETA2_PINCH):
+        # At r = 1, i eta^2 = 2 eta~_1 and eta^2 q = 2 eta-_1: one Z/4.
+        gens = [(gens[0][0], 4, gens[0][2])]
+    return _entry(source, target, *(gen for gen in gens if gen[1] != 1))

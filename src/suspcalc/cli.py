@@ -280,14 +280,14 @@ def _maps_rows() -> list[dict]:
                 pairs.append((P, sphere(3)))
     pairs.append((sphere(4), moore(4, 3)))
     pairs.append((sphere(5), moore(4, 3)))
+    pairs.append((chang_eta(2), sphere(2)))
+    pairs.append((chang_eta(3), sphere(3)))
+    pairs.append((chang_eta(3), sphere(5)))
+    pairs.append((chang_eta(4), sphere(5)))
     for r in (1, 2, 3):
-        pairs.append((chang_eta(2), sphere(2)))
         pairs.append((chang_r(2, r), sphere(2)))
-        pairs.append((chang_eta(3), sphere(3)))
-        pairs.append((chang_eta(3), sphere(5)))
         pairs.append((chang_r(3, r), sphere(3)))
         pairs.append((chang_r(3, r), sphere(5)))
-        pairs.append((chang_eta(4), sphere(5)))
         pairs.append((chang_r(4, r), sphere(5)))
         pairs.append((a_2r_eta2(2, r), sphere(3)))
         pairs.append((a_2r_eta2(2, r), sphere(4)))
@@ -299,12 +299,7 @@ def _maps_rows() -> list[dict]:
         pairs.append((a_tilde(3, r), sphere(5)))
 
     rows = []
-    seen = set()
     for src, tgt in pairs:
-        key = (src.notation, tgt.notation)
-        if key in seen:
-            continue
-        seen.add(key)
         entry = maps_group(src, tgt)
         # A row belongs to the family of its non-sphere member.
         family = tgt.family if src.kind == SPHERE else src.family

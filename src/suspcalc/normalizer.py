@@ -254,9 +254,9 @@ def _contribution(entry: MapsGroupEntry, kind: str, coeff: int, acc: list[int]) 
     generator basis of ``entry``."""
     if coeff == 0:
         return
-    if entry.target.kind == MOORE and kind == INCL_ETA2 and _moore_exponent(entry.target) == 1:
+    if kind == INCL_ETA2 and entry.kinds == (ETA_TILDE,):
         # With r = 1 the group is Z/4 on eta~_1 and i eta^2 = 2 eta~_1.
-        acc[entry.kinds.index(ETA_TILDE)] += 2 * coeff
+        acc[0] += 2 * coeff
         return
     if kind not in entry.kinds:
         raise TableMiss(f"no generator of kind {kind} in target group")

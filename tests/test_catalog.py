@@ -456,3 +456,47 @@ def test_catalog_facts_match_recording():
     assert len(actual) == 187
     for got, want in zip(actual, expected, strict=True):
         assert got == want
+
+
+# --------------------------------------------------------------------------
+# every maps_group answer on a pool, against a recorded file
+# --------------------------------------------------------------------------
+
+def _maps_group_pool():
+    """S^1..S^8, P^2..P^7 of orders {2, 4, 8, 3, 9, 6, 12}, and each
+    Chang/A kind at n = 2..5 with r in {1, 2, 3} and t = 1."""
+    yield from (sphere(n) for n in range(1, 9))
+    yield from (moore(n, k) for n in range(2, 8) for k in (2, 4, 8, 3, 9, 6, 12))
+    for n in range(2, 6):
+        yield chang_eta(n)
+        yield from (chang_r(n, r) for r in _E)
+        yield chang_t(n, 1)
+        yield from (chang_rt(n, r, 1) for r in _E)
+        yield a_eta2(n)
+        yield from (a_tilde(n, r) for r in _E)
+        yield from (a_2r_eta2(n, r) for r in _E)
+
+
+def _maps_group_rows():
+    """[source, target, generators, orders, kinds] for each tabulated pair
+    of the pool, in pool order; the other pairs raise TableMiss."""
+    pool = list(_maps_group_pool())
+    for source in pool:
+        for target in pool:
+            try:
+                entry = maps_group(source, target)
+            except TableMiss:
+                continue
+            yield [source.notation, target.notation,
+                   list(entry.generators), list(entry.orders), list(entry.kinds)]
+
+
+def test_maps_group_pool_matches_recording():
+    # Recorded while maps_group was still an if chain over kinds, so the
+    # group table is checked against an independent source, also on pairs
+    # the tables dump does not list and on every pair that must miss.
+    expected = json.loads((DATA_DIR / "maps_group_pool.json").read_text(encoding="utf-8"))
+    assert len(list(_maps_group_pool())) == 110
+    assert len(expected) == 632
+    for got, want in zip(_maps_group_rows(), expected, strict=True):
+        assert got == want

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import random_invariants
 import suspcalc
 import suspcalc.cli
 from suspcalc.catalog import WedgeComplex, parse_wedge
@@ -444,3 +447,69 @@ def test_lone_declined_descriptor(tmp_path, capsys, command):
     assert code == EXIT_OMITTED
     assert out == ""
     assert err.startswith("declined: non-spin") and err.count("\n") == 1
+
+
+# --------------------------------------------------------------------------
+# the descriptor commands on mutated input
+# --------------------------------------------------------------------------
+
+DESCRIPTOR_COMMANDS = [
+    ["classify"],
+    ["classify", "--json", "--stages", "--validate"],
+    ["classify", "--suspension-level", "1"],
+    ["cohomotopy", "--json"],
+    ["validate"],
+]
+ODD_FIELD_VALUES = [None, True, False, 0, -1, 1.5, "1", "", "B", "nontrivial", [], {}, [1],
+                    {"prime": 2, "exponent": 1}]
+EXTRA_KEYS = ["extra", "label", "j0", "j1", "j2", "multiplicity", "torsion"]
+
+
+def _fields(data):
+    """(container, key) for every field and list item, at any depth."""
+    keys = range(len(data)) if isinstance(data, list) else list(data)
+    out = []
+    for key in keys:
+        out.append((data, key))
+        if isinstance(data[key], (dict, list)):
+            out += _fields(data[key])
+    return out
+
+
+def _descriptor_mutant(rng: random.Random) -> str:
+    data = [random_invariants(rng).to_json_dict() for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        data = data[0]
+    for _ in range(rng.randint(1, 2)):
+        fields = _fields(data)
+        if not fields:
+            break
+        container, key = rng.choice(fields)
+        how = rng.randrange(4)
+        if how == 0:
+            container[key] = rng.choice(ODD_FIELD_VALUES)
+        elif how == 1:
+            del container[key]
+        elif how == 2 and isinstance(container, dict):
+            container[rng.choice(EXTRA_KEYS)] = rng.choice(ODD_FIELD_VALUES + [1, 2])
+        else:
+            container[key] = rng.choice([-1, 1]) * rng.choice([1, 2, 10**4, 2**63, 10**20, 10**400])
+    text = json.dumps(data)
+    if rng.random() < 0.1:
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def test_descriptor_commands_survive_mutated_descriptors(monkeypatch, capsys):
+    # Every input ends in a report or a declined line (exit 0 or 3) or in
+    # one error line (exit 2); never a traceback, never a failed audit.
+    rng = random.Random(9)
+    for _ in range(300):
+        text = _descriptor_mutant(rng)
+        for args in DESCRIPTOR_COMMANDS:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code = main([*args, "-"])
+            out, err = capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_OMITTED), (args, text)
+            if code == EXIT_BAD_INPUT:
+                assert out == "" and err.startswith("error:") and err.count("\n") == 1, (args, text)

@@ -150,6 +150,10 @@ def test_unit_compositions_match_golden():
 def test_not_composable():
     with pytest.raises(NotComposable):
         compose_relation(sym_pinch(4, 2), sym_incl(5, 2))
+    # P^4(3) is a point 2-locally: i eta and i eta^2 have no generator there.
+    for right in (sym_eta(3), sym_eta2(3)):
+        with pytest.raises(TableMiss):
+            compose_relation(sym_incl(4, 3), right)
 
 
 def test_order_annihilation():
