@@ -43,6 +43,10 @@ A_2R_ETA2 = "a_2r_eta2"
 
 # The least value of each parameter a kind may require.
 _LEAST = {"order": 2, "r": 1, "t": 1}
+# The order each parameter stands for, kept below MAX_FACTOR_ORDER = 2**64
+# like a torsion order: (its spelling, the bound on the parameter).
+_BITS = MAX_FACTOR_ORDER.bit_length() - 1
+_BOUND = {"order": ("order", MAX_FACTOR_ORDER), "r": ("2**r", _BITS), "t": ("2**t", _BITS)}
 _FIELDS = ("n", "top", *_LEAST)  # what a notation template may name
 
 
@@ -147,9 +151,10 @@ class ElementaryComplex:
         for name in row.unused:
             if getattr(self, name):
                 raise ValueError(f"{self.kind} takes no {name}")
-        if self.order >= MAX_FACTOR_ORDER:
-            bits = MAX_FACTOR_ORDER.bit_length() - 1
-            raise ValueError(f"Moore space order must be below 2**{bits}")
+        for name in row.params:
+            spelling, bound = _BOUND[name]
+            if getattr(self, name) >= bound:
+                raise ValueError(f"{self.kind} needs {spelling} below 2**{_BITS}")
 
     # ----- dimensions ---------------------------------------------------
 

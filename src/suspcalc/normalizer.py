@@ -22,12 +22,16 @@ index and dominates i-eta^2.
 ``oracle_normal_form`` ignores all of these conventions and simply
 closes a small vector under every legal row operation, returning the
 lexicographically least orbit element; it exists to cross-check
-``normalize``.
+``normalize``.  The closure runs over integer states, the flat tuples of
+all coefficients: each move is compiled once into columns, its images of
+the unit vectors under ``row_op``, so ``row_op`` stays the only
+definition of a move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mod
 
 from .catalog import (
     ETA,
@@ -391,7 +395,8 @@ class MapVector:
         if len(self.targets) != len(self.entries):
             raise ValueError("one entry per target required")
         for target, entry in zip(self.targets, self.entries):
-            if entry.source != self.source or entry.target != target:
+            # as tuples, so that identical complexes skip the dataclass __eq__
+            if (entry.source, entry.target) != (self.source, target):
                 raise ValueError(f"entry {entry} does not live in [{self.source}, {target}]")
 
     @classmethod
@@ -663,8 +668,76 @@ def _all_moves(v: MapVector):
     return moves
 
 
+def _flat(v: MapVector) -> tuple[int, ...]:
+    """The coefficients of all entries in one tuple, row by row."""
+    return tuple(c for e in v.entries for c in e.coeffs)
+
+
+def _compile_moves(v: MapVector, moves) -> list[tuple[int, int, tuple]]:
+    """Each move as a linear map on integer states, read off ``row_op`` on
+    the unit vectors of v's coefficient space.
+
+    A compiled move is (illegal, active, shifts): bit masks of the
+    coordinates whose unit vector ``row_op`` rejects and of those it does
+    not fix, and for each active coordinate j the change (column j minus
+    unit vector j) as sparse (coordinate, amount) pairs.  This is exact:
+    a move swaps rows or adds to one row a sum over the nonzero
+    coefficients c of a row, each term c times the image of its generator,
+    and it is illegal as soon as one such term is not tabulated.
+    """
+    zero = MapVector.zero(v.source, v.targets)
+    units = []
+    for i, e in enumerate(zero.entries):
+        for g in range(len(e.coeffs)):
+            coeffs = tuple(int(h == g) for h in range(len(e.coeffs)))
+            units.append(zero.with_entry(i, MapClass(e.entry, coeffs)))
+    compiled = []
+    for move in moves:
+        illegal = active = 0
+        shifts = []
+        for j, unit in enumerate(units):
+            try:
+                column = _flat(row_op(unit, move))
+            except IllegalOp:
+                illegal |= 1 << j
+                continue
+            shift = tuple((k, c - (k == j)) for k, c in enumerate(column) if c != (k == j))
+            if shift:
+                active |= 1 << j
+                shifts.append((j, shift))
+        compiled.append((illegal, active, tuple(shifts)))
+    return compiled
+
+
+def _images(moves: list[tuple[int, int, tuple]], state: tuple[int, ...],
+            orders: tuple[int, ...]) -> list[tuple[int, ...] | None]:
+    """The image of a flat state under each compiled move, None where the
+    move is illegal: on a state whose support meets its illegal mask."""
+    support = sum(1 << j for j, c in enumerate(state) if c)
+    out = []
+    for illegal, active, shifts in moves:
+        if support & illegal:
+            out.append(None)
+        elif not support & active:
+            out.append(state)
+        else:
+            image = list(state)
+            for j, shift in shifts:
+                c = state[j]
+                if c:
+                    for k, amount in shift:
+                        image[k] += c * amount
+            out.append(tuple(map(mod, image, orders)))
+    return out
+
+
 def orbit(v: MapVector) -> dict[tuple, MapVector]:
-    """Closure of v under all legal row operations, keyed by coefficients."""
+    """Closure of v under all legal row operations, keyed by coefficients.
+
+    Each move of ``_all_moves`` is compiled once from ``row_op``; the
+    closure then runs over flat coefficient tuples, and only the returned
+    members are built as vectors.
+    """
     if len(v.targets) > 4:
         raise TooLarge("oracle supports at most 4 targets")
     total = 1
@@ -675,21 +748,26 @@ def orbit(v: MapVector) -> dict[tuple, MapVector]:
         total *= order
     if total > 2**12:
         raise TooLarge(f"total entry-group order {total} exceeds 2^12")
-    moves = _all_moves(v)
-    seen: dict[tuple, MapVector] = {v.key(): v}
-    frontier = [v]
-    while frontier:
-        current = frontier.pop()
-        for move in moves:
-            try:
-                image = row_op(current, move)
-            except IllegalOp:
-                continue
-            key = image.key()
-            if key not in seen:
-                seen[key] = image
-                frontier.append(image)
-    return seen
+    # a move that fixes every coordinate it admits moves no state
+    moves = [m for m in _compile_moves(v, _all_moves(v)) if m[1]]
+    orders = tuple(o for e in v.entries for o in e.entry.orders)
+    start = _flat(v)
+    states, seen = [start], {start}
+    for state in states:  # a worklist that grows while it is read
+        for image in _images(moves, state, orders):
+            if image is not None and image not in seen:
+                seen.add(image)
+                states.append(image)
+    spans, at = [], 0
+    for e in v.entries:
+        spans.append((e.entry, at, at + len(e.coeffs)))
+        at += len(e.coeffs)
+    reachable = {v.key(): v}
+    for state in states[1:]:
+        entries = tuple(MapClass(entry, state[a:b]) for entry, a, b in spans)
+        reachable[tuple(e.coeffs for e in entries)] = MapVector(
+            v.source, v.targets, entries, v.theta_remainder)
+    return reachable
 
 
 def oracle_normal_form(v: MapVector) -> MapVector:

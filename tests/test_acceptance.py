@@ -233,57 +233,75 @@ def test_criterion_3_suspension_coherence():
 # criterion 4: normalizer oracle equivalence, exhaustive
 # --------------------------------------------------------------------------
 
+# The exhaustive sweep's pool: maps from S^4 and S^5 into wedges of these.
+SWEEP_POOL = {
+    sphere(4): [sphere(3), moore(4, 2), moore(4, 4), moore(4, 8)],
+    sphere(5): [sphere(3), sphere(4), moore(4, 2), moore(4, 4), moore(4, 8)],
+}
+
+
+def _oracle_sweep(sizes):
+    """Every vector of SWEEP_POOL at these target counts, orbit by orbit:
+    (vectors checked, orbits, discrepancies between normalize and the oracle)."""
+    checked = orbits = discrepancies = 0
+    sampled_oracle_calls = 0
+    for source, pool in SWEEP_POOL.items():
+        for size in sizes:
+            for targets in combinations_with_replacement(pool, size):
+                entries = [maps_group(source, t) for t in targets]
+                assert all(
+                    0 not in e.orders and e.group.order() <= 8 for e in entries
+                )
+                spaces = [
+                    [dict(zip(e.generators, combo)) for combo in product(*(range(o) for o in e.orders))]
+                    for e in entries
+                ]
+                vectors = [
+                    MapVector.of(source, list(zip(targets, combo)))
+                    for combo in product(*spaces)
+                ]
+                unvisited = {v.key(): v for v in vectors}
+                while unvisited:
+                    _, seed_vector = next(iter(unvisited.items()))
+                    reachable = orbit(seed_vector)
+                    orbits += 1
+                    least_key = min(reachable)
+                    least = reachable[least_key]
+                    oracle_cofiber = cofiber(normalize(least))
+                    for key in reachable:
+                        member = unvisited.pop(key, None)
+                        if member is None:
+                            continue
+                        checked += 1
+                        nf = normalize(member)
+                        if nf.key() not in reachable:
+                            discrepancies += 1
+                            continue
+                        if cofiber(nf) != oracle_cofiber:
+                            discrepancies += 1
+                    if sampled_oracle_calls < 25:
+                        # exercise the public entry point directly too
+                        assert oracle_normal_form(least).key() == least_key
+                        sampled_oracle_calls += 1
+    return checked, orbits, discrepancies
+
+
 def test_criterion_4_oracle_equivalence():
     with criterion(4, "normalizer oracle equivalence"):
         start = time.monotonic()
-        s3, s4, s5 = sphere(3), sphere(4), sphere(5)
-        target_pool = {
-            s4: [s3, moore(4, 2), moore(4, 4), moore(4, 8)],
-            s5: [s3, s4, moore(4, 2), moore(4, 4), moore(4, 8)],
-        }
-        checked = discrepancies = 0
-        sampled_oracle_calls = 0
-        for source, pool in target_pool.items():
-            for size in (1, 2, 3):
-                for targets in combinations_with_replacement(pool, size):
-                    entries = [maps_group(source, t) for t in targets]
-                    assert all(
-                        0 not in e.orders and e.group.order() <= 8 for e in entries
-                    )
-                    spaces = [
-                        [dict(zip(e.generators, combo)) for combo in product(*(range(o) for o in e.orders))]
-                        for e in entries
-                    ]
-                    vectors = [
-                        MapVector.of(source, list(zip(targets, combo)))
-                        for combo in product(*spaces)
-                    ]
-                    unvisited = {v.key(): v for v in vectors}
-                    while unvisited:
-                        _, seed_vector = next(iter(unvisited.items()))
-                        reachable = orbit(seed_vector)
-                        least_key = min(reachable)
-                        least = reachable[least_key]
-                        oracle_cofiber = cofiber(normalize(least))
-                        for key in reachable:
-                            member = unvisited.pop(key, None)
-                            if member is None:
-                                continue
-                            checked += 1
-                            nf = normalize(member)
-                            if nf.key() not in reachable:
-                                discrepancies += 1
-                                continue
-                            if cofiber(nf) != oracle_cofiber:
-                                discrepancies += 1
-                        if sampled_oracle_calls < 25:
-                            # exercise the public entry point directly too
-                            assert oracle_normal_form(least).key() == least_key
-                            sampled_oracle_calls += 1
+        checked, _, discrepancies = _oracle_sweep((1, 2, 3))
         assert checked == 1580
         assert discrepancies == 0
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
+
+
+def test_oracle_sweep_at_four_targets():
+    # Criterion 4's pool with up to four targets: every vector, not a sample.
+    start = time.monotonic()
+    assert _oracle_sweep((1, 2, 3, 4)) == (10156, 782, 0)
+    elapsed = time.monotonic() - start
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
 
 
 # --------------------------------------------------------------------------

@@ -226,6 +226,15 @@ def test_constructor_rejects_parameters_the_kind_does_not_use(kind, n, params):
         ElementaryComplex(kind, n, **params)
 
 
+@pytest.mark.parametrize("notation", ["A^5(eta~_{})", "C^5_{}", "C^{{5,{}}}", "C^{{5,1}}_{}",
+                                      "A^5(2^{} eta^2)"])
+def test_two_power_exponents_bounded_like_moore_orders(notation):
+    # 2**r and 2**t stay below MAX_FACTOR_ORDER = 2**64, as a Moore order does.
+    assert parse_complex(notation.format(63)).notation == notation.format(63)
+    with pytest.raises(ValueError, match=r"2\*\*[rt] below 2\*\*64"):
+        parse_complex(notation.format(64))
+
+
 def test_desuspension_floor():
     with pytest.raises(ValueError):
         a_tilde(2, 1).desuspend()

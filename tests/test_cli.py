@@ -279,6 +279,9 @@ def s5_to_s4(coefficients, source="S^5", target="S^4"):
         pytest.param(s5_to_s4({}, target="C^{5,0}"), "chang_t needs t >= 1", id="chang-t-zero"),
         pytest.param(s5_to_s4({}, target="A^4(eta~_1)"), "a_tilde needs n >= 2", id="a-tilde-below-least-n"),
         pytest.param(s5_to_s4({}, target="P^4(1)"), "moore needs order >= 2", id="moore-order-one"),
+        # maps_group would build 2**r for the 2 q_3 row: r is bounded like a Moore order.
+        pytest.param({"source": "A^5(eta~_10000000000)", "entries": [{"target": "S^3"}]},
+                     "a_tilde needs 2**r below 2**64", id="a-tilde-huge-r"),
     ],
 )
 def test_normalize_rejects_unknown_generator(tmp_path, capsys, vector, culprit):

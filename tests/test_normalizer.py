@@ -441,14 +441,56 @@ def test_oracle_seed_insensitive(monkeypatch):
     v = vec(S5, (S4, {"eta": 1}), (moore(4, 4), {"eta~_2": 1}), (moore(4, 2), {"eta~_1": 1}))
     in_order = oracle_normal_form(v)
     all_moves = normalizer._all_moves
+    shuffled = []
     for seed in range(5):
         def shuffled_moves(w, seed=seed):
             moves = all_moves(w)
             random.Random(seed).shuffle(moves)
+            shuffled.append(seed)
             return moves
 
         monkeypatch.setattr(normalizer, "_all_moves", shuffled_moves)
         assert oracle_normal_form(v) == in_order
+    # Each answer came from the shuffled moves, not from moves compiled earlier.
+    assert shuffled == list(range(5))
+
+
+# Criterion 4's sweep pool plus the P^5 target of the degree-5 test above,
+# and maps from S^6, where eta-_r . eta~_r (r >= 2) makes some moves illegal.
+MOVE_POOL = {
+    S4: [S3, moore(4, 2), moore(4, 4), moore(4, 8)],
+    S5: [S3, S4, moore(4, 2), moore(4, 4), moore(4, 8), moore(5, 4)],
+    sphere(6): [S3, S5, moore(5, 2), moore(5, 4), moore(5, 8)],
+}
+
+
+def test_compiled_moves_equal_row_op():
+    # The oracle compiles each move from row_op on unit vectors and applies
+    # it linearly; on any vector it must agree with row_op itself, legality
+    # included.
+    rng = random.Random(7)
+    checked = illegal = 0
+    for _ in range(500):
+        source = rng.choice(list(MOVE_POOL))
+        targets = [rng.choice(MOVE_POOL[source]) for _ in range(rng.randint(1, 4))]
+        components = []
+        for t in targets:
+            entry = maps_group(source, t)
+            components.append((t, {g: rng.randrange(o) for g, o in zip(entry.generators, entry.orders)}))
+        v = MapVector.of(source, components)
+        moves = normalizer._all_moves(v)
+        compiled = normalizer._compile_moves(v, moves)
+        orders = tuple(o for e in v.entries for o in e.entry.orders)
+        images = normalizer._images(compiled, normalizer._flat(v), orders)
+        for move, image in zip(moves, images, strict=True):
+            try:
+                expected = tuple(c for row in row_op(v, move).key() for c in row)
+            except IllegalOp:
+                expected = None
+                illegal += 1
+            assert image == expected, (v.key(), move)
+            checked += 1
+    assert checked > 5000 and illegal > 20
 
 
 # --------------------------------------------------------------------------
