@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import catalog, ehp, normalizer
 from .catalog import (
@@ -381,7 +382,9 @@ def run_tables(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="suspcalc",
         description=(

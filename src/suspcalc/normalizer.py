@@ -23,14 +23,17 @@ index and dominates i-eta^2.
 closes a small vector under every legal row operation, returning the
 lexicographically least orbit element; it exists to cross-check
 ``normalize``.  The closure runs over integer states, the flat tuples of
-all coefficients: each move is compiled once into columns, its images of
-the unit vectors under ``row_op``, so ``row_op`` stays the only
-definition of a move.
+all coefficients.  A move touches one row, or two, and its columns there
+depend only on the source, those rows' targets and the move: each such
+pair block is compiled once, from the images of its unit vectors under
+``row_op``, and cached, so ``row_op`` stays the only definition of a
+move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from operator import mod
 
 from .catalog import (
@@ -673,9 +676,52 @@ def _flat(v: MapVector) -> tuple[int, ...]:
     return tuple(c for e in v.entries for c in e.coeffs)
 
 
+def _rows(move) -> tuple[tuple[int, ...], object]:
+    """The rows a move reads or writes, and the move on just those rows."""
+    if isinstance(move, AddRow):
+        return (move.src, move.dst), AddRow(1, 0, move.transfer)
+    if isinstance(move, SwapRows):
+        return (move.i, move.j), SwapRows(0, 1)
+    return (move.row,), ActBySelfEquiv(0, move.op)
+
+
+@cache
+def _block(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
+           move) -> tuple[bool, int, tuple]:
+    """``move`` on the vector from ``source`` into ``targets`` alone, read
+    off ``row_op`` on its unit vectors: (outside_illegal, illegal, shifts),
+    the last two as in ``_compile_moves`` on the block's own coordinates.
+
+    A move neither reads nor changes a row outside its block, so it fixes
+    every other coordinate, or rejects them all when it rejects the zero
+    vector (a transfer that cannot follow a map from a non-sphere source).
+    """
+    zero = MapVector.zero(source, targets)
+    try:
+        row_op(zero, move)
+        outside_illegal = False
+    except IllegalOp:
+        outside_illegal = True
+    illegal, shifts, j = 0, [], 0
+    for i, e in enumerate(zero.entries):
+        for g in range(len(e.coeffs)):
+            coeffs = tuple(int(h == g) for h in range(len(e.coeffs)))
+            unit = zero.with_entry(i, MapClass(e.entry, coeffs))
+            try:
+                column = _flat(row_op(unit, move))
+            except IllegalOp:
+                illegal |= 1 << j
+            else:
+                shift = tuple((k, c - (k == j)) for k, c in enumerate(column) if c != (k == j))
+                if shift:
+                    shifts.append((j, shift))
+            j += 1
+    return outside_illegal, illegal, tuple(shifts)
+
+
 def _compile_moves(v: MapVector, moves) -> list[tuple[int, int, tuple]]:
-    """Each move as a linear map on integer states, read off ``row_op`` on
-    the unit vectors of v's coefficient space.
+    """Each move as a linear map on integer states, assembled from the
+    cached ``_block`` of the rows it touches.
 
     A compiled move is (illegal, active, shifts): bit masks of the
     coordinates whose unit vector ``row_op`` rejects and of those it does
@@ -685,27 +731,24 @@ def _compile_moves(v: MapVector, moves) -> list[tuple[int, int, tuple]]:
     coefficients c of a row, each term c times the image of its generator,
     and it is illegal as soon as one such term is not tabulated.
     """
-    zero = MapVector.zero(v.source, v.targets)
-    units = []
-    for i, e in enumerate(zero.entries):
-        for g in range(len(e.coeffs)):
-            coeffs = tuple(int(h == g) for h in range(len(e.coeffs)))
-            units.append(zero.with_entry(i, MapClass(e.entry, coeffs)))
+    offsets, at = [], 0
+    for e in v.entries:
+        offsets.append(range(at, at + len(e.coeffs)))
+        at += len(e.coeffs)
+    everything = (1 << at) - 1
     compiled = []
     for move in moves:
-        illegal = active = 0
-        shifts = []
-        for j, unit in enumerate(units):
-            try:
-                column = _flat(row_op(unit, move))
-            except IllegalOp:
-                illegal |= 1 << j
-                continue
-            shift = tuple((k, c - (k == j)) for k, c in enumerate(column) if c != (k == j))
-            if shift:
-                active |= 1 << j
-                shifts.append((j, shift))
-        compiled.append((illegal, active, tuple(shifts)))
+        rows, local = _rows(move)
+        outside_illegal, block_illegal, block_shifts = _block(
+            v.source, tuple(v.targets[i] for i in rows), local)
+        flat = [k for i in rows for k in offsets[i]]
+        illegal = sum(1 << k for j, k in enumerate(flat) if block_illegal >> j & 1)
+        if outside_illegal:
+            illegal |= everything & ~sum(1 << k for k in flat)
+        shifts = tuple((flat[j], tuple((flat[k], amount) for k, amount in shift))
+                       for j, shift in block_shifts)
+        active = sum(1 << j for j, _ in shifts)
+        compiled.append((illegal, active, shifts))
     return compiled
 
 
@@ -734,9 +777,9 @@ def _images(moves: list[tuple[int, int, tuple]], state: tuple[int, ...],
 def orbit(v: MapVector) -> dict[tuple, MapVector]:
     """Closure of v under all legal row operations, keyed by coefficients.
 
-    Each move of ``_all_moves`` is compiled once from ``row_op``; the
-    closure then runs over flat coefficient tuples, and only the returned
-    members are built as vectors.
+    Each move of ``_all_moves`` is assembled from its cached pair block;
+    the closure then runs over flat coefficient tuples, and only the
+    returned members are built as vectors.
     """
     if len(v.targets) > 4:
         raise TooLarge("oracle supports at most 4 targets")

@@ -42,6 +42,7 @@ from suspcalc.classifier import (
 from suspcalc.cli import build_tables
 from suspcalc.ehp import coker_H2, is_E_surjective
 from suspcalc.normalizer import (
+    MapClass,
     MapVector,
     cofiber,
     compose_relation,
@@ -240,12 +241,12 @@ SWEEP_POOL = {
 }
 
 
-def _oracle_sweep(sizes):
-    """Every vector of SWEEP_POOL at these target counts, orbit by orbit:
+def _oracle_sweep(sizes, pools=SWEEP_POOL):
+    """Every vector of ``pools`` at these target counts, orbit by orbit:
     (vectors checked, orbits, discrepancies between normalize and the oracle)."""
     checked = orbits = discrepancies = 0
     sampled_oracle_calls = 0
-    for source, pool in SWEEP_POOL.items():
+    for source, pool in pools.items():
         for size in sizes:
             for targets in combinations_with_replacement(pool, size):
                 entries = [maps_group(source, t) for t in targets]
@@ -302,6 +303,43 @@ def test_oracle_sweep_at_four_targets():
     assert _oracle_sweep((1, 2, 3, 4)) == (10156, 782, 0)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
+
+
+# Maps from S^5 into mixed P^4 and P^5 targets: the chi, incl_pinch and
+# incl_eta_bar moves that criterion 4's pool lacks.  The same window one
+# dimension up, without S^3, is its suspension, so it is not swept again:
+# test_normalize_commutes_with_suspension checks the two agree instead.
+S5_WINDOW = {
+    sphere(5): [sphere(3), sphere(4), moore(4, 2), moore(4, 4), moore(5, 2), moore(5, 4)],
+}
+
+
+def test_oracle_sweep_s5_window():
+    start = time.monotonic()
+    assert _oracle_sweep((1, 2, 3, 4), S5_WINDOW) == (8376, 881, 0)
+    elapsed = time.monotonic() - start
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
+
+
+def test_normalize_commutes_with_suspension():
+    # Each vector of the S^5 window and the S^6 vector with the same
+    # coefficients into the suspended targets have the same normal form.
+    checked = 0
+    for source, pool in S5_WINDOW.items():
+        for size in (1, 2, 3):
+            for targets in combinations_with_replacement(pool, size):
+                entries = [maps_group(source, t) for t in targets]
+                lifted = [maps_group(source.suspend(), t.suspend()) for t in targets]
+                assert [(e.kinds, e.orders) for e in entries] == [(e.kinds, e.orders) for e in lifted]
+                for combo in product(*(product(*(range(o) for o in e.orders)) for e in entries)):
+                    v, w = (
+                        MapVector(x[0].source, tuple(e.target for e in x),
+                                  tuple(MapClass(e, c) for e, c in zip(x, combo)))
+                        for x in (entries, lifted)
+                    )
+                    assert normalize(v).key() == normalize(w).key(), v.key()
+                    checked += 1
+    assert checked == 1288
 
 
 # --------------------------------------------------------------------------

@@ -455,6 +455,24 @@ def test_oracle_seed_insensitive(monkeypatch):
     assert shuffled == list(range(5))
 
 
+def test_orbit_independent_of_block_cache():
+    # The oracle caches each move's block by complexes and move only.  Blocks
+    # cached from the reversed vector, at other rows, give the same orbit as
+    # a cold cache; the second vector has illegal columns (eta-_2 . eta~_2 is
+    # not tabulated).
+    for v in (
+        vec(S5, (S4, {"eta": 1}), (moore(4, 4), {"eta~_2": 1}), (moore(4, 2), {"eta~_1": 1})),
+        vec(sphere(6), (S3, {"nu'": 2}), (moore(5, 4), {"eta~_2": 1}), (S5, {"eta": 1})),
+    ):
+        normalizer._block.cache_clear()
+        orbit(MapVector(v.source, v.targets[::-1], v.entries[::-1]))
+        misses = normalizer._block.cache_info().misses
+        warm = orbit(v)
+        assert normalizer._block.cache_info().misses == misses > 0
+        normalizer._block.cache_clear()
+        assert orbit(v) == warm
+
+
 # Criterion 4's sweep pool plus the P^5 target of the degree-5 test above,
 # and maps from S^6, where eta-_r . eta~_r (r >= 2) makes some moves illegal.
 MOVE_POOL = {
