@@ -487,16 +487,18 @@ class OperationProfile:
 
 def operation_profile(x: ElementaryComplex) -> OperationProfile:
     degrees = range(max(0, x.bottom_dim - 1), x.top_dim + 2)
-    dims = tuple((k, _mod2_basis(x, k)) for k in degrees if _mod2_basis(x, k))
-    sq2 = []
-    for k, _ in dims:
+    dims = tuple((k, dim) for k in degrees if (dim := _mod2_basis(x, k)))
+    # Sq^2 can act only from the one degree the kind's row names (_sq2_block).
+    sq2 = ()
+    if (offset := _KINDS[x.kind].sq2) is not None:
+        k = x.n + offset
         matrix = sq2_action(x, k)
-        if any(any(row) for row in matrix):
-            sq2.append((k, matrix))
+        if any(map(any, matrix)):
+            sq2 = ((k, matrix),)
     return OperationProfile(
         complex=x,
         mod2_dims=dims,
-        sq2=tuple(sq2),
+        sq2=sq2,
         bocksteins=bockstein_profile(x),
         theta=theta_flag(x),
         pontryagin=_pontryagin_coeff(x),

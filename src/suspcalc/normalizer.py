@@ -32,6 +32,7 @@ move.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cache
 from operator import mod
@@ -774,12 +775,40 @@ def _images(moves: list[tuple[int, int, tuple]], state: tuple[int, ...],
     return out
 
 
-def orbit(v: MapVector) -> dict[tuple, MapVector]:
+class Orbit(Mapping):
+    """The orbit of a vector under row operations, read-only, keyed like
+    ``MapVector.key()`` in the order the closure reached its members,
+    ``v.key()`` first.  A member vector is built, through the ``MapClass``
+    and ``MapVector`` constructors, only when it is looked up."""
+
+    def __init__(self, v: MapVector, keys):
+        self._v = v
+        self._keys = dict.fromkeys(keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def __getitem__(self, key) -> MapVector:
+        if key not in self._keys:
+            raise KeyError(key)
+        v = self._v
+        entries = tuple(MapClass(e.entry, coeffs) for e, coeffs in zip(v.entries, key))
+        return MapVector(v.source, v.targets, entries, v.theta_remainder)
+
+
+def orbit(v: MapVector) -> Orbit:
     """Closure of v under all legal row operations, keyed by coefficients.
 
     Each move of ``_all_moves`` is assembled from its cached pair block;
-    the closure then runs over flat coefficient tuples, and only the
-    returned members are built as vectors.
+    the closure then runs over flat coefficient tuples, reduced modulo the
+    entry orders, so each state cut per entry is a member's key.  Members
+    are built as vectors only when looked up.
     """
     if len(v.targets) > 4:
         raise TooLarge("oracle supports at most 4 targets")
@@ -803,17 +832,13 @@ def orbit(v: MapVector) -> dict[tuple, MapVector]:
                 states.append(image)
     spans, at = [], 0
     for e in v.entries:
-        spans.append((e.entry, at, at + len(e.coeffs)))
+        spans.append(slice(at, at + len(e.coeffs)))
         at += len(e.coeffs)
-    reachable = {v.key(): v}
-    for state in states[1:]:
-        entries = tuple(MapClass(entry, state[a:b]) for entry, a, b in spans)
-        reachable[tuple(e.coeffs for e in entries)] = MapVector(
-            v.source, v.targets, entries, v.theta_remainder)
-    return reachable
+    return Orbit(v, (tuple([state[s] for s in spans]) for state in states))
 
 
 def oracle_normal_form(v: MapVector) -> MapVector:
-    """Lexicographically least element of the row-operation orbit."""
+    """Lexicographically least element of the row-operation orbit, the
+    only member built as a vector."""
     reachable = orbit(v)
     return reachable[min(reachable)]

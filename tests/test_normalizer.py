@@ -2,10 +2,12 @@ import io
 import json
 import random
 import sys
+from dataclasses import replace
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from suspcalc import cli, normalizer
 from suspcalc.catalog import (
@@ -471,6 +473,57 @@ def test_orbit_independent_of_block_cache():
         assert normalizer._block.cache_info().misses == misses > 0
         normalizer._block.cache_clear()
         assert orbit(v) == warm
+
+
+def test_orbit_mapping_builds_members_on_lookup(monkeypatch):
+    v = vec(S5, (S4, {"eta": 1}), (moore(4, 4), {"eta~_2": 1}), (moore(4, 2), {"eta~_1": 1}))
+    for w in (v, replace(v, theta_remainder=True)):
+        reachable = orbit(w)
+        assert all(reachable[k].key() == k for k in reachable)
+        first = next(iter(reachable))
+        assert first == w.key() and reachable[first] == w
+        assert reachable == {k: reachable[k] for k in reachable}
+    zero = tuple((0,) * len(e.coeffs) for e in v.entries)  # no automorphism reaches it
+    assert zero not in reachable
+    with pytest.raises(KeyError):
+        reachable[zero]
+
+    built = []
+    post_init = MapVector.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MapVector, "__post_init__", counted)
+    reachable = orbit(v)  # the block cache is warm from the orbits above
+    assert len(reachable) > 1 and built == []
+    least = reachable[min(reachable)]
+    assert built == [least]
+
+
+# The S^5 sweep window of the acceptance suite, at up to three targets.
+S5_WINDOW = (S3, S4, moore(4, 2), moore(4, 4), moore(5, 2), moore(5, 4))
+
+
+@st.composite
+def s5_window_vectors(draw):
+    components = []
+    for t in draw(st.lists(st.sampled_from(S5_WINDOW), min_size=1, max_size=3)):
+        entry = maps_group(S5, t)
+        orders = zip(entry.generators, entry.orders)
+        components.append((t, {g: draw(st.integers(-o, 2 * o)) for g, o in orders}))
+    return MapVector.of(S5, components)
+
+
+@given(s5_window_vectors(), st.data())
+def test_normal_form_is_a_fixed_point_in_the_orbit(v, data):
+    nf = normalize(v)
+    assert normalize(nf) == nf
+    reachable = orbit(v)
+    assert nf.key() in reachable
+    w = reachable[data.draw(st.sampled_from(list(reachable)))]
+    assert orbit(w).keys() == reachable.keys()
 
 
 # Criterion 4's sweep pool plus the P^5 target of the degree-5 test above,
