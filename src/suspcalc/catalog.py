@@ -123,6 +123,26 @@ class TableMiss(KeyError):
     __str__ = Exception.__str__  # the message, not KeyError's quoted repr
 
 
+def cached_hash(cls: type) -> type:
+    """Keep the dataclass-generated hash of ``cls`` once per instance: its
+    instances are keys of every table cache, and the value stays the same.
+    It is read as an attribute, never through ``__dict__``, which would
+    slow every later attribute read of the instance."""
+    generated = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = generated(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
+@cached_hash
 @dataclass(frozen=True)
 class ElementaryComplex:
     """One catalog entry.

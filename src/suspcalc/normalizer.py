@@ -22,12 +22,12 @@ index and dominates i-eta^2.
 ``oracle_normal_form`` ignores all of these conventions and simply
 closes a small vector under every legal row operation, returning the
 lexicographically least orbit element; it exists to cross-check
-``normalize``.  The closure runs over integer states, the flat tuples of
-all coefficients.  A move touches one row, or two, and its columns there
-depend only on the source, those rows' targets and the move: each such
-pair block is compiled once, from the images of its unit vectors under
-``row_op``, and cached, so ``row_op`` stays the only definition of a
-move.
+``normalize``.  The closure runs over integer states: each entry is an
+index into the classes of its group, and a state is the mixed-radix
+number of those row indices.  A move touches one row, or two, and what
+it does there depends only on the source, those rows' targets and the
+move: each such block is tabulated once, from ``row_op`` on every block
+state, and cached, so ``row_op`` stays the only definition of a move.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cache
-from operator import mod
+from itertools import product
+from math import prod
 
 from .catalog import (
     ETA,
@@ -60,6 +61,7 @@ from .catalog import (
     a_2r_eta2,
     a_eta2,
     a_tilde,
+    cached_hash,
     chang_eta,
     chang_r,
     maps_group,
@@ -203,6 +205,7 @@ INCL_ETA_PINCH = "incl_eta_pinch"
 INCL_ETA_BAR = "incl_eta_bar"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class GeneratorSymbol:
     """A generator or structural map with its (co)domain, printed by kind.
@@ -672,9 +675,12 @@ def _all_moves(v: MapVector):
     return moves
 
 
-def _flat(v: MapVector) -> tuple[int, ...]:
-    """The coefficients of all entries in one tuple, row by row."""
-    return tuple(c for e in v.entries for c in e.coeffs)
+@cache
+def _elements(source: ElementaryComplex, target: ElementaryComplex) -> tuple[tuple[int, ...], ...]:
+    """The classes of [source, target] as reduced coefficient tuples, in
+    ``itertools.product`` order over the entry orders: a class's row index
+    is its place here, and the zero class has index 0."""
+    return tuple(product(*(range(o) for o in maps_group(source, target).orders)))
 
 
 def _rows(move) -> tuple[tuple[int, ...], object]:
@@ -688,91 +694,55 @@ def _rows(move) -> tuple[tuple[int, ...], object]:
 
 @cache
 def _block(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
-           move) -> tuple[bool, int, tuple]:
+           move) -> tuple[int | None, ...]:
     """``move`` on the vector from ``source`` into ``targets`` alone, read
-    off ``row_op`` on its unit vectors: (outside_illegal, illegal, shifts),
-    the last two as in ``_compile_moves`` on the block's own coordinates.
+    off ``row_op`` on every block state: entry k is the index of the image
+    of block state k, or None where ``row_op`` rejects it.  Block states
+    are the tuples of the rows' indices into ``_elements``, numbered in
+    ``itertools.product`` order.
 
-    A move neither reads nor changes a row outside its block, so it fixes
-    every other coordinate, or rejects them all when it rejects the zero
-    vector (a transfer that cannot follow a map from a non-sphere source).
+    A move neither reads nor changes a row outside its block, so on a whole
+    vector it fixes every other row and is legal exactly where its block
+    state is: a transfer that cannot follow a map from a non-sphere source
+    is None everywhere, the zero state included.
     """
-    zero = MapVector.zero(source, targets)
-    try:
-        row_op(zero, move)
-        outside_illegal = False
-    except IllegalOp:
-        outside_illegal = True
-    illegal, shifts, j = 0, [], 0
-    for i, e in enumerate(zero.entries):
-        for g in range(len(e.coeffs)):
-            coeffs = tuple(int(h == g) for h in range(len(e.coeffs)))
-            unit = zero.with_entry(i, MapClass(e.entry, coeffs))
-            try:
-                column = _flat(row_op(unit, move))
-            except IllegalOp:
-                illegal |= 1 << j
-            else:
-                shift = tuple((k, c - (k == j)) for k, c in enumerate(column) if c != (k == j))
-                if shift:
-                    shifts.append((j, shift))
-            j += 1
-    return outside_illegal, illegal, tuple(shifts)
+    entries = [maps_group(source, t) for t in targets]
+    states = list(product(*(_elements(source, t) for t in targets)))
+    index = {key: k for k, key in enumerate(states)}
+    table = []
+    for key in states:
+        w = MapVector(source, targets, tuple(MapClass(e, c) for e, c in zip(entries, key)))
+        try:
+            table.append(index[row_op(w, move).key()])
+        except IllegalOp:
+            table.append(None)
+    return tuple(table)
 
 
-def _compile_moves(v: MapVector, moves) -> list[tuple[int, int, tuple]]:
-    """Each move as a linear map on integer states, assembled from the
+def _move_tables(v: MapVector, moves) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """Each move as an offset table on integer states, assembled from the
     cached ``_block`` of the rows it touches.
 
-    A compiled move is (illegal, active, shifts): bit masks of the
-    coordinates whose unit vector ``row_op`` rejects and of those it does
-    not fix, and for each active coordinate j the change (column j minus
-    unit vector j) as sparse (coordinate, amount) pairs.  This is exact:
-    a move swaps rows or adds to one row a sum over the nonzero
-    coefficients c of a row, each term c times the image of its generator,
-    and it is illegal as soon as one such term is not tabulated.
+    A state is the mixed-radix number of the rows' indices into
+    ``_elements``, row 0 most significant: row i's index is
+    ``state // stride % size`` for its place (stride, size), returned
+    first.  A move becomes (hi, lo, radix, delta): on a state with row
+    indices d, its image is the state plus ``delta[d[hi] * radix + d[lo]]``,
+    and it is illegal where that entry is None.
     """
-    offsets, at = [], 0
-    for e in v.entries:
-        offsets.append(range(at, at + len(e.coeffs)))
-        at += len(e.coeffs)
-    everything = (1 << at) - 1
-    compiled = []
+    sizes = [len(_elements(v.source, t)) for t in v.targets]
+    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    steps = [range(0, n * s, s) for n, s in zip(sizes, strides)]  # per row index
+    tables = []
     for move in moves:
         rows, local = _rows(move)
-        outside_illegal, block_illegal, block_shifts = _block(
-            v.source, tuple(v.targets[i] for i in rows), local)
-        flat = [k for i in rows for k in offsets[i]]
-        illegal = sum(1 << k for j, k in enumerate(flat) if block_illegal >> j & 1)
-        if outside_illegal:
-            illegal |= everything & ~sum(1 << k for k in flat)
-        shifts = tuple((flat[j], tuple((flat[k], amount) for k, amount in shift))
-                       for j, shift in block_shifts)
-        active = sum(1 << j for j, _ in shifts)
-        compiled.append((illegal, active, shifts))
-    return compiled
-
-
-def _images(moves: list[tuple[int, int, tuple]], state: tuple[int, ...],
-            orders: tuple[int, ...]) -> list[tuple[int, ...] | None]:
-    """The image of a flat state under each compiled move, None where the
-    move is illegal: on a state whose support meets its illegal mask."""
-    support = sum(1 << j for j, c in enumerate(state) if c)
-    out = []
-    for illegal, active, shifts in moves:
-        if support & illegal:
-            out.append(None)
-        elif not support & active:
-            out.append(state)
-        else:
-            image = list(state)
-            for j, shift in shifts:
-                c = state[j]
-                if c:
-                    for k, amount in shift:
-                        image[k] += c * amount
-            out.append(tuple(map(mod, image, orders)))
-    return out
+        table = _block(v.source, tuple(v.targets[i] for i in rows), local)
+        # the offset of each block state, in the block's product order
+        offsets = list(map(sum, product(*(steps[i] for i in rows))))
+        delta = tuple(None if k is None else offsets[k] - at for k, at in zip(table, offsets))
+        hi, lo = rows[0], rows[-1]
+        tables.append((hi, lo, sizes[lo] if len(rows) > 1 else 0, delta))
+    return list(zip(strides, sizes)), tables
 
 
 class Orbit(Mapping):
@@ -805,10 +775,10 @@ class Orbit(Mapping):
 def orbit(v: MapVector) -> Orbit:
     """Closure of v under all legal row operations, keyed by coefficients.
 
-    Each move of ``_all_moves`` is assembled from its cached pair block;
-    the closure then runs over flat coefficient tuples, reduced modulo the
-    entry orders, so each state cut per entry is a member's key.  Members
-    are built as vectors only when looked up.
+    Each move of ``_all_moves`` becomes an offset table assembled from its
+    cached block table; the closure then runs over integer states, and
+    each reached state's row indices, read through ``_elements``, are a
+    member's key.  Members are built as vectors only when looked up.
     """
     if len(v.targets) > 4:
         raise TooLarge("oracle supports at most 4 targets")
@@ -820,21 +790,22 @@ def orbit(v: MapVector) -> Orbit:
         total *= order
     if total > 2**12:
         raise TooLarge(f"total entry-group order {total} exceeds 2^12")
-    # a move that fixes every coordinate it admits moves no state
-    moves = [m for m in _compile_moves(v, _all_moves(v)) if m[1]]
-    orders = tuple(o for e in v.entries for o in e.entry.orders)
-    start = _flat(v)
+    places, tables = _move_tables(v, _all_moves(v))
+    moves = [m for m in tables if any(m[3])]  # drop moves that fix every state
+    rows = [_elements(v.source, t) for t in v.targets]
+    start = sum(r.index(e.coeffs) * s for r, e, (s, _) in zip(rows, v.entries, places))
     states, seen = [start], {start}
     for state in states:  # a worklist that grows while it is read
-        for image in _images(moves, state, orders):
-            if image is not None and image not in seen:
-                seen.add(image)
-                states.append(image)
-    spans, at = [], 0
-    for e in v.entries:
-        spans.append(slice(at, at + len(e.coeffs)))
-        at += len(e.coeffs)
-    return Orbit(v, (tuple([state[s] for s in spans]) for state in states))
+        d = [state // s % n for s, n in places]
+        for hi, lo, radix, delta in moves:
+            step = delta[d[hi] * radix + d[lo]]
+            if step:  # None where the move is illegal, 0 where it fixes the state
+                image = state + step
+                if image not in seen:
+                    seen.add(image)
+                    states.append(image)
+    return Orbit(v, (tuple([r[state // s % n] for r, (s, n) in zip(rows, places)])
+                     for state in states))
 
 
 def oracle_normal_form(v: MapVector) -> MapVector:

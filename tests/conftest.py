@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings, strategies as st
 
 from suspcalc.abelian import FgAbelianGroup
 from suspcalc.classifier import (
@@ -60,6 +60,31 @@ def random_invariants(rng: random.Random, postnikov=None) -> ManifoldInvariants:
         if not choices:
             return random_invariants(rng, postnikov)
         sq2 = rng.choice(choices)
+    return ManifoldInvariants(m, d, torsion, spin, theta, sq2, postnikov)
+
+
+@st.composite
+def valid_invariants(draw) -> ManifoldInvariants:
+    """A valid, classifiable invariant record over the ranges of
+    ``random_invariants``, without its declined case (non-spin with a
+    nontrivial theta action), which has no report."""
+    two = draw(st.lists(st.integers(1, 4), max_size=3))
+    odd = draw(st.lists(st.sampled_from([3, 5, 9, 7]), max_size=2))
+    torsion = FgAbelianGroup.of_orders(*(2**r for r in two), *odd)
+    m, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    spin, postnikov = draw(st.booleans()), draw(st.booleans())
+    index = st.integers(1, len(two))
+    theta = ThetaAction(THETA_TRIVIAL)
+    if spin:
+        sq2 = Sq2Case(SQ2_NOT_APPLICABLE)
+        if two and draw(st.booleans()):
+            theta = ThetaAction(THETA_NONTRIVIAL, draw(index))
+    else:
+        cases = [st.just(Sq2Case(SQ2_CASE_A))] if d else []
+        if two:
+            cases += [st.builds(Sq2Case, st.just(c), index) for c in (SQ2_CASE_B, SQ2_CASE_C)]
+        assume(cases)
+        sq2 = draw(st.one_of(cases))
     return ManifoldInvariants(m, d, torsion, spin, theta, sq2, postnikov)
 
 

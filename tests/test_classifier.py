@@ -2,8 +2,9 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given
 
-from conftest import random_invariants
+from conftest import random_invariants, valid_invariants
 from suspcalc.abelian import CyclicFactor, FgAbelianGroup
 from suspcalc.catalog import (
     WedgeComplex,
@@ -288,6 +289,14 @@ def test_roundtrip_passes_randomized(rng):
         except OmittedCase:
             continue
         assert all(c.passed for c in validate_roundtrip(inv, report))
+
+
+@given(valid_invariants())
+def test_every_valid_descriptor_audits_and_desuspends_coherently(inv):
+    report = classify_double_suspension(inv)
+    assert all(c.passed for c in validate_roundtrip(inv, report))
+    if not isinstance(report.sigma, Unresolved):
+        assert report.sigma.suspend() == report.sigma2
 
 
 # --------------------------------------------------------------------------

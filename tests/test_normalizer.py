@@ -2,7 +2,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, make_dataclass, replace
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from suspcalc.catalog import (
     sphere,
 )
 from suspcalc.normalizer import (
+    DEG,
     ActBySelfEquiv,
     AddRow,
     GeneratorSymbol,
@@ -535,33 +536,85 @@ MOVE_POOL = {
 }
 
 
+def test_cached_hash_is_the_dataclass_hash():
+    # Complexes and symbols are cache keys and keep their hash; it must stay
+    # the value a plain frozen dataclass gives, so set order and digests hold.
+    complexes = [*MOVE_POOL, *MOORE_POOL, *(t for pool in MOVE_POOL.values() for t in pool)]
+    symbols = [g for a in complexes for b in complexes for g in transfer_alphabet(a, b)]
+    assert len(symbols) > 20
+    for x in complexes + symbols + [GeneratorSymbol(DEG, S3, S3, 3)]:
+        names = [f.name for f in fields(x)]
+        plain = make_dataclass("Plain", names, frozen=True)(*(getattr(x, n) for n in names))
+        assert hash(x) == hash(plain) == hash(x)
+
+
+def _random_pool_vector(rng, pool, most=4):
+    source = rng.choice(list(pool))
+    components = []
+    for t in [rng.choice(pool[source]) for _ in range(rng.randint(1, most))]:
+        entry = maps_group(source, t)
+        components.append((t, {g: rng.randrange(o) for g, o in zip(entry.generators, entry.orders)}))
+    return MapVector.of(source, components)
+
+
 def test_compiled_moves_equal_row_op():
-    # The oracle compiles each move from row_op on unit vectors and applies
-    # it linearly; on any vector it must agree with row_op itself, legality
-    # included.
+    # The oracle reads each move off row_op on every state of its block and
+    # applies it to whole vectors by offset tables; on any vector it must
+    # agree with row_op itself, legality included.
     rng = random.Random(7)
     checked = illegal = 0
     for _ in range(500):
-        source = rng.choice(list(MOVE_POOL))
-        targets = [rng.choice(MOVE_POOL[source]) for _ in range(rng.randint(1, 4))]
-        components = []
-        for t in targets:
-            entry = maps_group(source, t)
-            components.append((t, {g: rng.randrange(o) for g, o in zip(entry.generators, entry.orders)}))
-        v = MapVector.of(source, components)
+        v = _random_pool_vector(rng, MOVE_POOL)
         moves = normalizer._all_moves(v)
-        compiled = normalizer._compile_moves(v, moves)
-        orders = tuple(o for e in v.entries for o in e.entry.orders)
-        images = normalizer._images(compiled, normalizer._flat(v), orders)
-        for move, image in zip(moves, images, strict=True):
+        places, tables = normalizer._move_tables(v, moves)
+        rows = [normalizer._elements(v.source, t) for t in v.targets]
+        d = [r.index(e.coeffs) for r, e in zip(rows, v.entries)]
+        state = sum(i * s for i, (s, _) in zip(d, places))
+        for move, (hi, lo, radix, delta) in zip(moves, tables, strict=True):
+            step = delta[d[hi] * radix + d[lo]]
+            image = None if step is None else tuple(
+                r[(state + step) // s % n] for r, (s, n) in zip(rows, places))
             try:
-                expected = tuple(c for row in row_op(v, move).key() for c in row)
+                expected = row_op(v, move).key()
             except IllegalOp:
                 expected = None
                 illegal += 1
             assert image == expected, (v.key(), move)
             checked += 1
     assert checked > 5000 and illegal > 20
+
+
+def _row_op_closure(v):
+    """The orbit of v by a worklist over vectors, straight from row_op."""
+    keys, vectors = {v.key(): None}, [v]
+    for w in vectors:
+        for move in normalizer._all_moves(w):
+            try:
+                image = row_op(w, move)
+            except IllegalOp:
+                continue
+            if image.key() not in keys:
+                keys[image.key()] = None
+                vectors.append(image)
+    return list(keys)
+
+
+# Maps out of Moore spaces, where every row addition is illegal.
+MOORE_POOL = {
+    moore(5, 2): [S3, S4, S5],
+    moore(5, 4): [S3, S4, S5],
+    moore(6, 4): [S4, S5],
+}
+
+
+def test_orbit_equals_row_op_closure():
+    # A cross-check of the closure that does not depend on how moves are
+    # compiled: the same keys in the same order as the reference worklist.
+    rng = random.Random(11)
+    for pool, count, most in ((MOVE_POOL, 60, 4), (MOORE_POOL, 60, 3)):
+        for _ in range(count):
+            v = _random_pool_vector(rng, pool, most)
+            assert list(orbit(v)) == _row_op_closure(v), v.key()
 
 
 # --------------------------------------------------------------------------
