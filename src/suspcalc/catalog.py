@@ -400,8 +400,10 @@ def integral_homology(x: "ElementaryComplex | WedgeComplex", i: int) -> FgAbelia
     return FgAbelianGroup(rank, counts=counts)
 
 
+@cache
 def _mod2_basis(x: ElementaryComplex, k: int) -> int:
-    """dim H^k(X; Z/2), from integral homology by universal coefficients."""
+    """dim H^k(X; Z/2), from integral homology by universal coefficients;
+    computed once per (complex, degree), like ``_homology_pairs``."""
     dim = 0
     for degree, group in _homology_pairs(x):
         two_torsion = len(group.two_primary_exponents())
@@ -437,10 +439,16 @@ def sq2_action(x: ElementaryComplex, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in _sq2_block(x, k))
 
 
+@cache
+def _sq2_nonzero(x: ElementaryComplex, k: int) -> bool:
+    """Whether one complex's Sq^2 block from degree k is nonzero."""
+    return any(map(any, _sq2_block(x, k)))
+
+
 def sq2_is_nonzero(x: "ElementaryComplex | WedgeComplex", k: int) -> bool:
     """Whether Sq^2 acts nontrivially from degree k; on a wedge the
     matrix is block-diagonal, so some summand's block is nonzero."""
-    return any(any(map(any, _sq2_block(s, k))) for s, _ in _distinct(x))
+    return any(_sq2_nonzero(s, k) for s, _ in _distinct(x))
 
 
 def theta_flag(x: "ElementaryComplex | WedgeComplex") -> bool:
@@ -571,10 +579,17 @@ class MapsGroupEntry:
     generators: tuple[str, ...]
     orders: tuple[int, ...]
     kinds: tuple[str, ...]
+    _group = None  # not a field: the group, once read
 
     @property
     def group(self) -> FgAbelianGroup:
-        return FgAbelianGroup.of_orders(*self.orders, free_ring=RING_Z2LOCAL)
+        """The canonical-form group, computed on first read and then kept,
+        as ``cached_hash`` keeps a hash: building an entry factors nothing."""
+        group = self._group
+        if group is None:
+            group = FgAbelianGroup.of_orders(*self.orders, free_ring=RING_Z2LOCAL)
+            object.__setattr__(self, "_group", group)
+        return group
 
     @property
     def is_trivial(self) -> bool:

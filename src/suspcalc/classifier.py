@@ -12,6 +12,7 @@ permits it, and the intermediate homology-section stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import MAX_FACTOR_ORDER, CyclicFactor, FgAbelianGroup, ZERO_GROUP
 from .catalog import (
@@ -318,15 +319,22 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """``top`` is the branch's degree-6 summand of ``sigma2``."""
+    """``top`` is the branch's degree-6 summand of ``sigma2``.
+
+    ``stages`` is not a field: the three stage wedges are built from the
+    invariants on first read, which only ``classify --stages`` makes.
+    """
 
     invariants: ManifoldInvariants
     branch: str
     sigma2: WedgeComplex
     sigma: WedgeComplex | Unresolved
-    stages: StageDecompositions
     top: ElementaryComplex
     notes: tuple[str, ...] = ()
+
+    @cached_property
+    def stages(self) -> StageDecompositions:
+        return stage_decompositions(self.invariants)
 
     def to_json_dict(self, level: int = 2, stages: bool = True) -> dict:
         """The single suspension alone at ``level`` 1, both suspensions
@@ -436,7 +444,6 @@ def classify_double_suspension(inv: ManifoldInvariants) -> DecompositionReport:
         branch=branch,
         sigma2=sigma2,
         sigma=sigma,
-        stages=stage_decompositions(inv),
         top=top,
         notes=tuple(notes),
     )

@@ -4,7 +4,9 @@ For a decomposition report this module computes the degree-5 cohomotopy
 group of the double suspension, the cokernel of the second James-Hopf
 homomorphism H_2 (which parametrizes the fibers of the suspension map E
 into degree-2 cohomotopy), per-summand Hopf data, and the surjectivity
-verdict for E.
+verdict for E.  The per-summand Hopf data (``hopf_table``) is computed
+once per summand and process; the groups in it are the cached
+``maps_group`` entry groups.
 
 The closed cokernel formula keeps one Z/2^(r_j - 1) for every 2-primary
 torsion exponent of the manifold plus one Z_(2) per circle factor, with
@@ -19,6 +21,7 @@ would drop the quotiented Moore factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .abelian import RING_Z2LOCAL, CyclicFactor, FgAbelianGroup, ZERO_GROUP
@@ -85,8 +88,14 @@ def _group_of(source: ElementaryComplex, target: ElementaryComplex) -> FgAbelian
     return maps_group(source, target).group
 
 
+@cache
 def hopf_table(summand: ElementaryComplex) -> HopfEntry:
-    """Per-summand H data for the summand kinds the classifier emits."""
+    """Per-summand H data for the summand kinds the classifier emits.
+
+    Cached per summand like ``catalog.maps_group``: a batch meets the same
+    few summands again and again.  A summand outside the table raises
+    TableMiss on every call.
+    """
     s3, s5 = sphere(3), sphere(5)
     if summand.kind == SPHERE and 3 <= summand.n <= 6:
         domain = _group_of(summand, s3)

@@ -127,11 +127,6 @@ class MapClass:
         return self.entry.target
 
     @classmethod
-    def zero(cls, source, target) -> "MapClass":
-        entry = maps_group(source, target)
-        return cls(entry, (0,) * len(entry.orders))
-
-    @classmethod
     def of(cls, source, target, coefficients: dict[str, int]) -> "MapClass":
         """Build from a generator-name -> coefficient mapping."""
         entry = maps_group(source, target)
@@ -274,9 +269,8 @@ def _contribution(entry: MapsGroupEntry, kind: str, coeff: int, acc: list[int]) 
     acc[entry.kinds.index(kind)] += coeff
 
 
-def _pure_entry(source, target, kind: str, coeff: int = 1) -> MapClass:
-    """``coeff`` times the generator of the given kind in [source, target]."""
-    entry = maps_group(source, target)
+def _pure_entry(entry: MapsGroupEntry, kind: str, coeff: int = 1) -> MapClass:
+    """``coeff`` times the generator of the given kind in ``entry``'s group."""
     acc = [0] * len(entry.orders)
     _contribution(entry, kind, coeff, acc)
     return MapClass(entry, tuple(acc))
@@ -362,7 +356,7 @@ def _symbol_as_class(symbol: GeneratorSymbol) -> MapClass | None:
     if symbol.source.kind != SPHERE:
         return None
     kind, coeff = (IOTA, symbol.deg) if symbol.kind == DEG else (symbol.kind, 1)
-    return _pure_entry(symbol.source, symbol.target, kind, coeff)
+    return _pure_entry(maps_group(symbol.source, symbol.target), kind, coeff)
 
 
 def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
@@ -377,7 +371,7 @@ def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
         r = _moore_exponent(right.source)
         s = _moore_exponent(right.target)
         factor = 2 ** (r - s) if r >= s else 1
-        return _pure_entry(right.source, left.target, left.kind, factor)
+        return _pure_entry(maps_group(right.source, left.target), left.kind, factor)
     raise NotComposable(f"no relation stored for {left.kind} . {right.kind}")
 
 
@@ -412,10 +406,6 @@ class MapVector:
         targets = tuple(t for t, _ in components)
         entries = tuple(MapClass.of(source, t, c) for t, c in components)
         return cls(source, targets, entries, theta_remainder)
-
-    @classmethod
-    def zero(cls, source: ElementaryComplex, targets: tuple[ElementaryComplex, ...]) -> "MapVector":
-        return cls(source, targets, tuple(MapClass.zero(source, t) for t in targets))
 
     def with_entry(self, i: int, entry: MapClass) -> "MapVector":
         entries = list(self.entries)
@@ -609,12 +599,12 @@ def normalize(v: MapVector) -> MapVector:
     if v.source.kind != SPHERE:
         raise UnsupportedVector("only sphere-sourced vectors are normalized")
     kinds = _classify_rows(v)
-    out = MapVector.zero(v.source, v.targets)
+    out = replace(v, entries=tuple(MapClass(e.entry, (0,) * len(e.coeffs)) for e in v.entries))
     for kind, (highest, _) in _SURVIVORS.items():
         slots = [(_exponent(v.targets[i]), i) for i, k in enumerate(kinds) if k == kind]
         if slots:
             _, i = max(slots) if highest else min(slots)
-            return out.with_entry(i, _pure_entry(v.source, v.targets[i], kind))
+            return out.with_entry(i, _pure_entry(v.entries[i].entry, kind))
     return out
 
 

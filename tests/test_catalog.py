@@ -4,14 +4,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from suspcalc.abelian import FgAbelianGroup, NotTorsion
+from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, NotTorsion
 from suspcalc.cli import build_tables
+from suspcalc.ehp import hopf_table
 from suspcalc.catalog import (
     OTHER,
     SPHERE,
     ElementaryComplex,
     TableMiss,
     WedgeComplex,
+    _mod2_basis,
+    _sq2_nonzero,
     a_2r_eta2,
     a_eta2,
     a_tilde,
@@ -509,3 +512,32 @@ def test_maps_group_pool_matches_recording():
     assert len(expected) == 632
     for got, want in zip(_maps_group_rows(), expected, strict=True):
         assert got == want
+
+
+def test_cached_facts_equal_fresh():
+    # Each memoized fact, read cold and then warm, equals its uncached
+    # computation; an entry's group is the canonical group of its orders.
+    for cached in (hopf_table, _mod2_basis, _sq2_nonzero):
+        cached.cache_clear()
+    pool = list(_maps_group_pool())
+    complexes = list(dict.fromkeys([*pool, *_fact_window()]))
+    for _ in ("cold", "warm"):
+        for x in complexes:
+            try:
+                assert hopf_table(x) == hopf_table.__wrapped__(x)
+            except TableMiss:
+                with pytest.raises(TableMiss):
+                    hopf_table.__wrapped__(x)
+            for k in range(x.top_dim + 3):
+                assert _mod2_basis(x, k) == _mod2_basis.__wrapped__(x, k)
+                assert _sq2_nonzero(x, k) == _sq2_nonzero.__wrapped__(x, k)
+    for source in pool:
+        for target in pool:
+            try:
+                entry = maps_group.__wrapped__(source, target)  # a fresh entry
+            except TableMiss:
+                continue
+            canonical = FgAbelianGroup.of_orders(*entry.orders, free_ring=RING_Z2LOCAL)
+            assert entry.group == canonical  # cold
+            assert entry.group == canonical  # warm
+            assert maps_group(source, target).group == canonical

@@ -12,8 +12,9 @@ import pytest
 from conftest import random_invariants
 import suspcalc
 import suspcalc.cli
+from suspcalc import catalog, ehp
 from suspcalc.catalog import WedgeComplex, parse_wedge
-from suspcalc.classifier import CheckResult
+from suspcalc.classifier import ALL_BRANCHES, CheckResult
 from suspcalc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, EXIT_OMITTED, main
 
 SPIN_DESCRIPTOR = {
@@ -81,6 +82,43 @@ def test_classify_renders_each_printed_wedge_once(tmp_path, capsys, monkeypatch,
     code, _, _ = run_cli(["classify", path, *args], tmp_path, capsys)
     assert code == EXIT_OK
     assert len(rendered) == renders
+
+
+def _mixed_batch():
+    """40 valid descriptors of every branch; the declined case is left out."""
+    rng = random.Random(14)
+    batch = []
+    while len(batch) < 40:
+        inv = random_invariants(rng)
+        if inv.spin or not inv.theta.nontrivial:
+            batch.append(inv.to_json_dict())
+    return batch
+
+
+def test_stages_built_only_when_printed(tmp_path, capsys, monkeypatch):
+    batch = _mixed_batch()
+    path = write(tmp_path, "batch.json", batch)
+    reversed_path = write(tmp_path, "reversed.json", batch[::-1])
+    printed = ["classify", "--stages", "--validate", path]
+    for cached in (catalog.maps_group, catalog._mod2_basis, catalog._sq2_nonzero,
+                   ehp.hopf_table):
+        cached.cache_clear()
+    code, cold, _ = run_cli(printed, tmp_path, capsys)
+    assert code == EXIT_OK
+
+    def refuse(inv):
+        raise AssertionError("stages built but not printed")
+
+    monkeypatch.setattr(suspcalc.classifier, "stage_decompositions", refuse)
+    for args in (["cohomotopy"], ["cohomotopy", "--json"], ["validate"], ["classify"],
+                 ["classify", "--validate"], ["classify", "--json"]):
+        code, out, _ = run_cli([*args, reversed_path], tmp_path, capsys)
+        assert code == EXIT_OK, args
+    assert {report["branch"] for report in json.loads(out)} == set(ALL_BRANCHES)
+    monkeypatch.undo()
+    code, warm, _ = run_cli(printed, tmp_path, capsys)
+    assert code == EXIT_OK
+    assert warm == cold
 
 
 def test_classify_suspension_level_one_unresolved(tmp_path, capsys):
