@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, repeat
 from string import Formatter
 from typing import Iterable, Iterator
@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 from .abelian import (
     MAX_FACTOR_ORDER,
     RING_Z2LOCAL,
+    ZERO_GROUP,
     CyclicFactor,
     FgAbelianGroup,
     NotTorsion,
@@ -151,6 +152,11 @@ class ElementaryComplex:
     superscript for S^n and P^n(k), the bottom-cell dimension for the
     C^(n+2)- and A^(n+3)-families.  ``order`` is the Moore-space order,
     ``r`` and ``t`` the 2-power exponents of the eta-type families.
+
+    The named constructors, ``suspend``/``desuspend`` and ``parse_complex``
+    build every entry through ``_interned``, so equal entries they return
+    are one object and every cache keyed by complexes hits by identity.
+    Built directly, an entry is equal to and hashes like the interned one.
     """
 
     kind: str
@@ -175,6 +181,9 @@ class ElementaryComplex:
             spelling, bound = _BOUND[name]
             if getattr(self, name) >= bound:
                 raise ValueError(f"{self.kind} needs {spelling} below 2**{_BITS}")
+        # Kept, not a field: every wedge sorts its summands by it.
+        object.__setattr__(self, "_sort_key", (
+            self.n + row.bottom, _RANK[self.kind], self.n, self.order, self.r, self.t))
 
     # ----- dimensions ---------------------------------------------------
 
@@ -191,15 +200,15 @@ class ElementaryComplex:
         return _KINDS[self.kind].family
 
     def sort_key(self):
-        return (self.bottom_dim, _RANK[self.kind], self.n, self.order, self.r, self.t)
+        return self._sort_key
 
     # ----- suspension ---------------------------------------------------
 
     def suspend(self) -> "ElementaryComplex":
-        return ElementaryComplex(self.kind, self.n + 1, self.order, self.r, self.t)
+        return _interned(self.kind, self.n + 1, self.order, self.r, self.t)
 
     def desuspend(self) -> "ElementaryComplex":
-        return ElementaryComplex(self.kind, self.n - 1, self.order, self.r, self.t)
+        return _interned(self.kind, self.n - 1, self.order, self.r, self.t)
 
     # ----- notation -------------------------------------------------------
 
@@ -212,46 +221,53 @@ class ElementaryComplex:
         return self.notation
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: n = 3 and n = 3.0 print differently
+def _interned(kind: str, n: int, order: int, r: int, t: int) -> ElementaryComplex:
+    """The one ``ElementaryComplex`` with these fields.  Invalid fields
+    raise on every call: a raising call caches nothing."""
+    return ElementaryComplex(kind, n, order, r, t)
+
+
 def sphere(n: int) -> ElementaryComplex:
-    return ElementaryComplex(SPHERE, n)
+    return _interned(SPHERE, n, 0, 0, 0)
 
 
 def moore(n: int, order: int) -> ElementaryComplex:
     """P^n(order) = S^(n-1) with an n-cell attached by the degree map."""
-    return ElementaryComplex(MOORE, n, order=order)
+    return _interned(MOORE, n, order, 0, 0)
 
 
 def chang_eta(n: int) -> ElementaryComplex:
     """C^(n+2)_eta, the n-th suspension stage of the projective plane."""
-    return ElementaryComplex(CHANG_ETA, n)
+    return _interned(CHANG_ETA, n, 0, 0, 0)
 
 
 def chang_r(n: int, r: int) -> ElementaryComplex:
     """C^(n+2)_r = P^(n+1)(2^r) with an (n+2)-cell attached by i eta."""
-    return ElementaryComplex(CHANG_R, n, r=r)
+    return _interned(CHANG_R, n, 0, r, 0)
 
 
 def chang_t(n: int, t: int) -> ElementaryComplex:
-    return ElementaryComplex(CHANG_T, n, t=t)
+    return _interned(CHANG_T, n, 0, 0, t)
 
 
 def chang_rt(n: int, r: int, t: int) -> ElementaryComplex:
-    return ElementaryComplex(CHANG_RT, n, r=r, t=t)
+    return _interned(CHANG_RT, n, 0, r, t)
 
 
 def a_eta2(n: int) -> ElementaryComplex:
     """A^(n+3)(eta^2) = S^n with an (n+3)-cell attached by eta^2."""
-    return ElementaryComplex(A_ETA2, n)
+    return _interned(A_ETA2, n, 0, 0, 0)
 
 
 def a_tilde(n: int, r: int) -> ElementaryComplex:
     """A^(n+3)(eta~_r) = P^(n+1)(2^r) with an (n+3)-cell attached by eta~_r."""
-    return ElementaryComplex(A_TILDE, n, r=r)
+    return _interned(A_TILDE, n, 0, r, 0)
 
 
 def a_2r_eta2(n: int, r: int) -> ElementaryComplex:
     """A^(n+3)(2^r eta^2) = P^(n+1)(2^r) with an (n+3)-cell attached by i eta^2."""
-    return ElementaryComplex(A_2R_ETA2, n, r=r)
+    return _interned(A_2R_ETA2, n, 0, r, 0)
 
 
 class _Copies:
@@ -303,6 +319,13 @@ class WedgeComplex:
                            merge_counts(self.pairs, lambda pair: pair[0].sort_key()))
 
     @classmethod
+    def _of_canonical(cls, pairs: tuple[tuple[ElementaryComplex, int], ...]) -> "WedgeComplex":
+        """The wedge of ``pairs`` that are merged and in canonical order already."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "pairs", pairs)
+        return w
+
+    @classmethod
     def of(cls, *summands: ElementaryComplex) -> "WedgeComplex":
         return cls(summands)
 
@@ -323,11 +346,13 @@ class WedgeComplex:
             return WedgeComplex(counts=(*self.pairs, (other, 1)))
         return WedgeComplex(counts=self.pairs + other.pairs)
 
+    # Shifting n by one shifts the leading bottom_dim of every sort_key
+    # alike and merges no two summands, so the pairs keep their order.
     def suspend(self) -> "WedgeComplex":
-        return WedgeComplex(counts=((x.suspend(), k) for x, k in self.pairs))
+        return WedgeComplex._of_canonical(tuple((x.suspend(), k) for x, k in self.pairs))
 
     def desuspend(self) -> "WedgeComplex":
-        return WedgeComplex(counts=((x.desuspend(), k) for x, k in self.pairs))
+        return WedgeComplex._of_canonical(tuple((x.desuspend(), k) for x, k in self.pairs))
 
     def count(self, summand: ElementaryComplex) -> int:
         return next((k for x, k in self.pairs if x == summand), 0)
@@ -336,7 +361,11 @@ class WedgeComplex:
     def notation(self) -> str:
         if not self.pairs:
             return "*"
-        return " v ".join(" v ".join(repeat(x.notation, k)) for x, k in self.pairs)
+        runs = []
+        for x, k in self.pairs:
+            s = x.notation
+            runs.append((s + " v ") * (k - 1) + s)  # k copies, without a list of them
+        return " v ".join(runs)
 
     def __str__(self):
         return self.notation
@@ -365,7 +394,7 @@ def parse_complex(text: str) -> ElementaryComplex:
         if m:
             fields = {name: int(value) for name, value in m.groupdict().items()}
             n = fields.pop("top") - row.top if "top" in fields else fields.pop("n")
-            return ElementaryComplex(kind, n, **fields)
+            return _interned(kind, n, *(fields.get(name, 0) for name in _LEAST))
     raise ValueError(f"cannot parse complex notation {text!r}")
 
 
@@ -388,16 +417,29 @@ def _homology_pairs(x: ElementaryComplex) -> tuple[tuple[int, FgAbelianGroup], .
                  for offset, order in _KINDS[x.kind].homology)
 
 
-def integral_homology(x: "ElementaryComplex | WedgeComplex", i: int) -> FgAbelianGroup:
-    """Reduced integral homology in degree i, additive over wedges."""
-    rank = 0
-    counts: list[tuple[CyclicFactor, int]] = []
+class _ByDegree(dict):
+    """Groups by degree; a degree with no entry holds the zero group."""
+
+    def __missing__(self, i: int) -> FgAbelianGroup:
+        return ZERO_GROUP
+
+
+def homology_by_degree(x: "ElementaryComplex | WedgeComplex") -> dict[int, FgAbelianGroup]:
+    """Reduced integral homology in every degree, additive over wedges:
+    one walk over the distinct summands.  Reading a degree with no
+    homology gives the zero group."""
+    ranks: dict[int, int] = {}
+    counts: dict[int, list[tuple[CyclicFactor, int]]] = {}
     for summand, k in _distinct(x):
         for degree, group in _homology_pairs(summand):
-            if degree == i:
-                rank += k * group.free_rank
-                counts += [(f, k * m) for f, m in group.pairs]
-    return FgAbelianGroup(rank, counts=counts)
+            ranks[degree] = ranks.get(degree, 0) + k * group.free_rank
+            counts.setdefault(degree, []).extend((f, k * m) for f, m in group.pairs)
+    return _ByDegree((i, FgAbelianGroup(ranks[i], counts=counts[i])) for i in sorted(ranks))
+
+
+def integral_homology(x: "ElementaryComplex | WedgeComplex", i: int) -> FgAbelianGroup:
+    """Reduced integral homology in degree i, additive over wedges."""
+    return homology_by_degree(x)[i]
 
 
 @cache
@@ -537,11 +579,17 @@ def operation_profile(x: ElementaryComplex) -> OperationProfile:
 # Peterson wedges
 # --------------------------------------------------------------------------
 
-def peterson_of_group(n: int, group: FgAbelianGroup) -> WedgeComplex:
-    """P^n(G) for torsion G, split into one Moore space per primary factor."""
+def moore_pairs(n: int, group: FgAbelianGroup) -> tuple[tuple[ElementaryComplex, int], ...]:
+    """The ``(P^n(p^e), multiplicity)`` pairs of P^n(G) for torsion G, one
+    per distinct primary factor: counts for a wedge that holds them."""
     if group.free_rank:
         raise NotTorsion(f"{group} has free rank {group.free_rank}")
-    return WedgeComplex(counts=((moore(n, f.order), k) for f, k in group.pairs))
+    return tuple((moore(n, f.order), k) for f, k in group.pairs)
+
+
+def peterson_of_group(n: int, group: FgAbelianGroup) -> WedgeComplex:
+    """P^n(G) for torsion G, split into one Moore space per primary factor."""
+    return WedgeComplex(counts=moore_pairs(n, group))
 
 
 # --------------------------------------------------------------------------

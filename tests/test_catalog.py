@@ -13,6 +13,7 @@ from suspcalc.catalog import (
     ElementaryComplex,
     TableMiss,
     WedgeComplex,
+    _homology_pairs,
     _mod2_basis,
     _sq2_nonzero,
     a_2r_eta2,
@@ -23,10 +24,12 @@ from suspcalc.catalog import (
     chang_r,
     chang_rt,
     chang_t,
+    homology_by_degree,
     integral_homology,
     maps_group,
     mod2_cohomology_dim,
     moore,
+    moore_pairs,
     operation_profile,
     parse_complex,
     parse_wedge,
@@ -246,6 +249,40 @@ def test_desuspension_floor():
 
 
 # --------------------------------------------------------------------------
+# interned complexes
+# --------------------------------------------------------------------------
+
+def test_constructors_return_one_object_per_complex():
+    assert sphere(3) is sphere(3)
+    assert parse_complex("P^4(2)") is moore(4, 2)
+    for x in ALL_SAMPLE_COMPLEXES:
+        assert x.suspend().desuspend() is x
+        assert parse_complex(x.notation) is x
+        fresh = ElementaryComplex(x.kind, x.n, x.order, x.r, x.t)
+        assert fresh is not x
+        assert fresh == x and x == fresh
+        assert hash(fresh) == hash(x)
+        assert fresh.sort_key() == x.sort_key()
+        assert {fresh: 1}[x] == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: moore(4, 0),
+    lambda: moore(4, 2**64),
+    lambda: sphere(0),
+    lambda: chang_r(3, 64),
+    lambda: a_tilde(1, 1),
+    lambda: sphere(1).desuspend(),
+    lambda: parse_complex("P^4(18446744073709551616)"),
+])
+def test_interned_constructors_raise_on_every_call(build):
+    # A raising call caches nothing, so the next call raises again.
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            build()
+
+
+# --------------------------------------------------------------------------
 # Peterson wedges
 # --------------------------------------------------------------------------
 
@@ -258,6 +295,11 @@ def test_peterson_of_group():
     )
     with pytest.raises(NotTorsion):
         peterson_of_group(4, Z)
+    with pytest.raises(NotTorsion):
+        moore_pairs(4, Z)
+    g = FgAbelianGroup.of_orders(2, 2, 8, 9)
+    assert moore_pairs(5, g) == ((moore(5, 2), 2), (moore(5, 8), 1), (moore(5, 9), 1))
+    assert WedgeComplex(counts=moore_pairs(5, g)) == peterson_of_group(5, g)
 
 
 # --------------------------------------------------------------------------
@@ -541,3 +583,44 @@ def test_cached_facts_equal_fresh():
             assert entry.group == canonical  # cold
             assert entry.group == canonical  # warm
             assert maps_group(source, target).group == canonical
+
+
+# --------------------------------------------------------------------------
+# wedge shifts, the one-walk homology and long notation, against references
+# --------------------------------------------------------------------------
+
+recorded_complexes = st.sampled_from([
+    row[0] for row in json.loads((DATA_DIR / "catalog_facts.json").read_text(encoding="utf-8"))
+]).map(parse_complex)
+
+
+def _homology_walk(w, i):
+    """H_i of a wedge by one walk over its pairs per degree."""
+    rank = 0
+    counts = []
+    for summand, k in w.pairs:
+        for degree, group in _homology_pairs(summand):
+            if degree == i:
+                rank += k * group.free_rank
+                counts += [(f, k * m) for f, m in group.pairs]
+    return FgAbelianGroup(rank, counts=counts)
+
+
+@given(st.lists(st.tuples(recorded_complexes, st.integers(1, 50)), max_size=8))
+def test_wedge_shifts_homology_and_notation_match_references(counts):
+    w = WedgeComplex(counts=counts)
+    up = w.suspend()
+    assert up.pairs == WedgeComplex(counts=[(x.suspend(), k) for x, k in w.pairs]).pairs
+    assert up.desuspend().pairs == w.pairs
+    try:
+        down = WedgeComplex(counts=[(x.desuspend(), k) for x, k in w.pairs])
+    except ValueError:
+        with pytest.raises(ValueError):
+            w.desuspend()
+    else:
+        assert w.desuspend().pairs == down.pairs
+    by_degree = homology_by_degree(w)
+    for i in range(11):
+        assert by_degree[i] == _homology_walk(w, i)
+        assert integral_homology(w, i) == by_degree[i]
+    assert w.notation == (" v ".join(map(str, w.summands)) if w.pairs else "*")
