@@ -194,19 +194,19 @@ class ManifoldInvariants:
     def exponent_at(self, index: int) -> int:
         return self.two_exponents[index - 1]
 
+    @cached_property
+    def _homology_groups(self) -> dict[int, FgAbelianGroup]:
+        """The nonzero degrees of ``homology``, each group built once."""
+        return {
+            1: FgAbelianGroup.free(self.m).direct_sum(self.torsion),
+            2: FgAbelianGroup.free(self.d).direct_sum(self.torsion),
+            3: FgAbelianGroup.free(self.m),
+            4: FgAbelianGroup.free(1),
+        }
+
     def homology(self, i: int) -> FgAbelianGroup:
         """Reduced integral homology of the manifold itself."""
-        if i in (0,):
-            return ZERO_GROUP
-        if i == 4:
-            return FgAbelianGroup.free(1)
-        if i == 1:
-            return FgAbelianGroup.free(self.m).direct_sum(self.torsion)
-        if i == 2:
-            return FgAbelianGroup.free(self.d).direct_sum(self.torsion)
-        if i == 3:
-            return FgAbelianGroup.free(self.m)
-        return ZERO_GROUP
+        return self._homology_groups.get(i, ZERO_GROUP)
 
     # ----- JSON descriptor form ------------------------------------------
 

@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import catalog, ehp, normalizer
 from .catalog import (
@@ -109,9 +110,66 @@ def classify_input(path: str | None) -> Batch:
     return Batch(single, reports, declined)
 
 
+def _write_json(obj, out: list[str], newline: str) -> None:
+    """Append ``obj`` to ``out`` in chunks, as ``json.dumps`` with
+    ``indent=2`` spells it, every line after the first starting with
+    ``newline``.
+
+    Module-level, not a closure that calls itself: such a closure is a
+    reference cycle, and would keep each call's chunks alive until the
+    cyclic garbage collector runs.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """The text ``json.dumps`` gives with ``indent=2``, for dicts with str
+    keys, lists, str, int, bool and None; any other type raises TypeError.
+    One chunk list, joined once, through the C string escaper that
+    ``json`` uses."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
 def _emit(payload, as_json: bool, pretty_lines) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print("\n".join(pretty_lines))
 
@@ -374,7 +432,7 @@ def build_tables(filter_family: str | None = None) -> dict:
 
 
 def run_tables(args) -> int:
-    print(json.dumps(build_tables(args.filter), indent=2))
+    print(json_text(build_tables(args.filter)))
     return EXIT_OK
 
 

@@ -28,6 +28,8 @@ number of those row indices.  A move touches one row, or two, and what
 it does there depends only on the source, those rows' targets and the
 move: each such block is tabulated once, from ``row_op`` on every block
 state, and cached, so ``row_op`` stays the only definition of a move.
+The offset tables of every move on one source and tuple of targets are
+compiled from those blocks once, and cached as well.
 """
 
 from __future__ import annotations
@@ -646,21 +648,22 @@ def _entry_group_order(source, target) -> int | None:
     return total
 
 
-def _all_moves(v: MapVector):
-    n = len(v.targets)
+def _all_moves(targets: tuple[ElementaryComplex, ...]):
+    """Every elementary operation on a vector into ``targets``."""
+    n = len(targets)
     moves = []
     for dst in range(n):
         for src in range(n):
             if dst == src:
                 continue
-            for g in transfer_alphabet(v.targets[src], v.targets[dst]):
+            for g in transfer_alphabet(targets[src], targets[dst]):
                 moves.append(AddRow(dst, src, g))
     for i in range(n):
-        for op in self_equivalences(v.targets[i]):
+        for op in self_equivalences(targets[i]):
             moves.append(ActBySelfEquiv(i, op))
     for i in range(n):
         for j in range(i + 1, n):
-            if v.targets[i] == v.targets[j]:
+            if targets[i] == targets[j]:
                 moves.append(SwapRows(i, j))
     return moves
 
@@ -709,7 +712,8 @@ def _block(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
     return tuple(table)
 
 
-def _move_tables(v: MapVector, moves) -> tuple[list[tuple[int, int]], list[tuple]]:
+def _move_tables(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
+                 moves) -> tuple[list[tuple[int, int]], list[tuple]]:
     """Each move as an offset table on integer states, assembled from the
     cached ``_block`` of the rows it touches.
 
@@ -720,19 +724,41 @@ def _move_tables(v: MapVector, moves) -> tuple[list[tuple[int, int]], list[tuple
     indices d, its image is the state plus ``delta[d[hi] * radix + d[lo]]``,
     and it is illegal where that entry is None.
     """
-    sizes = [len(_elements(v.source, t)) for t in v.targets]
+    sizes = [len(_elements(source, t)) for t in targets]
     strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
     steps = [range(0, n * s, s) for n, s in zip(sizes, strides)]  # per row index
     tables = []
     for move in moves:
         rows, local = _rows(move)
-        table = _block(v.source, tuple(v.targets[i] for i in rows), local)
+        table = _block(source, tuple(targets[i] for i in rows), local)
         # the offset of each block state, in the block's product order
         offsets = list(map(sum, product(*(steps[i] for i in rows))))
         delta = tuple(None if k is None else offsets[k] - at for k, at in zip(table, offsets))
         hi, lo = rows[0], rows[-1]
         tables.append((hi, lo, sizes[lo] if len(rows) > 1 else 0, delta))
     return list(zip(strides, sizes)), tables
+
+
+@cache
+def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...]):
+    """What the oracle's closure needs for any vector from ``source`` into
+    ``targets``, built once per such pair: the places of ``_move_tables``,
+    its tables of the moves that change some state, and each row's
+    ``_elements``.  Raises TooLarge (caching nothing) past the oracle's
+    bounds."""
+    if len(targets) > 4:
+        raise TooLarge("oracle supports at most 4 targets")
+    total = 1
+    for t in targets:
+        order = _entry_group_order(source, t)
+        if order is None:
+            raise TooLarge(f"entry group [{source}, {t}] is infinite")
+        total *= order
+    if total > 2**12:
+        raise TooLarge(f"total entry-group order {total} exceeds 2^12")
+    places, tables = _move_tables(source, targets, _all_moves(targets))
+    moves = tuple(m for m in tables if any(m[3]))  # drop moves that fix every state
+    return tuple(places), moves, tuple(_elements(source, t) for t in targets)
 
 
 class Orbit(Mapping):
@@ -765,24 +791,13 @@ class Orbit(Mapping):
 def orbit(v: MapVector) -> Orbit:
     """Closure of v under all legal row operations, keyed by coefficients.
 
-    Each move of ``_all_moves`` becomes an offset table assembled from its
-    cached block table; the closure then runs over integer states, and
-    each reached state's row indices, read through ``_elements``, are a
-    member's key.  Members are built as vectors only when looked up.
+    The moves of ``_all_moves`` come as offset tables compiled once per
+    source and targets (``_compiled``); the closure then runs over integer
+    states, and each reached state's row indices, read through
+    ``_elements``, are a member's key.  Members are built as vectors only
+    when looked up.
     """
-    if len(v.targets) > 4:
-        raise TooLarge("oracle supports at most 4 targets")
-    total = 1
-    for t in v.targets:
-        order = _entry_group_order(v.source, t)
-        if order is None:
-            raise TooLarge(f"entry group [{v.source}, {t}] is infinite")
-        total *= order
-    if total > 2**12:
-        raise TooLarge(f"total entry-group order {total} exceeds 2^12")
-    places, tables = _move_tables(v, _all_moves(v))
-    moves = [m for m in tables if any(m[3])]  # drop moves that fix every state
-    rows = [_elements(v.source, t) for t in v.targets]
+    places, moves, rows = _compiled(v.source, v.targets)
     start = sum(r.index(e.coeffs) * s for r, e, (s, _) in zip(rows, v.entries, places))
     states, seen = [start], {start}
     for state in states:  # a worklist that grows while it is read

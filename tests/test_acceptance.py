@@ -39,7 +39,7 @@ from suspcalc.classifier import (
     classify_double_suspension,
     validate_roundtrip,
 )
-from suspcalc.cli import build_tables
+from suspcalc.cli import build_tables, main
 from suspcalc.ehp import coker_H2, is_E_surjective
 from suspcalc.normalizer import (
     MapClass,
@@ -376,6 +376,15 @@ def test_criterion_6_table_fidelity():
         expected = (DATA_DIR / "tables_transcription.json").read_bytes()
         actual = (json.dumps(build_tables(), indent=2) + "\n").encode("utf-8")
         assert actual == expected
+
+
+def test_criterion_6_table_fidelity_through_the_cli(capsys):
+    # The bytes a user gets: ``suspcalc tables`` prints through the CLI's
+    # own JSON writer, not through json.dumps.
+    with criterion(6, "table fidelity through the CLI"):
+        expected = (DATA_DIR / "tables_transcription.json").read_bytes()
+        assert main(["tables"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 # --------------------------------------------------------------------------

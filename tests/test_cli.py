@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -8,14 +9,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_invariants
+from conftest import random_invariants, valid_invariants
 import suspcalc
 import suspcalc.cli
 from suspcalc import catalog, ehp
 from suspcalc.catalog import WedgeComplex, parse_wedge
 from suspcalc.classifier import ALL_BRANCHES, CheckResult
-from suspcalc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, EXIT_OMITTED, main
+from suspcalc.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_OMITTED,
+    build_tables,
+    json_text,
+    main,
+)
 
 SPIN_DESCRIPTOR = {
     "label": "spin example",
@@ -554,3 +564,81 @@ def test_descriptor_commands_survive_mutated_descriptors(monkeypatch, capsys):
             assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_OMITTED), (args, text)
             if code == EXIT_BAD_INPUT:
                 assert out == "" and err.startswith("error:") and err.count("\n") == 1, (args, text)
+
+
+# --------------------------------------------------------------------------
+# the JSON writer
+# --------------------------------------------------------------------------
+
+# ASCII, the escaped controls and quotes, DEL, non-ASCII, a lone surrogate
+# and a character outside the BMP.
+JSON_TEXT = st.text(st.sampled_from(
+    'aZ0 /\x00\x08\t\n\x0c\r\x1f"\\\x7f\x80\u00e9\u2028\uffff\ud800\U0001d11e'))
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=10,
+)
+
+
+@given(JSON_TREES)
+def test_json_text_is_json_dumps_indent_2(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, (1,), {1}, b"x", object(), {1: 2}, {None: 2}])
+def test_json_text_rejects_other_types(bad):
+    for obj in (bad, [bad], {"key": [0, {"key": bad}]}):
+        with pytest.raises(TypeError):
+            json_text(obj)
+
+
+def test_json_text_leaves_no_cycles():
+    # A writer that recursed through a closure would leave each call's
+    # chunks in a reference cycle for the cyclic collector.
+    doc = build_tables()
+    gc.collect()
+    json_text(doc)
+    assert gc.collect() == 0
+
+
+def _printed_as_indent_2(args, stdin: str) -> str:
+    """stdout of ``main(args)`` on ``stdin``, checked to be json.dumps(indent=2) of itself."""
+    saved_in, sys.stdin = sys.stdin, io.StringIO(stdin)
+    saved_out, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        assert main(args) == EXIT_OK, args
+        out = sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = saved_in, saved_out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n", args
+    return out
+
+
+@given(st.lists(valid_invariants(), min_size=1, max_size=3), st.booleans())
+def test_descriptor_commands_print_json_dumps_indent_2(invariants, single):
+    data = [inv.to_json_dict() for inv in invariants]
+    stdin = json.dumps(data[0] if single else data)
+    for level in ("1", "2"):
+        for extra in ([], ["--stages"], ["--validate"], ["--stages", "--validate"]):
+            _printed_as_indent_2(["classify", "--json", "--suspension-level", level, *extra, "-"],
+                                 stdin)
+    _printed_as_indent_2(["cohomotopy", "--json", "-"], stdin)
+
+
+@pytest.mark.parametrize("vector", [
+    {"source": "S^5", "entries": [{"target": "S^4", "coefficients": {"eta": 1}},
+                                  {"target": "P^4(4)", "coefficients": {"eta~_2": 1}}]},
+    {"source": "S^4", "entries": [{"target": "S^3", "coefficients": {"eta": 1}},
+                                  {"target": "P^4(2)", "coefficients": {"i_3 eta": 1}},
+                                  {"target": "S^3"}]},
+    {"source": "S^6", "entries": [{"target": "S^5", "coefficients": {}}]},
+])
+def test_normalize_prints_json_dumps_indent_2(vector):
+    _printed_as_indent_2(["normalize", "--json", "-"], json.dumps(vector))
+
+
+@pytest.mark.parametrize("family", [None, *catalog.FAMILIES])
+def test_tables_print_json_dumps_indent_2(family):
+    _printed_as_indent_2(["tables"] + (["--filter", family] if family else []), "")

@@ -446,34 +446,62 @@ def test_oracle_seed_insensitive(monkeypatch):
     all_moves = normalizer._all_moves
     shuffled = []
     for seed in range(5):
-        def shuffled_moves(w, seed=seed):
-            moves = all_moves(w)
+        def shuffled_moves(targets, seed=seed):
+            moves = all_moves(targets)
             random.Random(seed).shuffle(moves)
             shuffled.append(seed)
             return moves
 
         monkeypatch.setattr(normalizer, "_all_moves", shuffled_moves)
+        normalizer._compiled.cache_clear()
         assert oracle_normal_form(v) == in_order
+    normalizer._compiled.cache_clear()  # later orbits list members in the unshuffled order
     # Each answer came from the shuffled moves, not from moves compiled earlier.
     assert shuffled == list(range(5))
 
 
+def _cold_orbit(v):
+    normalizer._block.cache_clear()
+    normalizer._compiled.cache_clear()
+    return orbit(v)
+
+
 def test_orbit_independent_of_block_cache():
-    # The oracle caches each move's block by complexes and move only.  Blocks
-    # cached from the reversed vector, at other rows, give the same orbit as
-    # a cold cache; the second vector has illegal columns (eta-_2 . eta~_2 is
-    # not tabulated).
+    # The oracle caches each move's block by complexes and move only, and
+    # the compiled tables by source and targets.  Blocks cached from the
+    # reversed vector, at other rows, give the same orbit as cold caches;
+    # the second vector has illegal columns (eta-_2 . eta~_2 is not
+    # tabulated).
     for v in (
         vec(S5, (S4, {"eta": 1}), (moore(4, 4), {"eta~_2": 1}), (moore(4, 2), {"eta~_1": 1})),
         vec(sphere(6), (S3, {"nu'": 2}), (moore(5, 4), {"eta~_2": 1}), (S5, {"eta": 1})),
     ):
-        normalizer._block.cache_clear()
-        orbit(MapVector(v.source, v.targets[::-1], v.entries[::-1]))
+        _cold_orbit(MapVector(v.source, v.targets[::-1], v.entries[::-1]))
         misses = normalizer._block.cache_info().misses
         warm = orbit(v)
         assert normalizer._block.cache_info().misses == misses > 0
-        normalizer._block.cache_clear()
-        assert orbit(v) == warm
+        assert _cold_orbit(v) == warm
+
+    # Tables compiled for one vector serve every vector into the same
+    # targets: each orbit from warm compiled tables is the cold one.  The
+    # last ten vectors map S^6 into S^3 and P^5(2^r), r >= 2, where some
+    # moves are illegal.
+    rng = random.Random(3)
+    illegal = 0
+    for k in range(40):
+        v = _random_pool_vector(rng, MOVE_POOL)
+        if k >= 30:
+            u = _random_pool_vector(rng, {sphere(6): [S3]}, 1)
+            w = _random_pool_vector(rng, {sphere(6): [moore(5, 4), moore(5, 8)]}, 3)
+            v = MapVector(u.source, u.targets + w.targets, u.entries + w.entries)
+        orbit(MapVector.of(v.source, [(t, {}) for t in v.targets]))
+        hits = normalizer._compiled.cache_info().hits
+        warm = list(orbit(v))
+        assert normalizer._compiled.cache_info().hits == hits + 1
+        _, moves, _ = normalizer._compiled(v.source, v.targets)
+        illegal += any(None in delta for *_, delta in moves)
+        assert list(_cold_orbit(v)) == warm, v.key()
+    assert illegal >= 10
 
 
 def test_orbit_mapping_builds_members_on_lookup(monkeypatch):
@@ -565,8 +593,8 @@ def test_compiled_moves_equal_row_op():
     checked = illegal = 0
     for _ in range(500):
         v = _random_pool_vector(rng, MOVE_POOL)
-        moves = normalizer._all_moves(v)
-        places, tables = normalizer._move_tables(v, moves)
+        moves = normalizer._all_moves(v.targets)
+        places, tables = normalizer._move_tables(v.source, v.targets, moves)
         rows = [normalizer._elements(v.source, t) for t in v.targets]
         d = [r.index(e.coeffs) for r, e in zip(rows, v.entries)]
         state = sum(i * s for i, (s, _) in zip(d, places))
@@ -588,7 +616,7 @@ def _row_op_closure(v):
     """The orbit of v by a worklist over vectors, straight from row_op."""
     keys, vectors = {v.key(): None}, [v]
     for w in vectors:
-        for move in normalizer._all_moves(w):
+        for move in normalizer._all_moves(w.targets):
             try:
                 image = row_op(w, move)
             except IllegalOp:
