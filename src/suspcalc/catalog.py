@@ -387,7 +387,10 @@ def suspend(x: "WedgeComplex | ElementaryComplex"):
 # notation parsing
 # --------------------------------------------------------------------------
 
+@cache
 def parse_complex(text: str) -> ElementaryComplex:
+    """The interned complex that ``text`` spells, parsed once per text.
+    Invalid notation raises on every call: a raising call caches nothing."""
     text = text.strip()
     for kind, row in _KINDS.items():
         m = row.pattern.fullmatch(text)

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import catalog, ehp, normalizer
@@ -304,11 +304,9 @@ def run_normalize(args) -> int:
         "normal_form": normal.to_json_dict(),
         "cofiber": cofib.notation,
     }
-    _emit(
-        payload,
-        args.json,
-        [f"normal form: {normal.to_json_dict()['entries']}", f"cofiber: {cofib.notation}"],
-    )
+    lines = [] if args.json else [
+        f"normal form: {payload['normal_form']['entries']}", f"cofiber: {cofib.notation}"]
+    _emit(payload, args.json, lines)
     return EXIT_OK
 
 
@@ -431,8 +429,17 @@ def build_tables(filter_family: str | None = None) -> dict:
     return dump
 
 
+@lru_cache(maxsize=1 + len(catalog.FAMILIES))
+def tables_text(filter_family: str | None = None) -> str:
+    """The ``tables`` dump as printed, built and encoded once per process
+    and filter: one string for the full dump and one per family.  It holds
+    text, which no caller can change, and not the rows: ``build_tables``
+    returns fresh dicts on every call."""
+    return json_text(build_tables(filter_family))
+
+
 def run_tables(args) -> int:
-    print(json_text(build_tables(args.filter)))
+    print(tables_text(args.filter))
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ from suspcalc.classifier import (
     classify_double_suspension,
     validate_roundtrip,
 )
-from suspcalc.cli import build_tables, main
+from suspcalc.cli import build_tables, main, tables_text
 from suspcalc.ehp import coker_H2, is_E_surjective
 from suspcalc.normalizer import (
     MapClass,
@@ -380,11 +380,14 @@ def test_criterion_6_table_fidelity():
 
 def test_criterion_6_table_fidelity_through_the_cli(capsys):
     # The bytes a user gets: ``suspcalc tables`` prints through the CLI's
-    # own JSON writer, not through json.dumps.
+    # own JSON writer, not through json.dumps.  The first dump of a process
+    # builds the text, every later one prints it again: check both.
     with criterion(6, "table fidelity through the CLI"):
         expected = (DATA_DIR / "tables_transcription.json").read_bytes()
-        assert main(["tables"]) == 0
-        assert capsys.readouterr().out.encode("utf-8") == expected
+        tables_text.cache_clear()
+        for _ in ("cold", "warm"):
+            assert main(["tables"]) == 0
+            assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 # --------------------------------------------------------------------------

@@ -282,6 +282,34 @@ def test_interned_constructors_raise_on_every_call(build):
             build()
 
 
+def test_parse_complex_cached_per_text():
+    for text, built in [("S^3", sphere(3)), ("P^4(2)", moore(4, 2)), ("C^5_eta", chang_eta(3)),
+                        ("A^6(eta~_2)", a_tilde(3, 2)), ("C^{5,1}_2", chang_rt(3, 2, 1))]:
+        assert parse_complex(text) is built
+        assert parse_complex(text) is built
+        assert parse_complex(f"  {text}\n") is built
+
+
+@pytest.mark.parametrize("text", ["X^3", "S^", "P^4(18446744073709551616)", "S^0", "P^4(0)"])
+def test_parse_complex_caches_no_invalid_notation(text):
+    size = parse_complex.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            parse_complex(text)
+    assert parse_complex.cache_info().currsize == size
+
+
+def test_parse_complex_cache_agrees_with_the_parser():
+    dump = json.loads((DATA_DIR / "tables_transcription.json").read_text(encoding="utf-8"))
+    texts = {row["source"] for row in dump["maps_groups"]}
+    texts |= {row["target"] for row in dump["maps_groups"]}
+    texts |= {row["complex"] for row in dump["operation_profiles"]}
+    texts |= {row["summand"] for row in dump["hopf_table"]}
+    for text in sorted(texts):
+        assert parse_complex.__wrapped__(text) is parse_complex(text), text
+        assert parse_complex(text).notation == text
+
+
 # --------------------------------------------------------------------------
 # Peterson wedges
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from suspcalc.cli import (
     build_tables,
     json_text,
     main,
+    tables_text,
 )
 
 SPIN_DESCRIPTOR = {
@@ -357,6 +358,45 @@ def test_tables_stable_and_filterable(tmp_path, capsys):
     code4, chang_only, _ = run_cli(["tables", "--filter", "chang"], tmp_path, capsys)
     chang_payload = json.loads(chang_only)
     assert {row["source"] for row in chang_payload["maps_groups"]} >= {"C^5_eta", "C^6_1"}
+
+
+TRANSCRIPTION = Path(__file__).parent / "data" / "tables_transcription.json"
+
+
+def test_tables_text_cold_and_warm_per_filter(tmp_path, capsys):
+    # Every filter gets its own text, whichever filter a process dumped first.
+    filters = [None, *catalog.FAMILIES]
+    random.Random(17).shuffle(filters)
+    tables_text.cache_clear()
+    for family in filters:
+        cold = tables_text(family)
+        assert cold == json_text(build_tables(family)), family
+        assert tables_text(family) is cold, family
+        args = ["tables"] + (["--filter", family] if family else [])
+        assert run_cli(args, tmp_path, capsys) == (EXIT_OK, cold + "\n", "")
+    assert tables_text.cache_info().currsize == tables_text.cache_info().maxsize == len(filters)
+
+
+def test_tables_filtered_dump_first_then_full_dump(tmp_path, capsys):
+    tables_text.cache_clear()
+    code, moore_only, _ = run_cli(["tables", "--filter", "moore"], tmp_path, capsys)
+    assert code == EXIT_OK
+    assert {row["family"] for rows in json.loads(moore_only).values() for row in rows} == {"moore"}
+    code, full, _ = run_cli(["tables"], tmp_path, capsys)
+    assert code == EXIT_OK
+    assert full.encode("utf-8") == TRANSCRIPTION.read_bytes()
+
+
+def test_tables_dump_unchanged_by_mutating_build_tables(tmp_path, capsys):
+    tables_text.cache_clear()
+    before = run_cli(["tables"], tmp_path, capsys)
+    for family in (None, "moore"):
+        dump = build_tables(family)
+        dump["maps_groups"][0]["source"] = "mutated"
+        dump["operation_profiles"].clear()
+        dump["extra"] = []
+    assert run_cli(["tables"], tmp_path, capsys) == before
+    assert before[1].encode("utf-8") == TRANSCRIPTION.read_bytes()
 
 
 def test_validate_command(tmp_path, capsys):
