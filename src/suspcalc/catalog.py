@@ -270,6 +270,14 @@ def a_2r_eta2(n: int, r: int) -> ElementaryComplex:
     return _interned(A_2R_ETA2, n, 0, r, 0)
 
 
+def of_kind(kind: str, n: int, r: int) -> ElementaryComplex:
+    """The ``kind`` complex at ``n`` with each parameter the kind takes at
+    r, a Moore order at 2^r: one window over r for every kind."""
+    params = _KINDS[kind].params
+    value = {"order": 2**r, "r": r, "t": r}
+    return _interned(kind, n, *(value[name] if name in params else 0 for name in _LEAST))
+
+
 class _Copies:
     """Per-copy view of a wedge's summands: each distinct summand repeated
     by its multiplicity, in canonical order."""

@@ -258,6 +258,12 @@ class ManifoldInvariants:
         key, stray = ("j1", "j2") if case == SQ2_CASE_B else ("j2", "j1")
         if stray in sq2_data:
             raise InvalidInvariants(f"sq2_case {case!r} takes no {stray}")
+        label = json_value(data, "label", str, "descriptor")
+        if label is not None:
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which no output can print
+                raise InvalidInvariants("'label' in descriptor must be valid Unicode") from None
         return cls(
             m=json_value(data, "m", int, "descriptor"),
             d=json_value(data, "d", int, "descriptor"),
@@ -266,7 +272,7 @@ class ManifoldInvariants:
             theta=theta,
             sq2_case=Sq2Case(case, json_value(sq2_data, key, int, "sq2_case")),
             postnikov_trivial=json_value(data, "postnikov_trivial", bool, "descriptor"),
-            label=json_value(data, "label", str, "descriptor"),
+            label=label,
         )
 
 

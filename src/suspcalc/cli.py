@@ -30,6 +30,7 @@ from .catalog import (
     chang_t,
     maps_group,
     moore,
+    of_kind,
     operation_profile,
     sphere,
 )
@@ -251,10 +252,7 @@ def run_cohomotopy(args) -> int:
         verdict = ehp.is_E_surjective(report)
         rules = []
         for summand, _ in report.sigma2.pairs:
-            try:
-                rule = ehp.hopf_table(summand).rule
-            except catalog.TableMiss:
-                continue
+            rule = ehp.hopf_table(summand).rule
             if rule not in rules:
                 rules.append(rule)
         payloads.append(
@@ -395,21 +393,12 @@ def _profile_rows() -> list[dict]:
 
 
 def _hopf_rows() -> list[dict]:
-    summands: list[ElementaryComplex] = []
-    for n in (3, 4, 5, 6):
-        summands.append(sphere(n))
-    for r in (1, 2, 3):
-        summands.append(moore(4, 2**r))
-        summands.append(moore(5, 2**r))
-    summands.append(moore(5, 3))
-    summands.append(chang_eta(4))
-    for r in (1, 2, 3):
-        summands.append(chang_r(4, r))
-        summands.append(a_tilde(3, r))
-        summands.append(a_2r_eta2(3, r))
+    """The Hopf data of every ``ehp._HOPF`` row, at r = 1, 2, 3 (Moore
+    orders 2, 4, 8) where the kind takes a parameter, and of P^5(3)."""
+    summands = dict.fromkeys(of_kind(kind, n, r) for kind, n in ehp._HOPF for r in (1, 2, 3))
     rows = [
         {"family": x.family, **ehp.hopf_table(x).to_json_dict()}
-        for x in summands
+        for x in (*summands, moore(5, 3))
     ]
     rows.sort(key=lambda row: (row["family"], row["summand"]))
     return rows

@@ -5,8 +5,13 @@ group of the double suspension, the cokernel of the second James-Hopf
 homomorphism H_2 (which parametrizes the fibers of the suspension map E
 into degree-2 cohomotopy), per-summand Hopf data, and the surjectivity
 verdict for E.  The per-summand Hopf data (``hopf_table``) is computed
-once per summand and process; the groups in it are the cached
-``maps_group`` entry groups.
+once per summand and process.  Its facts are rows of ``_HOPF``, keyed by
+(kind, n): the cokernel, whether the kernel is trivial, and the rule.
+The domain [X, S^3] and codomain [X, S^5] are the cached ``maps_group``
+entry groups; in an entry read from a row the domain is None exactly
+where ``kernel_trivial`` is.  Two rules stay code: a summand without a
+row raises TableMiss, and an odd-order Moore summand vanishes 2-locally
+(zero groups, ``kernel_trivial`` None).
 
 The closed cokernel formula keeps one Z/2^(r_j - 1) for every 2-primary
 torsion exponent of the manifold plus one Z_(2) per circle factor, with
@@ -61,9 +66,13 @@ class HopfEntry:
     """Restriction of the James-Hopf homomorphism H to one wedge summand.
 
     ``domain_group`` is [X, S^3] and ``codomain_group`` is [X, S^5],
-    2-locally; ``domain_group`` is None where the tables do not name the
-    group (the cokernel is still pinned down).  ``rule`` records which
-    catalog fact produced the cokernel.
+    2-locally, read from ``maps_group``; the rest is the summand's row of
+    ``_HOPF``.  ``domain_group`` is None exactly where the row's
+    ``kernel_trivial`` is: for C^6_eta, C^6_r and A^6(eta~_r), whose
+    [X, S^3] the tables do not name (the cokernel is still pinned down).
+    An odd-order Moore summand has no row of its own: its groups are zero
+    and ``kernel_trivial`` is None.  ``rule`` records which catalog fact
+    produced the cokernel.
     """
 
     summand: ElementaryComplex
@@ -84,8 +93,23 @@ class HopfEntry:
         }
 
 
-def _group_of(source: ElementaryComplex, target: ElementaryComplex) -> FgAbelianGroup:
-    return maps_group(source, target).group
+# H restricted to a summand, by (kind, n): coker(H) as a Z_(2) rank and
+# the shift of a Z/2^(r + shift) summand (None: no such summand), r being
+# the summand's r or the log2 of its Moore order; whether ker(H) is trivial,
+# None where [X, S^3] is not tabulated; and the fact that gives the
+# cokernel.
+_HOPF = {
+    (SPHERE, 3): (0, None, False, "degree-5 cohomotopy of a low sphere is trivial"),
+    (SPHERE, 4): (0, None, False, "degree-5 cohomotopy of a low sphere is trivial"),
+    (SPHERE, 5): (1, None, False, "H kills eta^2, so the degree-5 identity class is not hit"),
+    (SPHERE, 6): (0, None, False, "H(nu') = eta generates [S^6, S^5]"),
+    (MOORE, 4): (0, None, False, "a 4-dimensional complex has trivial degree-5 cohomotopy"),
+    (MOORE, 5): (0, -1, False, "H(eta-_r) generates the order-2 subgroup of Z/2^r"),
+    (CHANG_ETA, 4): (0, None, None, "[C^6_eta, S^5] = 0"),
+    (CHANG_R, 4): (0, 0, None, "the EHP sequence pins coker(H) to Z/2^r inside Z/2^(r+1)"),
+    (A_TILDE, 3): (0, None, None, "[A^6(eta~_r), S^5] = 0"),
+    (A_2R_ETA2, 3): (0, None, True, "H(nu' q_6) = eta q_6 is an isomorphism"),
+}
 
 
 @cache
@@ -96,63 +120,18 @@ def hopf_table(summand: ElementaryComplex) -> HopfEntry:
     few summands again and again.  A summand outside the table raises
     TableMiss on every call.
     """
-    s3, s5 = sphere(3), sphere(5)
-    if summand.kind == SPHERE and 3 <= summand.n <= 6:
-        domain = _group_of(summand, s3)
-        codomain = _group_of(summand, s5)
-        if summand.n == 5:
-            return HopfEntry(
-                summand, domain, codomain, _z2local(), False,
-                "H kills eta^2, so the degree-5 identity class is not hit",
-            )
-        if summand.n == 6:
-            return HopfEntry(
-                summand, domain, codomain, ZERO_GROUP, False,
-                "H(nu') = eta generates [S^6, S^5]",
-            )
-        return HopfEntry(
-            summand, domain, codomain, ZERO_GROUP, False,
-            "degree-5 cohomotopy of a low sphere is trivial",
-        )
-    if summand.kind == MOORE and summand.n in (4, 5):
-        if summand.order % 2:
-            return HopfEntry(
-                summand, ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, None,
-                "odd-primary summands vanish 2-locally",
-            )
-        r = summand.order.bit_length() - 1
-        domain = _group_of(summand, s3)
-        codomain = _group_of(summand, s5)
-        if summand.n == 4:
-            return HopfEntry(
-                summand, domain, codomain, ZERO_GROUP, False,
-                "a 4-dimensional complex has trivial degree-5 cohomotopy",
-            )
-        return HopfEntry(
-            summand, domain, codomain, _z2local(0, [(r - 1, 1)]), False,
-            "H(eta-_r) generates the order-2 subgroup of Z/2^r",
-        )
-    if summand.kind == CHANG_ETA and summand.n == 4:
-        return HopfEntry(
-            summand, None, _group_of(summand, s5), ZERO_GROUP, None,
-            "[C^6_eta, S^5] = 0",
-        )
-    if summand.kind == CHANG_R and summand.n == 4:
-        return HopfEntry(
-            summand, None, _group_of(summand, s5), _z2local(0, [(summand.r, 1)]), None,
-            "the EHP sequence pins coker(H) to Z/2^r inside Z/2^(r+1)",
-        )
-    if summand.kind == A_TILDE and summand.n == 3:
-        return HopfEntry(
-            summand, None, _group_of(summand, s5), ZERO_GROUP, None,
-            "[A^6(eta~_r), S^5] = 0",
-        )
-    if summand.kind == A_2R_ETA2 and summand.n == 3:
-        return HopfEntry(
-            summand, _group_of(summand, s3), _group_of(summand, s5), ZERO_GROUP, True,
-            "H(nu' q_6) = eta q_6 is an isomorphism",
-        )
-    raise TableMiss(f"no Hopf data for {summand}")
+    row = _HOPF.get((summand.kind, summand.n))
+    if row is None:
+        raise TableMiss(f"no Hopf data for {summand}")
+    if summand.kind == MOORE and summand.order % 2:
+        return HopfEntry(summand, ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, None,
+                         "odd-primary summands vanish 2-locally")
+    rank, shift, kernel_trivial, rule = row
+    domain = None if kernel_trivial is None else maps_group(summand, sphere(3)).group
+    codomain = maps_group(summand, sphere(5)).group
+    r = summand.r or summand.order.bit_length() - 1
+    cokernel = _z2local(rank, () if shift is None else [(r + shift, 1)])
+    return HopfEntry(summand, domain, codomain, cokernel, kernel_trivial, rule)
 
 
 def pi5_double_suspension(report: DecompositionReport) -> FgAbelianGroup:

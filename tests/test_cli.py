@@ -12,11 +12,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_invariants, valid_invariants
+from test_acceptance import BRANCH_SUITE
 import suspcalc
 import suspcalc.cli
 from suspcalc import catalog, ehp
 from suspcalc.catalog import WedgeComplex, parse_wedge
-from suspcalc.classifier import ALL_BRANCHES, CheckResult
+from suspcalc.classifier import (
+    ALL_BRANCHES,
+    CheckResult,
+    OmittedCase,
+    classify_double_suspension,
+)
 from suspcalc.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -174,6 +180,7 @@ def nonspin_case_b(**indices):
         pytest.param(spin_with(m=True), "'m'", id="boolean-m"),
         pytest.param(spin_with(spin=1), "spin", id="integer-spin"),
         pytest.param(spin_with(label=None), "label", id="null-label"),
+        pytest.param(spin_with(label="x\ud800"), "label", id="lone-surrogate-label"),
         pytest.param(spin_with(theta={"action": "trivial", "j9": 1}), "j9",
                      id="unknown-theta-field"),
         pytest.param(spin_with(sq2_case={"case": "not_applicable", "j9": 1}), "j9",
@@ -273,6 +280,33 @@ def test_cohomotopy_trivial_manifold(tmp_path, capsys):
     assert payload["coker_H2"]["free_rank"] == 0
     assert payload["coker_H2"]["torsion"] == []
     assert payload["E_surjective"] is True
+
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+def test_cohomotopy_golden_output(tmp_path, capsys, rng):
+    # The branch suite's reports, plus one unresolved Sigma M, printed as text
+    # and as JSON: the rules list and the using: lines come from ehp.hopf_table.
+    path = DATA_DIR / "cohomotopy_golden_input.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    resolved = [descriptor.to_json_dict() for descriptor, wedge in BRANCH_SUITE
+                if wedge is not None]
+    assert data[:-1] == resolved
+    assert data[-1] == dict(resolved[2], postnikov_trivial=False, label="spin-mixed-unresolved")
+    for args, golden in ([], "cohomotopy_golden.txt"), (["--json"], "cohomotopy_golden.json"):
+        code, out, err = run_cli(["cohomotopy", str(path), *args], tmp_path, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.encode("utf-8") == (DATA_DIR / golden).read_bytes(), golden
+    # Every summand a report can hold has Hopf data: a _HOPF row, and so an entry.
+    for _ in range(300):
+        try:
+            report = classify_double_suspension(random_invariants(rng))
+        except OmittedCase:
+            continue
+        for summand, _ in report.sigma2.pairs:
+            assert (summand.kind, summand.n) in ehp._HOPF, summand
+            assert ehp.hopf_table(summand).rule
 
 
 def test_cohomotopy_omitted(tmp_path, capsys):

@@ -7,15 +7,20 @@ from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, ZERO_GROUP, direct_su
 from suspcalc.catalog import (
     TableMiss,
     a_2r_eta2,
+    a_eta2,
     a_tilde,
     chang_eta,
     chang_r,
     chang_t,
+    maps_group,
     moore,
     sphere,
 )
 from suspcalc.classifier import (
     BRANCH_NONSPIN_CASE_B,
+    BRANCH_NONSPIN_CASE_C,
+    BRANCH_SPIN_THETA_NONTRIVIAL,
+    BRANCH_SPIN_THETA_TRIVIAL,
     ManifoldInvariants,
     OmittedCase,
     Sq2Case,
@@ -23,6 +28,7 @@ from suspcalc.classifier import (
     classify_double_suspension,
 )
 from suspcalc.ehp import (
+    _E_RULES,
     coker_H2,
     fiber_of_E,
     hopf_table,
@@ -169,12 +175,30 @@ def test_hopf_entries():
     assert hopf_table(sphere(6)).cokernel == ZERO_GROUP
     assert hopf_table(moore(5, 9)).cokernel == ZERO_GROUP
 
+    # An odd-order Moore summand vanishes 2-locally, prime power or not.
+    for summand in (moore(4, 15), moore(5, 9)):
+        entry = hopf_table(summand)
+        assert entry.rule == "odd-primary summands vanish 2-locally"
+        assert entry.kernel_trivial is None
+        assert entry.domain_group == entry.codomain_group == entry.cokernel == ZERO_GROUP
+    # [X, S^3] is not tabulated for these, and the entry says so.
+    for summand in (chang_eta(4), chang_r(4, 1), chang_r(4, 3), a_tilde(3, 1), a_tilde(3, 2)):
+        entry = hopf_table(summand)
+        assert entry.domain_group is None
+        assert entry.kernel_trivial is None
+
 
 def test_hopf_table_miss():
-    with pytest.raises(TableMiss):
-        hopf_table(chang_t(4, 1))
-    with pytest.raises(TableMiss):
-        hopf_table(sphere(7))
+    for summand in (chang_t(4, 1), sphere(7), moore(3, 2), moore(6, 2), sphere(2),
+                    chang_eta(3), chang_r(5, 1), a_tilde(2, 1), a_eta2(3)):
+        with pytest.raises(TableMiss) as miss:
+            hopf_table(summand)
+        assert str(miss.value) == f"no Hopf data for {summand}"
+    # A Moore order that is neither odd nor a power of 2 misses in maps_group.
+    for summand in (moore(4, 6), moore(5, 12)):
+        with pytest.raises(TableMiss) as miss:
+            hopf_table(summand)
+        assert str(miss.value) == f"[{summand}, S^3]"
 
 
 def test_s5_summands_count_matches_m(rng):
@@ -257,6 +281,40 @@ def test_e_surjective_cases():
     assert unknown.surjective is None
     for inv in (invariants(1, 1, (2,)), inv_b, invariants(1, 1, (2,), postnikov=False)):
         assert is_E_surjective(classify_double_suspension(inv)) == is_E_surjective(inv)
+
+
+# The group each rule text names, as (branch, invariants whose top piece
+# has exponent r, the text, the exponent e of the named group Z/2^e).
+_E_RULE_GROUPS = [
+    (BRANCH_SPIN_THETA_NONTRIVIAL,
+     lambda r: invariants(0, 0, (2**r,), theta=ThetaAction("nontrivial", 1)),
+     "[A^5(2^r eta^2), S^3] ~ Z/2^(r+1)", lambda r: r + 1),
+    (BRANCH_NONSPIN_CASE_B,
+     lambda r: invariants(0, 0, (2**r,), spin=False, sq2=Sq2Case("B", 1)),
+     "[C^5_r, S^3] ~ Z/2", lambda r: 1),
+    (BRANCH_NONSPIN_CASE_C,
+     lambda r: invariants(0, 0, (2**r,), spin=False, sq2=Sq2Case("C", 1)),
+     "[A^5(eta~_r), S^3] ~ Z/2^(r-1)", lambda r: r - 1),
+]
+
+
+def test_e_rules_name_the_tabulated_groups():
+    # Each text is checked against the summand E meets: the desuspended top piece.
+    for branch, make, text, exponent in _E_RULE_GROUPS:
+        assert text in _E_RULES[branch]
+        for r in (1, 2, 3, 4):
+            report = classify_double_suspension(make(r))
+            assert report.branch == branch
+            source = report.top.desuspend()
+            named = f"[{source}, S^3]".replace(f"_{r}", "_r").replace(f"2^{r}", "2^r")
+            assert text.startswith(named), (text, r)
+            assert maps_group(source, sphere(3)).group == cyclic(2 ** exponent(r)), (text, r)
+    report = classify_double_suspension(invariants(1, 1, (4,)))
+    assert report.branch == BRANCH_SPIN_THETA_TRIVIAL
+    assert "[S^5, S^3]" in _E_RULES[report.branch] and "eta^2" in _E_RULES[report.branch]
+    assert report.top.desuspend() == sphere(5)
+    assert maps_group(sphere(5), sphere(3)).generators == ("eta^2",)
+    assert maps_group(sphere(5), sphere(3)).group == cyclic(2)
 
 
 def test_e_surjective_on_every_postnikov_trivial_branch(rng):
