@@ -92,7 +92,8 @@ class _Kind:
         derive("bottom", min(offset for offset, _ in self.homology))
         derive("top", max(offset + (order != "Z") for offset, order in self.homology))
         derive("pattern", re.compile("".join(
-            re.escape(text) + (rf"(?P<{f}>\d+)" if f else "") for text, f, _, _ in parts)))
+            re.escape(text) + (rf"(?P<{f}>\d+)" if f else "") for text, f, _, _ in parts),
+            re.ASCII))  # \d is 0-9 alone, not every digit int() reads
         # The template with positional fields, (n, top, order, r, t): faster to fill.
         derive("positional", "".join(
             text.replace("{", "{{").replace("}", "}}") + (f"{{{_FIELDS.index(f)}}}" if f else "")
@@ -124,27 +125,7 @@ class TableMiss(KeyError):
     __str__ = Exception.__str__  # the message, not KeyError's quoted repr
 
 
-def cached_hash(cls: type) -> type:
-    """Keep the dataclass-generated hash of ``cls`` once per instance: its
-    instances are keys of every table cache, and the value stays the same.
-    It is read as an attribute, never through ``__dict__``, which would
-    slow every later attribute read of the instance."""
-    generated = cls.__hash__
-
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = generated(self)
-            object.__setattr__(self, "_hash", value)
-        return value
-
-    cls._hash = None
-    cls.__hash__ = __hash__
-    return cls
-
-
-@cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ElementaryComplex:
     """One catalog entry.
 
@@ -153,10 +134,11 @@ class ElementaryComplex:
     C^(n+2)- and A^(n+3)-families.  ``order`` is the Moore-space order,
     ``r`` and ``t`` the 2-power exponents of the eta-type families.
 
-    The named constructors, ``suspend``/``desuspend`` and ``parse_complex``
-    build every entry through ``_interned``, so equal entries they return
-    are one object and every cache keyed by complexes hits by identity.
-    Built directly, an entry is equal to and hashes like the interned one.
+    Every entry is interned: ``ElementaryComplex(...)``, the named
+    constructors, ``suspend``/``desuspend`` and ``parse_complex`` all
+    return the one object with its fields (``_interned``), so complexes
+    compare and hash by identity and every cache keyed by them hits by
+    identity.
     """
 
     kind: str
@@ -165,25 +147,11 @@ class ElementaryComplex:
     r: int = 0
     t: int = 0
 
-    def __post_init__(self):
-        row = _KINDS.get(self.kind)
-        if row is None:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.n < row.least_n:
-            raise ValueError(f"{self.kind} needs n >= {row.least_n}")
-        for name in row.params:
-            if getattr(self, name) < _LEAST[name]:
-                raise ValueError(f"{self.kind} needs {name} >= {_LEAST[name]}")
-        for name in row.unused:
-            if getattr(self, name):
-                raise ValueError(f"{self.kind} takes no {name}")
-        for name in row.params:
-            spelling, bound = _BOUND[name]
-            if getattr(self, name) >= bound:
-                raise ValueError(f"{self.kind} needs {spelling} below 2**{_BITS}")
-        # Kept, not a field: every wedge sorts its summands by it.
-        object.__setattr__(self, "_sort_key", (
-            self.n + row.bottom, _RANK[self.kind], self.n, self.order, self.r, self.t))
+    def __new__(cls, kind: str, n: int, order: int = 0, r: int = 0, t: int = 0):
+        return _interned(kind, n, order, r, t)
+
+    def __reduce__(self):  # a copy or an unpickled complex is the interned one too
+        return ElementaryComplex, (self.kind, self.n, self.order, self.r, self.t)
 
     # ----- dimensions ---------------------------------------------------
 
@@ -221,11 +189,35 @@ class ElementaryComplex:
         return self.notation
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: n = 3 and n = 3.0 print differently
+@lru_cache(maxsize=None, typed=True)  # typed: n = 3.0 or True must not hit n = 3
 def _interned(kind: str, n: int, order: int, r: int, t: int) -> ElementaryComplex:
-    """The one ``ElementaryComplex`` with these fields.  Invalid fields
-    raise on every call: a raising call caches nothing."""
-    return ElementaryComplex(kind, n, order, r, t)
+    """The one ``ElementaryComplex`` with these fields, built on the first
+    call.  Invalid fields raise on every call: a raising call caches nothing."""
+    row = _KINDS.get(kind) if type(kind) is str else None
+    if row is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    values = {"n": n, "order": order, "r": r, "t": t}
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{kind} needs an int {name}, not {value!r}")
+    if n < row.least_n:
+        raise ValueError(f"{kind} needs n >= {row.least_n}")
+    for name in row.params:
+        if values[name] < _LEAST[name]:
+            raise ValueError(f"{kind} needs {name} >= {_LEAST[name]}")
+    for name in row.unused:
+        if values[name]:
+            raise ValueError(f"{kind} takes no {name}")
+    for name in row.params:
+        spelling, bound = _BOUND[name]
+        if values[name] >= bound:
+            raise ValueError(f"{kind} needs {spelling} below 2**{_BITS}")
+    x = object.__new__(ElementaryComplex)
+    for name, value in (("kind", kind), *values.items(),
+                        # kept, not a field: every wedge sorts its summands by it
+                        ("_sort_key", (n + row.bottom, _RANK[kind], n, order, r, t))):
+        object.__setattr__(x, name, value)
+    return x
 
 
 def sphere(n: int) -> ElementaryComplex:
@@ -471,37 +463,21 @@ def mod2_cohomology_dim(x: "ElementaryComplex | WedgeComplex", k: int) -> int:
     return sum(mult * _mod2_basis(s, k) for s, mult in _distinct(x))
 
 
-def _sq2_block(x: ElementaryComplex, k: int) -> list[list[int]]:
-    """Matrix of Sq^2: H^k(X;Z/2) -> H^(k+2)(X;Z/2) for one summand.
-
-    Sq^2 is an isomorphism from the degree the kind's row names and
-    vanishes everywhere else (on A^(n+3)(2^r eta^2) too, whose attaching
-    map dies under the pinch map).
-    """
-    rows = _mod2_basis(x, k + 2)
-    cols = _mod2_basis(x, k)
-    block = [[0] * cols for _ in range(rows)]
-    sq2 = _KINDS[x.kind].sq2
-    if rows and cols and sq2 is not None and k == x.n + sq2:
-        block[0][0] = 1
-    return block
-
-
 def sq2_action(x: ElementaryComplex, k: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of Sq^2: H^k(X;Z/2) -> H^(k+2)(X;Z/2) for one complex."""
-    return tuple(tuple(row) for row in _sq2_block(x, k))
-
-
-@cache
-def _sq2_nonzero(x: ElementaryComplex, k: int) -> bool:
-    """Whether one complex's Sq^2 block from degree k is nonzero."""
-    return any(map(any, _sq2_block(x, k)))
+    """Matrix of Sq^2: H^k(X;Z/2) -> H^(k+2)(X;Z/2) for one complex: the
+    isomorphism Z/2 -> Z/2 from the degree the kind's row names, zero
+    everywhere else."""
+    if sq2_is_nonzero(x, k):
+        return ((1,),)
+    return ((0,) * _mod2_basis(x, k),) * _mod2_basis(x, k + 2)
 
 
 def sq2_is_nonzero(x: "ElementaryComplex | WedgeComplex", k: int) -> bool:
-    """Whether Sq^2 acts nontrivially from degree k; on a wedge the
-    matrix is block-diagonal, so some summand's block is nonzero."""
-    return any(_sq2_nonzero(s, k) for s, _ in _distinct(x))
+    """Whether Sq^2 acts nontrivially from degree k: on one complex from
+    n plus its kind's ``sq2`` offset alone (never on A^(n+3)(2^r eta^2),
+    whose attaching map dies under the pinch map); on a wedge the matrix
+    is block-diagonal, so from where some summand's block is nonzero."""
+    return any(k - s.n == _KINDS[s.kind].sq2 for s, _ in _distinct(x))
 
 
 def theta_flag(x: "ElementaryComplex | WedgeComplex") -> bool:
@@ -569,17 +545,10 @@ class OperationProfile:
 def operation_profile(x: ElementaryComplex) -> OperationProfile:
     degrees = range(max(0, x.bottom_dim - 1), x.top_dim + 2)
     dims = tuple((k, dim) for k in degrees if (dim := _mod2_basis(x, k)))
-    # Sq^2 can act only from the one degree the kind's row names (_sq2_block).
-    sq2 = ()
-    if (offset := _KINDS[x.kind].sq2) is not None:
-        k = x.n + offset
-        matrix = sq2_action(x, k)
-        if any(map(any, matrix)):
-            sq2 = ((k, matrix),)
     return OperationProfile(
         complex=x,
         mod2_dims=dims,
-        sq2=sq2,
+        sq2=tuple((k, sq2_action(x, k)) for k in degrees if sq2_is_nonzero(x, k)),
         bocksteins=bockstein_profile(x),
         theta=theta_flag(x),
         pontryagin=_pontryagin_coeff(x),
@@ -642,8 +611,8 @@ class MapsGroupEntry:
 
     @property
     def group(self) -> FgAbelianGroup:
-        """The canonical-form group, computed on first read and then kept,
-        as ``cached_hash`` keeps a hash: building an entry factors nothing."""
+        """The canonical-form group, computed on first read and then kept:
+        building an entry factors nothing."""
         group = self._group
         if group is None:
             group = FgAbelianGroup.of_orders(*self.orders, free_ring=RING_Z2LOCAL)

@@ -63,7 +63,6 @@ from .catalog import (
     a_2r_eta2,
     a_eta2,
     a_tilde,
-    cached_hash,
     chang_eta,
     chang_r,
     maps_group,
@@ -202,7 +201,6 @@ INCL_ETA_PINCH = "incl_eta_pinch"
 INCL_ETA_BAR = "incl_eta_bar"
 
 
-@cached_hash
 @dataclass(frozen=True)
 class GeneratorSymbol:
     """A generator or structural map with its (co)domain, printed by kind.
@@ -398,8 +396,8 @@ class MapVector:
         if len(self.targets) != len(self.entries):
             raise ValueError("one entry per target required")
         for target, entry in zip(self.targets, self.entries):
-            # as tuples, so that identical complexes skip the dataclass __eq__
-            if (entry.source, entry.target) != (self.source, target):
+            # complexes are interned: one complex is one object
+            if entry.source is not self.source or entry.target is not target:
                 raise ValueError(f"entry {entry} does not live in [{self.source}, {target}]")
 
     @classmethod
@@ -638,16 +636,6 @@ def cofiber(v: MapVector) -> WedgeComplex:
 # brute-force orbit oracle
 # --------------------------------------------------------------------------
 
-def _entry_group_order(source, target) -> int | None:
-    orders = maps_group(source, target).orders
-    if any(o == 0 for o in orders):
-        return None
-    total = 1
-    for o in orders:
-        total *= o
-    return total
-
-
 def _all_moves(targets: tuple[ElementaryComplex, ...]):
     """Every elementary operation on a vector into ``targets``."""
     n = len(targets)
@@ -750,7 +738,7 @@ def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...])
         raise TooLarge("oracle supports at most 4 targets")
     total = 1
     for t in targets:
-        order = _entry_group_order(source, t)
+        order = maps_group(source, t).group.order()
         if order is None:
             raise TooLarge(f"entry group [{source}, {t}] is infinite")
         total *= order

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, NotTorsion
 from suspcalc.cli import build_tables
 from suspcalc.ehp import hopf_table
+from suspcalc import catalog
 from suspcalc.catalog import (
     OTHER,
     SPHERE,
@@ -15,7 +18,6 @@ from suspcalc.catalog import (
     WedgeComplex,
     _homology_pairs,
     _mod2_basis,
-    _sq2_nonzero,
     a_2r_eta2,
     a_eta2,
     a_tilde,
@@ -30,6 +32,7 @@ from suspcalc.catalog import (
     mod2_cohomology_dim,
     moore,
     moore_pairs,
+    of_kind,
     operation_profile,
     parse_complex,
     parse_wedge,
@@ -252,18 +255,36 @@ def test_desuspension_floor():
 # interned complexes
 # --------------------------------------------------------------------------
 
+def _dumped_complexes():
+    """Every complex the tables dump names."""
+    for rows in build_tables().values():
+        for row in rows:
+            for key in ("source", "target", "complex", "summand"):
+                if key in row:
+                    yield parse_complex(row[key])
+
+
 def test_constructors_return_one_object_per_complex():
     assert sphere(3) is sphere(3)
     assert parse_complex("P^4(2)") is moore(4, 2)
-    for x in ALL_SAMPLE_COMPLEXES:
+    pool = list(dict.fromkeys([*ALL_SAMPLE_COMPLEXES, *_fact_window(), *_maps_group_pool(),
+                               *_dumped_complexes()]))
+    for x in pool:
+        named = getattr(catalog, x.kind)  # sphere, moore, chang_r, ...
+        params = [getattr(x, name) for name in ("order", "r", "t") if getattr(x, name)]
+        assert named(x.n, *params) is x
+        assert ElementaryComplex(x.kind, x.n, x.order, x.r, x.t) is x
         assert x.suspend().desuspend() is x
         assert parse_complex(x.notation) is x
-        fresh = ElementaryComplex(x.kind, x.n, x.order, x.r, x.t)
-        assert fresh is not x
-        assert fresh == x and x == fresh
-        assert hash(fresh) == hash(x)
-        assert fresh.sort_key() == x.sort_key()
-        assert {fresh: 1}[x] == 1
+        assert copy.deepcopy(x) is x and pickle.loads(pickle.dumps(x)) is x
+        for r in (1, 2, 3):
+            y = of_kind(x.kind, x.n, r)
+            assert (y is x) == (y.notation == x.notation)
+    notations = [x.notation for x in pool]
+    assert len(set(notations)) == len(pool)  # one object per complex
+    for x in pool:
+        for y in pool:
+            assert (x == y) == (x is y)
 
 
 @pytest.mark.parametrize("build", [
@@ -274,9 +295,19 @@ def test_constructors_return_one_object_per_complex():
     lambda: a_tilde(1, 1),
     lambda: sphere(1).desuspend(),
     lambda: parse_complex("P^4(18446744073709551616)"),
+    lambda: sphere(3.0),
+    lambda: sphere(True),
+    lambda: sphere(3.5),
+    lambda: moore(4, 2.0),
+    lambda: chang_rt(3, True, 1),
+    lambda: ElementaryComplex(SPHERE, 3.0),
+    lambda: ElementaryComplex(type("Kind", (str,), {})(SPHERE), 3),
 ])
 def test_interned_constructors_raise_on_every_call(build):
-    # A raising call caches nothing, so the next call raises again.
+    # A raising call caches nothing, so the next call raises again; a float
+    # or bool field, or a str subclass kind, raises even once the plain
+    # complex is interned.
+    sphere(3), moore(4, 2), chang_rt(3, 1, 1)  # interned first
     for _ in range(3):
         with pytest.raises(ValueError):
             build()
@@ -288,6 +319,14 @@ def test_parse_complex_cached_per_text():
         assert parse_complex(text) is built
         assert parse_complex(text) is built
         assert parse_complex(f"  {text}\n") is built
+
+
+@pytest.mark.parametrize("text", ["S^\u0664", "S^\uff14", "P^\uff14(\uff12)"])
+def test_parse_complex_reads_ascii_digits_alone(text):
+    # int() reads any Unicode decimal digit; the notation takes 0-9 alone.
+    assert parse_complex("S^4") is sphere(4)
+    with pytest.raises(ValueError, match="cannot parse complex notation"):
+        parse_complex(text)
 
 
 @pytest.mark.parametrize("text", ["X^3", "S^", "P^4(18446744073709551616)", "S^0", "P^4(0)"])
@@ -587,7 +626,7 @@ def test_maps_group_pool_matches_recording():
 def test_cached_facts_equal_fresh():
     # Each memoized fact, read cold and then warm, equals its uncached
     # computation; an entry's group is the canonical group of its orders.
-    for cached in (hopf_table, _mod2_basis, _sq2_nonzero):
+    for cached in (hopf_table, _homology_pairs, _mod2_basis):
         cached.cache_clear()
     pool = list(_maps_group_pool())
     complexes = list(dict.fromkeys([*pool, *_fact_window()]))
@@ -598,9 +637,9 @@ def test_cached_facts_equal_fresh():
             except TableMiss:
                 with pytest.raises(TableMiss):
                     hopf_table.__wrapped__(x)
+            assert _homology_pairs(x) == _homology_pairs.__wrapped__(x)
             for k in range(x.top_dim + 3):
                 assert _mod2_basis(x, k) == _mod2_basis.__wrapped__(x, k)
-                assert _sq2_nonzero(x, k) == _sq2_nonzero.__wrapped__(x, k)
     for source in pool:
         for target in pool:
             try:

@@ -117,7 +117,7 @@ def test_stages_built_only_when_printed(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "batch.json", batch)
     reversed_path = write(tmp_path, "reversed.json", batch[::-1])
     printed = ["classify", "--stages", "--validate", path]
-    for cached in (catalog.maps_group, catalog._mod2_basis, catalog._sq2_nonzero,
+    for cached in (catalog.maps_group, catalog._mod2_basis, catalog._homology_pairs,
                    ehp.hopf_table):
         cached.cache_clear()
     code, cold, _ = run_cli(printed, tmp_path, capsys)
@@ -362,6 +362,11 @@ def s5_to_s4(coefficients, source="S^5", target="S^4"):
         pytest.param(s5_to_s4({}, target="C^{5,0}"), "chang_t needs t >= 1", id="chang-t-zero"),
         pytest.param(s5_to_s4({}, target="A^4(eta~_1)"), "a_tilde needs n >= 2", id="a-tilde-below-least-n"),
         pytest.param(s5_to_s4({}, target="P^4(1)"), "moore needs order >= 2", id="moore-order-one"),
+        # int() reads any Unicode decimal digit; the notation takes 0-9 alone.
+        pytest.param(s5_to_s4({}, source="S^\u0664"), "cannot parse complex notation",
+                     id="arabic-indic-digit-source"),
+        pytest.param(s5_to_s4({}, source="S^\uff14", target="P^\uff14(\uff12)"),
+                     "cannot parse complex notation", id="fullwidth-digits"),
         # maps_group would build 2**r for the 2 q_3 row: r is bounded like a Moore order.
         pytest.param({"source": "A^5(eta~_10000000000)", "entries": [{"target": "S^3"}]},
                      "a_tilde needs 2**r below 2**64", id="a-tilde-huge-r"),
@@ -448,6 +453,34 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["maps_groups"]
+
+
+def test_output_is_the_same_under_every_hash_seed(tmp_path):
+    # Complexes hash by identity and strings by the hash seed: no output may
+    # follow either, so two processes under different seeds print the same bytes.
+    batch = write(tmp_path, "batch.json", _mixed_batch())
+    vector = write(tmp_path, "v.json", {
+        "source": "S^5",
+        "entries": [{"target": "S^4", "coefficients": {"eta": 1}},
+                    {"target": "P^4(4)", "coefficients": {"eta~_2": 1}},
+                    {"target": "S^3", "coefficients": {"eta^2": 1}}],
+    })
+    commands = [["classify", "--json", "--stages", "--validate", batch],
+                ["cohomotopy", "--json", str(DATA_DIR / "cohomotopy_golden_input.json")],
+                ["normalize", "--json", vector],
+                ["tables"]]
+    script = ("import json, sys; from suspcalc.cli import main\n"
+              "for args in json.loads(sys.argv[1]): print('exit', main(args), flush=True)")
+    src = str(Path(suspcalc.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(b"exit 0\n") == len(commands), proc.stdout[-200:]
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("module", ["jsonschema", "sympy"])
