@@ -270,6 +270,21 @@ def of_kind(kind: str, n: int, r: int) -> ElementaryComplex:
     return _interned(kind, n, *(value[name] if name in params else 0 for name in _LEAST))
 
 
+class Notation(str):
+    """Text of the notation grammar alone: ``_KINDS`` templates filled
+    with plain ints and joined by ``" v "``, the point ``"*"``, and W4's
+    ``" v C_{g2}"`` suffix.  None of its characters is one that JSON
+    escapes (no quote, backslash, control or non-ASCII character), so
+    ``cli.json_text`` writes it between quotes as it is.
+
+    Never wrap user text in it, nor a value that an in-process parser
+    reads back: ``classifier.json_value`` takes a str only when its type
+    is exactly ``str``.
+    """
+
+    __slots__ = ()
+
+
 class _Copies:
     """Per-copy view of a wedge's summands: each distinct summand repeated
     by its multiplicity, in canonical order."""
@@ -358,14 +373,14 @@ class WedgeComplex:
         return next((k for x, k in self.pairs if x == summand), 0)
 
     @property
-    def notation(self) -> str:
+    def notation(self) -> Notation:
         if not self.pairs:
-            return "*"
+            return Notation("*")
         runs = []
         for x, k in self.pairs:
             s = x.notation
             runs.append((s + " v ") * (k - 1) + s)  # k copies, without a list of them
-        return " v ".join(runs)
+        return Notation(" v ".join(runs))
 
     def __str__(self):
         return self.notation

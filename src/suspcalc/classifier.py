@@ -17,6 +17,7 @@ from functools import cached_property
 from .abelian import MAX_FACTOR_ORDER, CyclicFactor, FgAbelianGroup, ZERO_GROUP
 from .catalog import (
     ElementaryComplex,
+    Notation,
     WedgeComplex,
     a_2r_eta2,
     a_tilde,
@@ -304,7 +305,7 @@ class StageDecompositions:
 
     w3: WedgeComplex
     w4: WedgeComplex | None
-    w4_symbolic: str | None
+    w4_symbolic: Notation | None
     sigma_w4: WedgeComplex
 
     def to_json_dict(self) -> dict:
@@ -379,7 +380,7 @@ def stage_decompositions(inv: ManifoldInvariants) -> StageDecompositions:
         w4 = WedgeComplex(counts=(*w3.pairs, (sphere(4), inv.m)))
         return StageDecompositions(w3, w4, None, sigma_w4)
     known = WedgeComplex(counts=((sphere(3), inv.d), *p4))
-    symbolic = (f"{known.notation} v C_{{g2}}" if not known.is_point else "C_{g2}")
+    symbolic = Notation(f"{known.notation} v C_{{g2}}" if not known.is_point else "C_{g2}")
     return StageDecompositions(w3, None, symbolic, sigma_w4)
 
 

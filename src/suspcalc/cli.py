@@ -21,6 +21,7 @@ from . import catalog, ehp, normalizer
 from .catalog import (
     SPHERE,
     ElementaryComplex,
+    Notation,
     a_2r_eta2,
     a_eta2,
     a_tilde,
@@ -58,7 +59,9 @@ def _read_json(path: str | None):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, too many digits
+    # JSONDecodeError, UnicodeDecodeError, too many digits; RecursionError
+    # for arrays or objects nested deeper than the decoder recurses.
+    except (ValueError, RecursionError) as err:
         raise InputError(f"malformed JSON: {err}") from None
     except OSError as err:
         raise InputError(str(err)) from None
@@ -120,7 +123,9 @@ def _write_json(obj, out: list[str], newline: str) -> None:
     reference cycle, and would keep each call's chunks alive until the
     cyclic garbage collector runs.
     """
-    if isinstance(obj, str):
+    if type(obj) is Notation:  # nothing in it to escape: see catalog.Notation
+        out += '"', obj, '"'
+    elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
         out.append("null")
@@ -161,8 +166,8 @@ def _write_json(obj, out: list[str], newline: str) -> None:
 def json_text(obj) -> str:
     """The text ``json.dumps`` gives with ``indent=2``, for dicts with str
     keys, lists, str, int, bool and None; any other type raises TypeError.
-    One chunk list, joined once, through the C string escaper that
-    ``json`` uses."""
+    One chunk list, joined once; every str but a ``catalog.Notation``
+    goes through the C string escaper that ``json`` uses."""
     out: list[str] = []
     _write_json(obj, out, "\n")
     return "".join(out)

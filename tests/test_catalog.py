@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from suspcalc.catalog import (
     OTHER,
     SPHERE,
     ElementaryComplex,
+    Notation,
     TableMiss,
     WedgeComplex,
     _homology_pairs,
@@ -691,3 +693,38 @@ def test_wedge_shifts_homology_and_notation_match_references(counts):
         assert by_degree[i] == _homology_walk(w, i)
         assert integral_homology(w, i) == by_degree[i]
     assert w.notation == (" v ".join(map(str, w.summands)) if w.pairs else "*")
+
+
+# --------------------------------------------------------------------------
+# Notation: wedge text that the JSON writer copies between quotes unescaped
+# --------------------------------------------------------------------------
+
+def assert_needs_no_escaping(text):
+    assert type(text) is Notation
+    assert encode_basestring_ascii(text) == '"' + text + '"'
+
+
+# Every kind at its least n and parameters, and at n = 10^6 with the
+# largest parameters it takes: order 2^64 - 1, r = t = 63.
+EXTREME_COMPLEXES = [
+    ElementaryComplex(kind, n, **{name: value[name] for name in row.params})
+    for kind, row in catalog._KINDS.items()
+    for n, value in ((row.least_n, catalog._LEAST),
+                     (10**6, {"order": 2**64 - 1, "r": 63, "t": 63}))
+]
+
+
+def test_wedge_notation_needs_no_escaping_at_every_kind_and_extreme():
+    assert_needs_no_escaping(WedgeComplex.point().notation)
+    for x in EXTREME_COMPLEXES:
+        # A complex's own notation is read back (MapVector.from_json_dict),
+        # so it stays a plain str.
+        assert type(x.notation) is str
+        assert_needs_no_escaping(WedgeComplex.of(x).notation)
+        assert_needs_no_escaping(WedgeComplex(counts=[(x, 3)]).notation)
+    assert_needs_no_escaping(WedgeComplex.of(*EXTREME_COMPLEXES).notation)
+
+
+@given(st.lists(st.tuples(recorded_complexes, st.integers(1, 10**4)), max_size=4))
+def test_wedge_notation_needs_no_escaping(counts):
+    assert_needs_no_escaping(WedgeComplex(counts=counts).notation)

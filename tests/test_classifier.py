@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 
 from conftest import random_invariants, valid_invariants
+from test_catalog import assert_needs_no_escaping
 from suspcalc.abelian import CyclicFactor, FgAbelianGroup
 from suspcalc.catalog import (
+    Notation,
     WedgeComplex,
     a_2r_eta2,
     a_tilde,
@@ -243,6 +245,38 @@ def test_descriptor_json_roundtrip_randomized(rng):
         inv = dataclasses.replace(random_invariants(rng), label=f"r{i}" if i % 2 else None)
         data = json.loads(json.dumps(inv.to_json_dict()))
         assert ManifoldInvariants.from_json_dict(data) == inv
+
+
+def _strings(obj):
+    """Every str of a JSON tree, keys included."""
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _strings(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _strings(value)
+
+
+@given(valid_invariants())
+def test_only_printed_wedges_are_notation(inv):
+    # The wedges, the symbolic W4 among them, skip the JSON escaper; the
+    # label, branch, notes and invariants go through it, and the invariants
+    # read back in-process, where json_value takes exactly a str.
+    report = classify_double_suspension(inv)
+    data = report.to_json_dict(2, stages=True)
+    stages = data["stages"]
+    wedges = [data["sigma2"], stages["W3"], stages["SigmaW4"],
+              stages["W4"] if report.stages.w4 is not None else stages["W4"]["symbolic"]]
+    if not isinstance(report.sigma, Unresolved):
+        wedges.append(data["sigma"])
+    for text in wedges:
+        assert_needs_no_escaping(text)
+    assert sorted(map(id, wedges)) == sorted(id(t) for t in _strings(data) if type(t) is Notation)
+    assert ManifoldInvariants.from_json_dict(data["invariants"]) == inv
+    assert ManifoldInvariants.from_json_dict(inv.to_json_dict()) == inv
 
 
 def test_homology_roundtrip_randomized(rng):

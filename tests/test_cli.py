@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_invariants, valid_invariants
 from test_acceptance import BRANCH_SUITE
+from test_catalog import recorded_complexes
 import suspcalc
 import suspcalc.cli
 from suspcalc import catalog, ehp
@@ -283,6 +284,7 @@ def test_cohomotopy_trivial_manifold(tmp_path, capsys):
 
 
 DATA_DIR = Path(__file__).parent / "data"
+WIDE_DESCRIPTORS = DATA_DIR / "wide_descriptor.json"
 
 
 def test_cohomotopy_golden_output(tmp_path, capsys, rng):
@@ -564,6 +566,27 @@ def test_unreadable_json_rejected(tmp_path, capsys, command, content):
     assert err.startswith("error: malformed JSON:") and err.count("\n") == 1
 
 
+# Deeper than the decoder recurses on any supported Python.
+NESTING = 10**5
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param("[" * NESTING + "]" * NESTING, id="nested-arrays"),
+        pytest.param('{"a": ' * NESTING + "1" + "}" * NESTING, id="nested-objects"),
+    ],
+)
+@pytest.mark.parametrize("command", ["classify", "cohomotopy", "validate", "normalize"])
+def test_deeply_nested_json_rejected(tmp_path, capsys, command, content):
+    path = tmp_path / "nested.json"
+    path.write_text(content, encoding="utf-8")
+    code, out, err = run_cli([command, str(path)], tmp_path, capsys)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: malformed JSON:") and err.count("\n") == 1
+
+
 def _batch_with_declined(tmp_path):
     batch = [spin_with(label="first"), dict(OMITTED_DESCRIPTOR, label="no"),
              spin_with(label="second", m=2)]
@@ -681,8 +704,12 @@ def test_descriptor_commands_survive_mutated_descriptors(monkeypatch, capsys):
 # and a character outside the BMP.
 JSON_TEXT = st.text(st.sampled_from(
     'aZ0 /\x00\x08\t\n\x0c\r\x1f"\\\x7f\x80\u00e9\u2028\uffff\ud800\U0001d11e'))
+# Wedge notation, which the writer copies between quotes unescaped.
+NOTATION_TEXT = st.lists(st.tuples(recorded_complexes, st.integers(1, 5)), max_size=4).map(
+    lambda counts: WedgeComplex(counts=counts).notation)
 JSON_TREES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | JSON_TEXT,
+    st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | JSON_TEXT
+    | NOTATION_TEXT,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(JSON_TEXT, children, max_size=4),
     max_leaves=10,
@@ -732,6 +759,29 @@ def test_descriptor_commands_print_json_dumps_indent_2(invariants, single):
             _printed_as_indent_2(["classify", "--json", "--suspension-level", level, *extra, "-"],
                                  stdin)
     _printed_as_indent_2(["cohomotopy", "--json", "-"], stdin)
+
+
+def test_wide_classify_prints_json_dumps_indent_2():
+    # m = d = 10^4 and 40 2-primary factors, with a trivial and with a
+    # non-trivial Postnikov square: a megabyte of wedge notation, which the
+    # writer copies between quotes unescaped.
+    out = _printed_as_indent_2(["classify", "--json", "--stages", "--validate", "-"],
+                               WIDE_DESCRIPTORS.read_text(encoding="utf-8"))
+    payloads = json.loads(out)
+    assert [p["invariants"]["postnikov_trivial"] for p in payloads] == [True, False]
+    assert "symbolic" in payloads[1]["stages"]["W4"]
+    assert payloads[0]["sigma2"].count("S^4") == 10**4
+    assert all(c["passed"] for p in payloads for c in p["checks"])
+
+
+def test_labels_with_escaped_characters_print_intact(tmp_path, capsys):
+    label = 'a "quoted" \\ back\\slash\nnew line, \u00e9\u2028\U0001d11e'
+    path = write(tmp_path, "d.json", [spin_with(label=label), spin_with(label=label + "*")])
+    for extra in ([], ["--stages", "--validate"]):
+        code, out, _ = run_cli(["classify", "--json", *extra, path], tmp_path, capsys)
+        assert code == EXIT_OK
+        assert [p["label"] for p in json.loads(out)] == [label, label + "*"]
+        assert out.isascii()
 
 
 @pytest.mark.parametrize("vector", [

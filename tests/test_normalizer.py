@@ -639,6 +639,10 @@ def test_orbit_equals_row_op_closure():
 def test_vector_json_roundtrip():
     v = vec(S5, (S4, {"eta": 1}), (moore(4, 4), {"eta~_2": 1, "i_3 eta^2": 1}))
     assert MapVector.from_json_dict(v.to_json_dict()) == v
+    # Read back without a JSON parser in between, so no string of it may be
+    # a catalog.Notation, which json_value rejects.
+    for v in VALID_VECTORS:
+        assert MapVector.from_json_dict(v.to_json_dict()) == v
 
 
 # --------------------------------------------------------------------------
