@@ -20,5 +20,3 @@ from .classifier import (  # noqa: F401
     classify_double_suspension,
     classify_suspension,
 )
-from .ehp import coker_H2, fiber_of_E, is_E_surjective, pi5_double_suspension  # noqa: F401
-from .normalizer import MapVector, cofiber, normalize, oracle_normal_form  # noqa: F401

@@ -4,20 +4,24 @@ normalize map vectors, and dump the catalog tables.
 Exit codes: 0 success, 1 failed validation checks, 2 malformed input
 (JSON, descriptor shape, inconsistent invariants, or sizes over the input
 bounds), 3 the declined case (non-spin with nontrivial secondary-operation
-action).  A batch reports its other members around a declined one and
-exits 3, or 1 when an audit check failed.
+action), 141 stdout closed before all output was written (as a shell
+shows for a tool stopped by SIGPIPE: 128 + 13).  A batch reports its other
+members around a declined one and exits 3, or 1 when an audit check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 
-from . import catalog, ehp, normalizer
+# ehp and normalizer are imported by the commands that run them, so that
+# classify and validate start without loading either.
+from . import catalog
 from .catalog import (
     SPHERE,
     ElementaryComplex,
@@ -48,6 +52,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_OMITTED = 3
+EXIT_STDOUT_CLOSED = 141
 
 class InputError(ValueError):
     pass
@@ -247,6 +252,8 @@ def run_validate(args) -> int:
 # --------------------------------------------------------------------------
 
 def run_cohomotopy(args) -> int:
+    from . import ehp
+
     batch = classify_input(args.input)
     payloads = []
     lines = []
@@ -294,6 +301,8 @@ def run_cohomotopy(args) -> int:
 # --------------------------------------------------------------------------
 
 def run_normalize(args) -> int:
+    from . import normalizer
+
     data = _read_json(args.input)
     try:
         vector = normalizer.MapVector.from_json_dict(data)
@@ -400,6 +409,8 @@ def _profile_rows() -> list[dict]:
 def _hopf_rows() -> list[dict]:
     """The Hopf data of every ``ehp._HOPF`` row, at r = 1, 2, 3 (Moore
     orders 2, 4, 8) where the kind takes a parameter, and of P^5(3)."""
+    from . import ehp
+
     summands = dict.fromkeys(of_kind(kind, n, r) for kind, n in ehp._HOPF for r in (1, 2, 3))
     rows = [
         {"family": x.family, **ehp.hopf_table(x).to_json_dict()}
@@ -486,7 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point fd 1 at the null device, so that the
+        # flush at interpreter exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -29,6 +29,7 @@ from suspcalc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_OMITTED,
+    EXIT_STDOUT_CLOSED,
     build_tables,
     json_text,
     main,
@@ -485,7 +486,7 @@ def test_output_is_the_same_under_every_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("module", ["jsonschema", "sympy"])
+@pytest.mark.parametrize("module", ["jsonschema", "sympy", "suspcalc.ehp", "suspcalc.normalizer"])
 def test_cli_imports_without(module):
     src = str(Path(suspcalc.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -496,6 +497,77 @@ def test_cli_imports_without(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# The suspcalc modules each command loads when it is the first call of a process.
+DESCRIPTOR_MODULES = {"suspcalc", "suspcalc.abelian", "suspcalc.catalog", "suspcalc.classifier",
+                      "suspcalc.cli"}
+
+
+@pytest.mark.parametrize("args, loaded", [
+    pytest.param(["classify", "--json", "--stages", "--validate", "descriptor.json"],
+                 DESCRIPTOR_MODULES, id="classify"),
+    pytest.param(["validate", "descriptor.json"], DESCRIPTOR_MODULES, id="validate"),
+    pytest.param(["cohomotopy", "--json", "descriptor.json"],
+                 DESCRIPTOR_MODULES | {"suspcalc.ehp"}, id="cohomotopy"),
+    pytest.param(["tables", "--filter", "sphere"],
+                 DESCRIPTOR_MODULES | {"suspcalc.ehp"}, id="tables"),
+    pytest.param(["normalize", "--json", "vector.json"],
+                 DESCRIPTOR_MODULES | {"suspcalc.normalizer"}, id="normalize"),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, capsys, args, loaded):
+    write(tmp_path, "descriptor.json", SPIN_DESCRIPTOR)
+    write(tmp_path, "vector.json", s5_to_s4({"eta": 1}))
+    args = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in args]
+    script = ("import json, sys; from suspcalc.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'suspcalc')),"
+              " file=sys.stderr)\n"
+              "sys.exit(code)")
+    src = str(Path(suspcalc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == loaded
+    code, out, _ = run_cli(args, tmp_path, capsys)
+    assert code == EXIT_OK
+    assert proc.stdout == out
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["classify", str(WIDE_DESCRIPTORS)], ["tables"]],
+                         ids=["classify-wide", "tables"])
+def test_closed_stdout_exits_without_traceback(args, unbuffered):
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set on this platform")
+    src = str(Path(suspcalc.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    # One page of pipe, less than either output (the tables dump is 64 KB,
+    # which a default pipe would hold whole): the command is still writing
+    # when the reader closes, whatever the timing.
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    with open(read_end, "rb", buffering=0) as reader:
+        proc = subprocess.Popen([sys.executable, "-m", "suspcalc.cli", *args],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+        head = b""
+        while len(head) < 100:
+            chunk = reader.read(100 - len(head))
+            assert chunk, proc.stderr.read()
+            head += chunk
+    try:
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode("utf-8", "replace")
+    proc.stderr.close()
+    assert err == ""  # no traceback, no "Exception ignored" line
+    assert code == EXIT_STDOUT_CLOSED
 
 
 def test_no_module_reads_the_environment():
