@@ -15,10 +15,9 @@ True
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from itertools import chain, count, repeat
 from math import gcd, prod
-from typing import Callable, Iterable
 
 RING_Z = "Z"
 RING_Z2LOCAL = "Z_(2)"
@@ -120,7 +119,20 @@ class NotTorsion(ValueError):
     """A torsion group was required but the argument has free rank > 0."""
 
 
-class CyclicFactor(namedtuple("CyclicFactor", "prime exponent")):
+class Validated:
+    """Base of a namedtuple whose ``__new__`` validates.  namedtuple's own
+    ``_make``, which ``_replace`` and ``copy.replace`` call, builds the
+    tuple without ``__new__``; this one goes through the constructor, so
+    that no path builds a record its constructor would reject."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class CyclicFactor(Validated, namedtuple("CyclicFactor", "prime exponent")):
     """The cyclic group Z/prime**exponent; a tuple, so that the hashing,
     equality and order that every merge of factors runs on are builtin."""
 
@@ -141,8 +153,7 @@ class CyclicFactor(namedtuple("CyclicFactor", "prime exponent")):
         return f"Z/{self.order}"
 
 
-@dataclass(frozen=True, init=False)
-class FgAbelianGroup:
+class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
     """A finitely generated abelian group in primary canonical form.
 
     The torsion is held as ``pairs``, one ``(factor, multiplicity)`` per
@@ -159,22 +170,29 @@ class FgAbelianGroup:
     ((CyclicFactor(prime=2, exponent=1), 3),)
     """
 
-    free_rank: int
-    pairs: tuple[tuple[CyclicFactor, int], ...]
-    free_ring: str
+    __slots__ = ()
 
-    def __init__(self, free_rank: int = 0, torsion: Iterable[CyclicFactor] = (),
-                 free_ring: str = RING_Z, counts: Iterable[tuple[CyclicFactor, int]] = ()):
+    def __new__(cls, free_rank: int = 0, torsion: Iterable[CyclicFactor] = (),
+                free_ring: str = RING_Z, counts: Iterable[tuple[CyclicFactor, int]] = ()):
         if free_rank < 0:
             raise ValueError("free_rank must be non-negative")
         if free_ring not in (RING_Z, RING_Z2LOCAL):
             raise ValueError(f"unknown free ring tag {free_ring!r}")
         if torsion:
             counts = chain(zip(torsion, repeat(1)), counts)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "pairs", merge_counts(counts))
         # The ring tag is meaningless without a free part.
-        object.__setattr__(self, "free_ring", free_ring if free_rank else RING_Z)
+        return tuple.__new__(cls, (free_rank, merge_counts(counts),
+                                   free_ring if free_rank else RING_Z))
+
+    # The constructor takes ``counts``, not the ``pairs`` field: these
+    # two map the fields onto it.
+    @classmethod
+    def _make(cls, iterable):
+        free_rank, pairs, free_ring = iterable
+        return cls(free_rank, free_ring=free_ring, counts=pairs)
+
+    def __reduce__(self):
+        return type(self), (self.free_rank, (), self.free_ring, self.pairs)
 
     @property
     def torsion(self) -> tuple[CyclicFactor, ...]:

@@ -14,11 +14,11 @@ Z_(2) and odd-primary torsion maps to zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
+from functools import cache, cached_property, lru_cache
 from itertools import chain, repeat
 from string import Formatter
-from typing import Iterable, Iterator
 
 from .abelian import (
     MAX_FACTOR_ORDER,
@@ -51,8 +51,8 @@ _BOUND = {"order": ("order", MAX_FACTOR_ORDER), "r": ("2**r", _BITS), "t": ("2**
 _FIELDS = ("n", "top", *_LEAST)  # what a notation template may name
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(namedtuple("_Kind", "notation least_n homology family sq2 theta pontryagin",
+                       defaults=(None, False, False))):
     """Every fact of one kind of elementary complex, relative to ``n``.
 
     ``notation`` is a ``str.format`` template over ``n``, ``top`` (the top
@@ -67,37 +67,44 @@ class _Kind:
     everywhere else), ``theta`` whether the secondary operation on Sq^3
     acts, and ``pontryagin`` whether the n = 2 member pins down the
     Pontryagin square (coefficient 1).
+
+    The properties below are derived from those fields on first read and
+    kept, so that no ElementaryComplex call recomputes them; ``pattern``,
+    which only ``parse_complex`` reads, is compiled then and not at import.
     """
 
-    notation: str
-    least_n: int
-    homology: tuple[tuple[int, str], ...]
-    family: str
-    sq2: int | None = None
-    theta: bool = False
-    pontryagin: bool = False
-    # Derived once, here, so that no ElementaryComplex call recomputes them.
-    params: tuple[str, ...] = field(init=False)
-    unused: tuple[str, ...] = field(init=False)
-    bottom: int = field(init=False)
-    top: int = field(init=False)
-    pattern: re.Pattern = field(init=False)
-    positional: str = field(init=False)
+    @cached_property
+    def _parts(self) -> list[tuple]:
+        return list(Formatter().parse(self.notation))  # (literal, field or None, ...)
 
-    def __post_init__(self):
-        parts = list(Formatter().parse(self.notation))  # (literal, field or None, ...)
-        derive = partial(object.__setattr__, self)
-        derive("params", tuple(p for p in _LEAST if any(f == p for _, f, _, _ in parts)))
-        derive("unused", tuple(p for p in _LEAST if p not in self.params))
-        derive("bottom", min(offset for offset, _ in self.homology))
-        derive("top", max(offset + (order != "Z") for offset, order in self.homology))
-        derive("pattern", re.compile("".join(
-            re.escape(text) + (rf"(?P<{f}>\d+)" if f else "") for text, f, _, _ in parts),
-            re.ASCII))  # \d is 0-9 alone, not every digit int() reads
-        # The template with positional fields, (n, top, order, r, t): faster to fill.
-        derive("positional", "".join(
+    @cached_property
+    def params(self) -> tuple[str, ...]:
+        return tuple(p for p in _LEAST if any(f == p for _, f, _, _ in self._parts))
+
+    @cached_property
+    def unused(self) -> tuple[str, ...]:
+        return tuple(p for p in _LEAST if p not in self.params)
+
+    @cached_property
+    def bottom(self) -> int:
+        return min(offset for offset, _ in self.homology)
+
+    @cached_property
+    def top(self) -> int:
+        return max(offset + (order != "Z") for offset, order in self.homology)
+
+    @cached_property
+    def pattern(self) -> re.Pattern:
+        return re.compile("".join(
+            re.escape(text) + (rf"(?P<{f}>\d+)" if f else "") for text, f, _, _ in self._parts),
+            re.ASCII)  # \d is 0-9 alone, not every digit int() reads
+
+    @cached_property
+    def positional(self) -> str:
+        """The template with positional fields, (n, top, order, r, t): faster to fill."""
+        return "".join(
             text.replace("{", "{{").replace("}", "}}") + (f"{{{_FIELDS.index(f)}}}" if f else "")
-            for text, f, _, _ in parts))
+            for text, f, _, _ in self._parts)
 
 
 # One row per kind, in the canonical order of kinds within a bottom dimension
@@ -125,8 +132,26 @@ class TableMiss(KeyError):
     __str__ = Exception.__str__  # the message, not KeyError's quoted repr
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class ElementaryComplex:
+class _Frozen:
+    """Base of a slotted class whose fields, named by ``_fields``, are set
+    once by ``object.__setattr__`` as it is built: assigning or deleting
+    an attribute afterwards raises, and the repr names every field."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ElementaryComplex(_Frozen):
     """One catalog entry.
 
     ``n`` is the dimension parameter of the standard notation: the
@@ -141,11 +166,9 @@ class ElementaryComplex:
     identity.
     """
 
-    kind: str
-    n: int
-    order: int = 0
-    r: int = 0
-    t: int = 0
+    # _sort_key is kept, not a field: every wedge sorts its summands by it.
+    __slots__ = ("kind", "n", "order", "r", "t", "_sort_key")
+    _fields = ("kind", "n", "order", "r", "t")
 
     def __new__(cls, kind: str, n: int, order: int = 0, r: int = 0, t: int = 0):
         return _interned(kind, n, order, r, t)
@@ -214,7 +237,6 @@ def _interned(kind: str, n: int, order: int, r: int, t: int) -> ElementaryComple
             raise ValueError(f"{kind} needs {spelling} below 2**{_BITS}")
     x = object.__new__(ElementaryComplex)
     for name, value in (("kind", kind), *values.items(),
-                        # kept, not a field: every wedge sorts its summands by it
                         ("_sort_key", (n + row.bottom, _RANK[kind], n, order, r, t))):
         object.__setattr__(x, name, value)
     return x
@@ -301,8 +323,7 @@ class _Copies:
         return chain.from_iterable(repeat(x, k) for x, k in self._pairs)
 
 
-@dataclass(frozen=True, init=False)
-class WedgeComplex:
+class WedgeComplex(_Frozen):
     """A finite multiset of elementary complexes; empty means the point.
 
     It is held as ``pairs``: one ``(summand, multiplicity)`` pair per
@@ -319,7 +340,8 @@ class WedgeComplex:
     S^3 v S^3 v P^4(2)
     """
 
-    pairs: tuple[tuple[ElementaryComplex, int], ...]
+    __slots__ = ("pairs",)
+    _fields = ("pairs",)
 
     def __init__(
         self,
@@ -329,9 +351,22 @@ class WedgeComplex:
         object.__setattr__(self, "pairs", (*zip(summands, repeat(1)), *counts))
         self.__post_init__()
 
+    # The merge and sort of the pairs given: a method of its own, which
+    # perfbench/tracing.py wraps to count the summands sorted.
     def __post_init__(self):
         object.__setattr__(self, "pairs",
                            merge_counts(self.pairs, lambda pair: pair[0].sort_key()))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __reduce__(self):
+        return type(self), ((), self.pairs)
 
     @classmethod
     def _of_canonical(cls, pairs: tuple[tuple[ElementaryComplex, int], ...]) -> "WedgeComplex":
@@ -535,16 +570,13 @@ def _pontryagin_coeff(x: ElementaryComplex) -> int | None:
     return 1 if _KINDS[x.kind].pontryagin and x.n == 2 else None
 
 
-@dataclass(frozen=True)
-class OperationProfile:
-    """Mod-2 cohomology dimensions and operation data of one catalog entry."""
+class OperationProfile(namedtuple("OperationProfile",
+                                  "complex mod2_dims sq2 bocksteins theta pontryagin")):
+    """Mod-2 cohomology dimensions and operation data of one catalog entry:
+    ``mod2_dims`` the nonzero (degree, dim) pairs, ``sq2`` the nonzero
+    (degree, matrix) blocks of Sq^2, ``bocksteins`` the (r, degree) pairs."""
 
-    complex: ElementaryComplex
-    mod2_dims: tuple[tuple[int, int], ...]  # (degree, dim), nonzero only
-    sq2: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]  # nonzero blocks
-    bocksteins: tuple[tuple[int, int], ...]
-    theta: bool
-    pontryagin: int | None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -608,8 +640,7 @@ ETA_BAR = "eta_bar"  # extension of eta over a mod-2^r Moore space
 OTHER = "other"  # generators out of the Chang and A-family complexes
 
 
-@dataclass(frozen=True)
-class MapsGroupEntry:
+class MapsGroupEntry(namedtuple("MapsGroupEntry", "source target generators orders kinds")):
     """[source, target] with its generator alphabet.
 
     ``generators``, ``orders`` and ``kinds`` align positionally; order 0
@@ -617,22 +648,12 @@ class MapsGroupEntry:
     the presentation order follows the generator list.
     """
 
-    source: ElementaryComplex
-    target: ElementaryComplex
-    generators: tuple[str, ...]
-    orders: tuple[int, ...]
-    kinds: tuple[str, ...]
-    _group = None  # not a field: the group, once read
-
-    @property
+    # No __slots__: the instance dict keeps the group once read.
+    @cached_property
     def group(self) -> FgAbelianGroup:
         """The canonical-form group, computed on first read and then kept:
         building an entry factors nothing."""
-        group = self._group
-        if group is None:
-            group = FgAbelianGroup.of_orders(*self.orders, free_ring=RING_Z2LOCAL)
-            object.__setattr__(self, "_group", group)
-        return group
+        return FgAbelianGroup.of_orders(*self.orders, free_ring=RING_Z2LOCAL)
 
     @property
     def is_trivial(self) -> bool:

@@ -11,10 +11,10 @@ permits it, and the intermediate homology-section stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from .abelian import MAX_FACTOR_ORDER, CyclicFactor, FgAbelianGroup, ZERO_GROUP
+from .abelian import MAX_FACTOR_ORDER, ZERO_GROUP, CyclicFactor, FgAbelianGroup, Validated
 from .catalog import (
     ElementaryComplex,
     Notation,
@@ -114,41 +114,45 @@ SQ2_CASE_B = "B"
 SQ2_CASE_C = "C"
 
 
-@dataclass(frozen=True)
-class ThetaAction:
-    action: str  # "trivial" | "nontrivial"
-    j0: int | None = None  # 1-based index into the sorted 2-exponents
+class ThetaAction(Validated, namedtuple("ThetaAction", "action j0")):
+    """``action`` is "trivial" or "nontrivial"; ``j0``, the 1-based index
+    into the sorted 2-exponents, is given exactly when it is nontrivial."""
 
-    def __post_init__(self):
-        if self.action not in (THETA_TRIVIAL, THETA_NONTRIVIAL):
-            raise InvalidInvariants(f"unknown theta action {self.action!r}")
-        if self.action == THETA_NONTRIVIAL and self.j0 is None:
+    __slots__ = ()
+
+    def __new__(cls, action: str, j0: int | None = None):
+        if action not in (THETA_TRIVIAL, THETA_NONTRIVIAL):
+            raise InvalidInvariants(f"unknown theta action {action!r}")
+        if action == THETA_NONTRIVIAL and j0 is None:
             raise InvalidInvariants("nontrivial theta action needs an index j0")
-        if self.action == THETA_TRIVIAL and self.j0 is not None:
+        if action == THETA_TRIVIAL and j0 is not None:
             raise InvalidInvariants("trivial theta action carries no index")
+        return tuple.__new__(cls, (action, j0))
 
     @property
     def nontrivial(self) -> bool:
         return self.action == THETA_NONTRIVIAL
 
 
-@dataclass(frozen=True)
-class Sq2Case:
-    case: str  # "not_applicable" | "A" | "B" | "C"
-    index: int | None = None  # j1 for case B, j2 for case C
+class Sq2Case(Validated, namedtuple("Sq2Case", "case index")):
+    """``case`` is "not_applicable", "A", "B" or "C"; ``index`` is j1 for
+    case B and j2 for case C, and absent otherwise."""
 
-    def __post_init__(self):
-        if self.case not in (SQ2_NOT_APPLICABLE, SQ2_CASE_A, SQ2_CASE_B, SQ2_CASE_C):
-            raise InvalidInvariants(f"unknown sq2 case {self.case!r}")
-        needs_index = self.case in (SQ2_CASE_B, SQ2_CASE_C)
-        if needs_index and self.index is None:
-            raise InvalidInvariants(f"case {self.case} needs an index")
-        if not needs_index and self.index is not None:
-            raise InvalidInvariants(f"case {self.case} carries no index")
+    __slots__ = ()
+
+    def __new__(cls, case: str, index: int | None = None):
+        if case not in (SQ2_NOT_APPLICABLE, SQ2_CASE_A, SQ2_CASE_B, SQ2_CASE_C):
+            raise InvalidInvariants(f"unknown sq2 case {case!r}")
+        needs_index = case in (SQ2_CASE_B, SQ2_CASE_C)
+        if needs_index and index is None:
+            raise InvalidInvariants(f"case {case} needs an index")
+        if not needs_index and index is not None:
+            raise InvalidInvariants(f"case {case} carries no index")
+        return tuple.__new__(cls, (case, index))
 
 
-@dataclass(frozen=True)
-class ManifoldInvariants:
+class ManifoldInvariants(Validated, namedtuple(
+        "ManifoldInvariants", "m d torsion spin theta sq2_case postnikov_trivial label")):
     """Input record of the classifier; all entries are declared data.
 
     ``m`` and ``d`` are the free ranks of first and second homology,
@@ -156,37 +160,33 @@ class ManifoldInvariants:
     point into the ascending list of 2-primary exponents r_1 <= ... <= r_n.
     """
 
-    m: int
-    d: int
-    torsion: FgAbelianGroup
-    spin: bool
-    theta: ThetaAction
-    sq2_case: Sq2Case
-    postnikov_trivial: bool
-    label: str | None = None
-
-    def __post_init__(self):
-        if self.m < 0 or self.d < 0:
+    # No __slots__: the instance dict keeps the cached properties.
+    def __new__(cls, m: int, d: int, torsion: FgAbelianGroup, spin: bool, theta: ThetaAction,
+                sq2_case: Sq2Case, postnikov_trivial: bool, label: str | None = None):
+        self = tuple.__new__(cls, (m, d, torsion, spin, theta, sq2_case, postnikov_trivial,
+                                   label))
+        if m < 0 or d < 0:
             raise InvalidInvariants("m and d must be non-negative")
-        if max(self.m, self.d) > MAX_FREE_RANK:
+        if max(m, d) > MAX_FREE_RANK:
             raise InvalidInvariants(f"m and d must be at most {MAX_FREE_RANK}")
-        if sum(k for _, k in self.torsion.pairs) > MAX_TORSION_FACTORS:
+        if sum(k for _, k in torsion.pairs) > MAX_TORSION_FACTORS:
             raise InvalidInvariants(f"torsion may have at most {MAX_TORSION_FACTORS} factors "
                                     "(summed multiplicity)")
-        if not self.torsion.is_torsion:
+        if not torsion.is_torsion:
             raise InvalidInvariants("torsion group must have free rank 0")
         n = len(self.two_exponents)
-        if self.theta.nontrivial and not 1 <= self.theta.j0 <= n:
+        if theta.nontrivial and not 1 <= theta.j0 <= n:
             raise InvalidInvariants(f"theta index j0 must lie in 1..{n}")
-        if self.spin and self.sq2_case.case != SQ2_NOT_APPLICABLE:
+        if spin and sq2_case.case != SQ2_NOT_APPLICABLE:
             raise InvalidInvariants("spin manifolds take sq2_case not_applicable")
-        if not self.spin and self.sq2_case.case == SQ2_NOT_APPLICABLE:
+        if not spin and sq2_case.case == SQ2_NOT_APPLICABLE:
             raise InvalidInvariants("non-spin manifolds need sq2_case A, B or C")
-        if self.sq2_case.case == SQ2_CASE_A and not self.spin and self.d < 1:
+        if sq2_case.case == SQ2_CASE_A and not spin and d < 1:
             raise InvalidInvariants("case A consumes a free degree-4 class; d >= 1 required")
-        if self.sq2_case.case in (SQ2_CASE_B, SQ2_CASE_C):
-            if not 1 <= self.sq2_case.index <= n:
+        if sq2_case.case in (SQ2_CASE_B, SQ2_CASE_C):
+            if not 1 <= sq2_case.index <= n:
                 raise InvalidInvariants(f"sq2 index must lie in 1..{n}")
+        return self
 
     @cached_property
     def two_exponents(self) -> tuple[int, ...]:
@@ -287,15 +287,13 @@ def _order_below_bound(prime: int, exponent: int) -> bool:
             and prime**exponent < MAX_FACTOR_ORDER)
 
 
-@dataclass(frozen=True)
-class Unresolved:
+class Unresolved(namedtuple("Unresolved", "reason")):
     """Placeholder for a suspension decomposition the hypotheses do not pin down."""
 
-    reason: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StageDecompositions:
+class StageDecompositions(namedtuple("StageDecompositions", "w3 w4 w4_symbolic sigma_w4")):
     """The homology-section stages of the suspension pipeline.
 
     ``w4`` is the split form, available only when the Postnikov square is
@@ -303,10 +301,7 @@ class StageDecompositions:
     with the symbolic cofiber remainder C_{g2}.
     """
 
-    w3: WedgeComplex
-    w4: WedgeComplex | None
-    w4_symbolic: Notation | None
-    sigma_w4: WedgeComplex
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,57 +311,46 @@ class StageDecompositions:
         }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
         return f"[{status}] {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """``top`` is the branch's degree-6 summand of ``sigma2``.
+class DecompositionReport(namedtuple("DecompositionReport",
+                                     "invariants branch sigma2 sigma top notes",
+                                     defaults=((),))):
+    """``sigma`` is a WedgeComplex or Unresolved; ``top`` is the branch's
+    degree-6 summand of ``sigma2``.
 
     ``stages`` is not a field: the three stage wedges are built from the
-    invariants on first read, which only ``classify --stages`` makes.
+    invariants on first read, which only ``classify --stages`` makes (the
+    instance dict, there being no __slots__, keeps them).
     """
-
-    invariants: ManifoldInvariants
-    branch: str
-    sigma2: WedgeComplex
-    sigma: WedgeComplex | Unresolved
-    top: ElementaryComplex
-    notes: tuple[str, ...] = ()
 
     @cached_property
     def stages(self) -> StageDecompositions:
         return stage_decompositions(self.invariants)
 
     def to_json_dict(self, level: int = 2, stages: bool = True) -> dict:
-        """The single suspension alone at ``level`` 1, both suspensions
-        and, with ``stages``, the stages at level 2; each wedge that goes
-        into it is rendered once."""
+        """The single suspension alone at ``level`` 1, both suspensions and
+        the invariants at level 2; with ``stages``, the stages at either
+        level.  Each wedge that goes into it is rendered once."""
         if isinstance(self.sigma, Unresolved):
             sigma: object = {"unresolved": True, "note": self.sigma.reason}
         else:
             sigma = self.sigma.notation
-        if level == 1:
-            return {"label": self.invariants.label, "branch": self.branch, "sigma": sigma,
-                    "notes": list(self.notes)}
-        out = {
-            "label": self.invariants.label,
-            "branch": self.branch,
-            "sigma2": self.sigma2.notation,
-            "sigma": sigma,
-        }
+        out = {"label": self.invariants.label, "branch": self.branch}
+        if level == 2:
+            out["sigma2"] = self.sigma2.notation
+        out["sigma"] = sigma
         if stages:
             out["stages"] = self.stages.to_json_dict()
         out["notes"] = list(self.notes)
-        out["invariants"] = self.invariants.to_json_dict()
+        if level == 2:
+            out["invariants"] = self.invariants.to_json_dict()
         return out
 
 

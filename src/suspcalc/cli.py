@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -83,13 +83,12 @@ def load_descriptors(data) -> list[ManifoldInvariants]:
     return out
 
 
-@dataclass(frozen=True)
-class Batch:
-    """The classified members of one input, the declined ones left out."""
+class Batch(namedtuple("Batch", "single reports declined")):
+    """The classified members of one input, the declined ones left out:
+    ``reports`` holds (invariants, report) pairs, and ``single`` says that
+    the input was one descriptor, not a list."""
 
-    single: bool  # the input was one descriptor, not a list
-    reports: list[tuple[ManifoldInvariants, DecompositionReport]]
-    declined: bool
+    __slots__ = ()
 
     def exit_code(self, checks_passed: bool = True) -> int:
         if not checks_passed:
@@ -224,7 +223,7 @@ def run_classify(args) -> int:
                 lines.append(f"Sigma M   ~ {sigma}")
             lines.extend(f"note:    {note}" for note in report.notes)
         if args.stages:
-            stages = payload.get("stages") or report.stages.to_json_dict()
+            stages = payload["stages"]
             w4 = stages["W4"] if isinstance(stages["W4"], str) else stages["W4"]["symbolic"]
             lines.append(f"  W3 ~ {stages['W3']}")
             lines.append(f"  W4 ~ {w4}")

@@ -25,9 +25,9 @@ would drop the quotiented Moore factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cache
-from typing import Iterable
 
 from .abelian import RING_Z2LOCAL, CyclicFactor, FgAbelianGroup, ZERO_GROUP
 from .catalog import (
@@ -61,8 +61,8 @@ def _z2local(rank: int = 1, exponents: Iterable[tuple[int, int]] = ()) -> FgAbel
     return FgAbelianGroup(rank, free_ring=RING_Z2LOCAL, counts=counts)
 
 
-@dataclass(frozen=True)
-class HopfEntry:
+class HopfEntry(namedtuple("HopfEntry",
+                           "summand domain_group codomain_group cokernel kernel_trivial rule")):
     """Restriction of the James-Hopf homomorphism H to one wedge summand.
 
     ``domain_group`` is [X, S^3] and ``codomain_group`` is [X, S^5],
@@ -75,12 +75,7 @@ class HopfEntry:
     produced the cokernel.
     """
 
-    summand: ElementaryComplex
-    domain_group: FgAbelianGroup | None
-    codomain_group: FgAbelianGroup
-    cokernel: FgAbelianGroup
-    kernel_trivial: bool | None
-    rule: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -166,10 +161,10 @@ def coker_H2(report: DecompositionReport) -> FgAbelianGroup:
     return out.direct_sum(hopf_table(report.top).cokernel)
 
 
-@dataclass(frozen=True)
-class ESurjectivity:
-    surjective: bool | None  # None = unknown
-    justification: str
+class ESurjectivity(namedtuple("ESurjectivity", "surjective justification")):
+    """``surjective`` is None where the verdict is unknown."""
+
+    __slots__ = ()
 
     def __str__(self):
         verdict = {True: "surjective", False: "not surjective", None: "unknown"}
@@ -215,13 +210,12 @@ def is_E_surjective(x: "ManifoldInvariants | DecompositionReport") -> ESurjectiv
     return ESurjectivity(True, _E_RULES[report.branch])
 
 
-@dataclass(frozen=True)
-class FiberOfE:
-    """The fiber E^(-1)(alpha) over a class in [Sigma M, S^3]."""
+class FiberOfE(namedtuple("FiberOfE", "empty coker cardinality")):
+    """The fiber E^(-1)(alpha) over a class in [Sigma M, S^3]: ``coker``
+    is its torsor structure when it is non-empty, ``cardinality`` None
+    when it is empty or infinite."""
 
-    empty: bool
-    coker: FgAbelianGroup | None  # torsor structure when non-empty
-    cardinality: int | None  # None when empty or infinite
+    __slots__ = ()
 
 
 def fiber_of_E(alpha_in_kernel_H1: bool, report: DecompositionReport) -> FiberOfE:

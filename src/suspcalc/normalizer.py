@@ -34,12 +34,13 @@ compiled from those blocks once, and cached as well.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
 from math import prod
 
+from .abelian import Validated
 from .catalog import (
     ETA,
     ETA2,
@@ -102,22 +103,19 @@ def _moore_exponent(x: ElementaryComplex) -> int:
     return x.order.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class MapClass:
+class MapClass(Validated, namedtuple("MapClass", "entry coeffs")):
     """A homotopy class in the tabulated group ``entry`` = [source, target],
     as coefficients on its generator basis, each reduced modulo its order."""
 
-    entry: MapsGroupEntry
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        orders = self.entry.orders
-        if len(self.coeffs) != len(orders):
+    def __new__(cls, entry: MapsGroupEntry, coeffs: tuple[int, ...]):
+        orders = entry.orders
+        if len(coeffs) != len(orders):
             raise ValueError(
-                f"expected {len(orders)} coefficients for [{self.source}, {self.target}]"
+                f"expected {len(orders)} coefficients for [{entry.source}, {entry.target}]"
             )
-        reduced = tuple(c % o if o else c for c, o in zip(self.coeffs, orders))
-        object.__setattr__(self, "coeffs", reduced)
+        return tuple.__new__(cls, (entry, tuple(c % o if o else c for c, o in zip(coeffs, orders))))
 
     @property
     def source(self) -> ElementaryComplex:
@@ -201,19 +199,16 @@ INCL_ETA_PINCH = "incl_eta_pinch"
 INCL_ETA_BAR = "incl_eta_bar"
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
+class GeneratorSymbol(namedtuple("GeneratorSymbol", "kind source target deg", defaults=(1,))):
     """A generator or structural map with its (co)domain, printed by kind.
 
     ``kind`` covers the identity and degree maps, the Hopf classes eta,
     eta^2, nu', the Moore-space structure maps i, q, eta~_r, eta-_r, the
     comparison maps chi^r_s and the composite transfers built from them.
+    ``deg`` is the degree of a degree map.
     """
 
-    kind: str
-    source: ElementaryComplex
-    target: ElementaryComplex
-    deg: int = 1  # payload for degree maps
+    __slots__ = ()
 
     def __str__(self):
         label = f"{DEG} {self.deg}" if self.kind == DEG else self.kind
@@ -379,26 +374,24 @@ def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
 # map vectors and row operations
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MapVector:
+class MapVector(Validated, namedtuple("MapVector", "source targets entries theta_remainder")):
     """A column vector of components of a map from a sphere into a wedge.
 
     ``theta_remainder`` marks a symbolically unresolved Whitehead-product
     term; vectors carrying it are outside the normalizable regime.
     """
 
-    source: ElementaryComplex
-    targets: tuple[ElementaryComplex, ...]
-    entries: tuple[MapClass, ...]
-    theta_remainder: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.targets) != len(self.entries):
+    def __new__(cls, source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
+                entries: tuple[MapClass, ...], theta_remainder: bool = False):
+        if len(targets) != len(entries):
             raise ValueError("one entry per target required")
-        for target, entry in zip(self.targets, self.entries):
+        for target, entry in zip(targets, entries):
             # complexes are interned: one complex is one object
-            if entry.source is not self.source or entry.target is not target:
-                raise ValueError(f"entry {entry} does not live in [{self.source}, {target}]")
+            if entry.source is not source or entry.target is not target:
+                raise ValueError(f"entry {entry} does not live in [{source}, {target}]")
+        return tuple.__new__(cls, (source, targets, entries, theta_remainder))
 
     @classmethod
     def of(cls, source: ElementaryComplex, components: list[tuple[ElementaryComplex, dict[str, int]]],
@@ -410,7 +403,7 @@ class MapVector:
     def with_entry(self, i: int, entry: MapClass) -> "MapVector":
         entries = list(self.entries)
         entries[i] = entry
-        return replace(self, entries=tuple(entries))
+        return self._replace(entries=tuple(entries))
 
     def key(self) -> tuple:
         return tuple(e.coeffs for e in self.entries)
@@ -446,27 +439,37 @@ class MapVector:
         return cls.of(source, components, theta_remainder)
 
 
-@dataclass(frozen=True)
-class SwapRows:
-    i: int
-    j: int
+class _Move:
+    """Base of the move records: a move equals only a move of its own
+    type.  Moves are keys of the ``_block`` cache, where tuple equality
+    would let a move meet any record or tuple with the same fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class AddRow:
+class SwapRows(_Move, namedtuple("SwapRows", "i j")):
+    __slots__ = ()
+
+
+class AddRow(_Move, namedtuple("AddRow", "dst src transfer")):
     """row[dst] += transfer . row[src]."""
 
-    dst: int
-    src: int
-    transfer: GeneratorSymbol
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ActBySelfEquiv:
-    """Act on one row by a self-equivalence of its target summand."""
+class ActBySelfEquiv(_Move, namedtuple("ActBySelfEquiv", "row op")):
+    """Act on one row by a self-equivalence of its target summand: ``op``
+    is "neg" or "unit_plus_i_eta_q"."""
 
-    row: int
-    op: str  # "neg" or "unit_plus_i_eta_q"
+    __slots__ = ()
 
 
 # The move alphabet: (source kind, target kind, target.n - source.n) ->
@@ -530,7 +533,7 @@ def row_op(v: MapVector, op) -> MapVector:
             raise IllegalOp("can only swap rows with identical targets")
         entries = list(v.entries)
         entries[i], entries[j] = entries[j], entries[i]
-        return replace(v, entries=tuple(entries))
+        return v._replace(entries=tuple(entries))
     if isinstance(op, AddRow):
         if op.dst == op.src:
             raise IllegalOp("use ActBySelfEquiv for diagonal moves")
@@ -599,7 +602,7 @@ def normalize(v: MapVector) -> MapVector:
     if v.source.kind != SPHERE:
         raise UnsupportedVector("only sphere-sourced vectors are normalized")
     kinds = _classify_rows(v)
-    out = replace(v, entries=tuple(MapClass(e.entry, (0,) * len(e.coeffs)) for e in v.entries))
+    out = v._replace(entries=tuple(MapClass(e.entry, (0,) * len(e.coeffs)) for e in v.entries))
     for kind, (highest, _) in _SURVIVORS.items():
         slots = [(_exponent(v.targets[i]), i) for i, k in enumerate(kinds) if k == kind]
         if slots:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -201,7 +200,7 @@ def test_roundtrip_flags_tampered_report():
     summands = tuple(
         chang_eta(4) if s == sphere(6) else s for s in report.sigma2.summands
     )
-    tampered = dataclasses.replace(report, sigma2=WedgeComplex(summands))
+    tampered = report._replace(sigma2=WedgeComplex(summands))
     results = {c.name: c.passed for c in validate_roundtrip(inv, tampered)}
     assert results["sq2-degree-4"] is False
 
@@ -242,7 +241,7 @@ def test_invalid_indices():
 
 def test_descriptor_json_roundtrip_randomized(rng):
     for i in range(200):
-        inv = dataclasses.replace(random_invariants(rng), label=f"r{i}" if i % 2 else None)
+        inv = random_invariants(rng)._replace(label=f"r{i}" if i % 2 else None)
         data = json.loads(json.dumps(inv.to_json_dict()))
         assert ManifoldInvariants.from_json_dict(data) == inv
 

@@ -148,6 +148,24 @@ def test_classify_suspension_level_one_unresolved(tmp_path, capsys):
     assert "Unresolved" in out
 
 
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_classify_json_and_text_list_the_same_stages(tmp_path, capsys, level):
+    # A split W4 (trivial Postnikov square) and a symbolic one.
+    path = write(tmp_path, "d.json", [SPIN_DESCRIPTOR, spin_with(postnikov_trivial=False)])
+    args = ["classify", path, "--stages", "--suspension-level", level]
+    code, text, _ = run_cli(args, tmp_path, capsys)
+    assert code == EXIT_OK
+    code, out, _ = run_cli([*args, "--json"], tmp_path, capsys)
+    assert code == EXIT_OK
+    printed = []
+    for payload in json.loads(out):
+        stages = payload["stages"]
+        w4 = stages["W4"] if isinstance(stages["W4"], str) else stages["W4"]["symbolic"]
+        printed += [f"W3 ~ {stages['W3']}", f"W4 ~ {w4}", f"Sigma W4 ~ {stages['SigmaW4']}"]
+    assert "C_{g2}" in printed[4]
+    assert [line.strip() for line in text.splitlines() if line.startswith("  ")] == printed
+
+
 def test_classify_omitted_exit_code(tmp_path, capsys):
     path = write(tmp_path, "d.json", OMITTED_DESCRIPTOR)
     code, _, err = run_cli(["classify", path], tmp_path, capsys)
@@ -486,7 +504,8 @@ def test_output_is_the_same_under_every_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("module", ["jsonschema", "sympy", "suspcalc.ehp", "suspcalc.normalizer"])
+@pytest.mark.parametrize("module", ["jsonschema", "sympy", "suspcalc.ehp", "suspcalc.normalizer",
+                                    "dataclasses", "inspect"])
 def test_cli_imports_without(module):
     src = str(Path(suspcalc.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -522,13 +541,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, capsys, args, loa
     script = ("import json, sys; from suspcalc.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'suspcalc')),"
-              " file=sys.stderr)\n"
+              " 'dataclasses' in sys.modules, file=sys.stderr)\n"
               "sys.exit(code)")
     src = str(Path(suspcalc.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert set(json.loads(proc.stderr.splitlines()[-1])) == loaded
+    modules, dataclasses_loaded = proc.stderr.splitlines()[-1].rsplit(" ", 1)
+    assert set(json.loads(modules)) == loaded
+    assert dataclasses_loaded == "False"
     code, out, _ = run_cli(args, tmp_path, capsys)
     assert code == EXIT_OK
     assert proc.stdout == out
