@@ -28,12 +28,15 @@ number of those row indices.  A move touches one row, or two, and what
 it does there depends only on the source, those rows' targets and the
 move: each such block is tabulated once, from ``row_op`` on every block
 state, and cached, so ``row_op`` stays the only definition of a move.
-The offset tables of every move on one source and tuple of targets are
-compiled from those blocks once, and cached as well.
+Once per source and tuple of targets, the blocks become offset tables on
+whole states, and those tables the state graph: each state's distinct
+neighbours one legal move away, in two flat arrays.  The graph is cached
+and the tables are dropped, so the closure is a walk of neighbour lists.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cache
@@ -734,9 +737,13 @@ def _move_tables(source: ElementaryComplex, targets: tuple[ElementaryComplex, ..
 def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...]):
     """What the oracle's closure needs for any vector from ``source`` into
     ``targets``, built once per such pair: the places of ``_move_tables``,
-    its tables of the moves that change some state, and each row's
-    ``_elements``.  Raises TooLarge (caching nothing) past the oracle's
-    bounds."""
+    the state graph, and each row's ``_elements``.  Raises TooLarge
+    (caching nothing) past the oracle's bounds.
+
+    The graph lists, for every state, the distinct states one legal move
+    away, in ``_all_moves`` order, leaving out the state itself: state k's
+    neighbours are ``graph[ends[k]:ends[k + 1]]``.  It is read off the
+    offset tables of ``_move_tables``, which are then dropped."""
     if len(targets) > 4:
         raise TooLarge("oracle supports at most 4 targets")
     total = 1
@@ -748,8 +755,15 @@ def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...])
     if total > 2**12:
         raise TooLarge(f"total entry-group order {total} exceeds 2^12")
     places, tables = _move_tables(source, targets, _all_moves(targets))
-    moves = tuple(m for m in tables if any(m[3]))  # drop moves that fix every state
-    return tuple(places), moves, tuple(_elements(source, t) for t in targets)
+    tables = [m for m in tables if any(m[3])]  # drop moves that fix every state
+    graph, ends = array("H"), array("I", [0])  # a state is below 2^12
+    for state in range(total):
+        d = [state // s % n for s, n in places]
+        # a step is None where the move is illegal, 0 where it fixes the state
+        graph.extend(dict.fromkeys([state + step for hi, lo, radix, delta in tables
+                                    if (step := delta[d[hi] * radix + d[lo]])]))
+        ends.append(len(graph))
+    return tuple(places), graph, ends, tuple(_elements(source, t) for t in targets)
 
 
 class Orbit(Mapping):
@@ -782,24 +796,20 @@ class Orbit(Mapping):
 def orbit(v: MapVector) -> Orbit:
     """Closure of v under all legal row operations, keyed by coefficients.
 
-    The moves of ``_all_moves`` come as offset tables compiled once per
-    source and targets (``_compiled``); the closure then runs over integer
-    states, and each reached state's row indices, read through
-    ``_elements``, are a member's key.  Members are built as vectors only
-    when looked up.
+    The closure is a breadth-first walk of the state graph that
+    ``_compiled`` builds once per source and targets: a state's
+    neighbours are its images under the moves of ``_all_moves``, in that
+    order.  Each reached state's row indices, read through ``_elements``,
+    are a member's key.  Members are built as vectors only when looked up.
     """
-    places, moves, rows = _compiled(v.source, v.targets)
+    places, graph, ends, rows = _compiled(v.source, v.targets)
     start = sum(r.index(e.coeffs) * s for r, e, (s, _) in zip(rows, v.entries, places))
     states, seen = [start], {start}
     for state in states:  # a worklist that grows while it is read
-        d = [state // s % n for s, n in places]
-        for hi, lo, radix, delta in moves:
-            step = delta[d[hi] * radix + d[lo]]
-            if step:  # None where the move is illegal, 0 where it fixes the state
-                image = state + step
-                if image not in seen:
-                    seen.add(image)
-                    states.append(image)
+        for image in graph[ends[state]:ends[state + 1]]:
+            if image not in seen:
+                seen.add(image)
+                states.append(image)
     return Orbit(v, (tuple([r[state // s % n] for r, (s, n) in zip(rows, places)])
                      for state in states))
 

@@ -466,7 +466,7 @@ def _cold_orbit(v):
 
 def test_orbit_independent_of_block_cache():
     # The oracle caches each move's block by complexes and move only, and
-    # the compiled tables by source and targets.  Blocks cached from the
+    # the state graph by source and targets.  Blocks cached from the
     # reversed vector, at other rows, give the same orbit as cold caches;
     # the second vector has illegal columns (eta-_2 . eta~_2 is not
     # tabulated).
@@ -480,10 +480,10 @@ def test_orbit_independent_of_block_cache():
         assert normalizer._block.cache_info().misses == misses > 0
         assert _cold_orbit(v) == warm
 
-    # Tables compiled for one vector serve every vector into the same
-    # targets: each orbit from warm compiled tables is the cold one.  The
-    # last ten vectors map S^6 into S^3 and P^5(2^r), r >= 2, where some
-    # moves are illegal.
+    # A graph compiled for one vector serves every vector into the same
+    # targets: each orbit from a warm graph is the cold one.  The last ten
+    # vectors map S^6 into S^3 and P^5(2^r), r >= 2, where some moves are
+    # illegal, as their offset tables show.
     rng = random.Random(3)
     illegal = 0
     for k in range(40):
@@ -496,8 +496,8 @@ def test_orbit_independent_of_block_cache():
         hits = normalizer._compiled.cache_info().hits
         warm = list(orbit(v))
         assert normalizer._compiled.cache_info().hits == hits + 1
-        _, moves, _ = normalizer._compiled(v.source, v.targets)
-        illegal += any(None in delta for *_, delta in moves)
+        _, tables = normalizer._move_tables(v.source, v.targets, normalizer._all_moves(v.targets))
+        illegal += any(None in delta for *_, delta in tables)
         assert list(_cold_orbit(v)) == warm, v.key()
     assert illegal >= 10
 
@@ -596,6 +596,44 @@ def test_compiled_moves_equal_row_op():
             assert image == expected, (v.key(), move)
             checked += 1
     assert checked > 5000 and illegal > 20
+
+
+# Maps from S^6 into up to three of these: eta-_r . eta~_r (r >= 2) makes
+# a move from a P^5(4) row into an S^3 row illegal on some states.
+S6_WINDOW = (S3, moore(5, 4), moore(5, 2), S5)
+
+
+def test_state_graph_equals_row_op():
+    # Each state's neighbours in the oracle's graph are, in order, the
+    # distinct images row_op gives it over _all_moves, leaving out illegal
+    # moves and the state itself; every state of each target tuple.
+    rng = random.Random(13)
+    pairs = [(sphere(6), targets) for size in (1, 2, 3)
+             for targets in combinations_with_replacement(S6_WINDOW, size)]
+    pairs += [(v.source, v.targets) for v in (_random_pool_vector(rng, MOVE_POOL) for _ in range(200))]
+    with_illegal = 0
+    for source, targets in dict.fromkeys(pairs):
+        places, graph, ends, rows = normalizer._compiled(source, targets)
+        moves = normalizer._all_moves(targets)
+        entries = [maps_group(source, t) for t in targets]
+        illegal = False
+        for state, key in enumerate(product(*rows)):  # states number the keys in this order
+            w = MapVector(source, targets, tuple(MapClass(e, c) for e, c in zip(entries, key)))
+            expected = {}
+            for move in moves:
+                try:
+                    image = row_op(w, move).key()
+                except IllegalOp:
+                    illegal = True
+                    continue
+                if image != key:
+                    expected[image] = None
+            neighbours = [tuple(r[image // s % n] for r, (s, n) in zip(rows, places))
+                          for image in graph[ends[state]:ends[state + 1]]]
+            assert neighbours == list(expected), (source, targets, key)
+        assert len(ends) == state + 2
+        with_illegal += illegal
+    assert with_illegal >= 10
 
 
 def _row_op_closure(v):
