@@ -495,10 +495,8 @@ def integral_homology(x: "ElementaryComplex | WedgeComplex", i: int) -> FgAbelia
     return homology_by_degree(x)[i]
 
 
-@cache
 def _mod2_basis(x: ElementaryComplex, k: int) -> int:
-    """dim H^k(X; Z/2), from integral homology by universal coefficients;
-    computed once per (complex, degree), like ``_homology_pairs``."""
+    """dim H^k(X; Z/2), from integral homology by universal coefficients."""
     dim = 0
     for degree, group in _homology_pairs(x):
         two_torsion = len(group.two_primary_exponents())

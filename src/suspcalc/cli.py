@@ -180,7 +180,7 @@ def json_text(obj) -> str:
 def _emit(payload, as_json: bool, pretty_lines) -> None:
     if as_json:
         print(json_text(payload))
-    else:
+    elif pretty_lines:  # an empty batch prints nothing, as validate does
         print("\n".join(pretty_lines))
 
 

@@ -17,7 +17,9 @@ eta entry on a sphere dominates i-eta, eta^2 and i-eta^2 and survives at
 the smallest index; i-eta and i-eta^2 entries survive at the largest
 exponent (ties by largest index), because the comparison map chi kills
 upward in the exponent for inclusions; eta^2 survives at the smallest
-index and dominates i-eta^2.
+index and dominates i-eta^2.  Any other nonzero entry, such as an odd
+multiple of a generator that no row operation takes to +-1 times it, is
+outside the normal-form range (``MapClass.kind``).
 
 ``oracle_normal_form`` ignores all of these conventions and simply
 closes a small vector under every legal row operation, returning the
@@ -28,10 +30,9 @@ number of those row indices.  A move touches one row, or two, and what
 it does there depends only on the source, those rows' targets and the
 move: each such block is tabulated once, from ``row_op`` on every block
 state, and cached, so ``row_op`` stays the only definition of a move.
-Once per source and tuple of targets, the blocks become offset tables on
-whole states, and those tables the state graph: each state's distinct
-neighbours one legal move away, in two flat arrays.  The graph is cached
-and the tables are dropped, so the closure is a walk of neighbour lists.
+Once per source and tuple of targets, the blocks are compiled into the
+state graph, each state's distinct neighbours one legal move away in two
+flat arrays, and cached, so the closure is a walk of neighbour lists.
 """
 
 from __future__ import annotations
@@ -158,23 +159,18 @@ class MapClass(Validated, namedtuple("MapClass", "entry coeffs")):
     # ----- semantic classification ---------------------------------------
 
     def kind(self) -> str:
-        """One of zero/eta/eta2/i-eta/i-eta2/eta~/iota/incl/other."""
+        """zero, the _SURVIVORS kind of a class ``normalize`` keeps, or other."""
         if self.is_zero:
             return ZERO
         kinds, c = self.entry.kinds, self.coeffs
         if kinds[0] == ETA_TILDE:
-            # eta~_r and i eta^2 on two Z/2's for r >= 2; for r = 1 one Z/4
-            # on eta~_1 with i eta^2 = 2 eta~_1.
-            z = c[0]
-            w = c[1] if len(c) > 1 else z >> 1
-            if z % 2:
-                return ETA_TILDE
-            return INCL_ETA2 if w % 2 else ZERO
-        live = [k for k, x in zip(kinds, c) if x]
-        if len(live) == 1 and live[0] in (ETA, ETA2, INCL_ETA, IOTA, INCL):
-            if live[0] == INCL_ETA and c[0] % 2 == 0:
-                return OTHER
-            return live[0]
+            # every even class is a multiple of i eta^2 (= 2 eta~_1 at r = 1)
+            return ETA_TILDE if c[0] % 2 else INCL_ETA2
+        live = [(k, x, o) for k, x, o in zip(kinds, c, self.entry.orders) if x]
+        if len(live) == 1:
+            kind, x, order = live[0]
+            if kind in _SURVIVORS and x in (1, order - 1):  # 1, or -1 where neg takes it
+                return kind
         return OTHER
 
     def __str__(self):
@@ -202,20 +198,18 @@ INCL_ETA_PINCH = "incl_eta_pinch"
 INCL_ETA_BAR = "incl_eta_bar"
 
 
-class GeneratorSymbol(namedtuple("GeneratorSymbol", "kind source target deg", defaults=(1,))):
+class GeneratorSymbol(namedtuple("GeneratorSymbol", "kind source target")):
     """A generator or structural map with its (co)domain, printed by kind.
 
-    ``kind`` covers the identity and degree maps, the Hopf classes eta,
+    ``kind`` covers the identity ``deg`` of a sphere, the Hopf classes eta,
     eta^2, nu', the Moore-space structure maps i, q, eta~_r, eta-_r, the
     comparison maps chi^r_s and the composite transfers built from them.
-    ``deg`` is the degree of a degree map.
     """
 
     __slots__ = ()
 
     def __str__(self):
-        label = f"{DEG} {self.deg}" if self.kind == DEG else self.kind
-        return f"{label}: {self.source} -> {self.target}"
+        return f"{self.kind}: {self.source} -> {self.target}"
 
 
 def sym_eta(n: int) -> GeneratorSymbol:
@@ -287,9 +281,10 @@ _THROUGH_PINCH = {
 # The composition law: (transfer kind, generator kind) -> (image kind,
 # multiple) for a transfer left-composed with one sphere-sourced
 # generator; image None means the composite is zero, and pairs left out
-# are not tabulated.  Degree maps keep the generator's kind; chi^r_s
-# multiplies by a power of 2 that depends on r and s (apply_transfer).
+# are not tabulated.  chi^r_s multiplies by a power of 2 that depends on
+# r and s (apply_transfer).
 _COMPOSITION: dict[tuple[str, str], tuple[str | None, int]] = {
+    **{(DEG, kind): (kind, 1) for kind in (IOTA, ETA, ETA2, NU_PRIME)},
     (ETA, IOTA): (ETA, 1),
     (ETA, ETA): (ETA2, 1),
     (ETA, ETA2): (NU_PRIME, 2),  # eta^3 = 2 nu'
@@ -328,14 +323,9 @@ def apply_transfer(transfer: GeneratorSymbol, x: MapClass) -> MapClass:
     for gen_kind, coeff in zip(x.entry.kinds, x.coeffs):
         if coeff == 0:
             continue
-        if transfer.kind == DEG:
-            if gen_kind == NU_PRIME and transfer.deg not in (0, 1):
-                raise TableMiss("degree maps do not act linearly on nu'")
-            image, multiple = gen_kind, transfer.deg
-        elif (transfer.kind, gen_kind) in _COMPOSITION:
-            image, multiple = _COMPOSITION[transfer.kind, gen_kind]
-        else:
+        if (transfer.kind, gen_kind) not in _COMPOSITION:
             raise TableMiss(f"{transfer.kind} . {gen_kind} is not tabulated")
+        image, multiple = _COMPOSITION[transfer.kind, gen_kind]
         if (transfer.kind, gen_kind) == (ETA_BAR, ETA_TILDE) and _moore_exponent(x.target) > 1:
             raise TableMiss("eta-_r . eta~_r is only tabulated for r = 1")
         if transfer.kind == CHI:
@@ -349,12 +339,12 @@ def apply_transfer(transfer: GeneratorSymbol, x: MapClass) -> MapClass:
 
 
 def _symbol_as_class(symbol: GeneratorSymbol) -> MapClass | None:
-    """View a sphere-sourced symbol as the unit class of its group, a
-    degree map as that multiple of the identity."""
+    """View a sphere-sourced symbol as the unit class of its group, ``deg``
+    as the identity."""
     if symbol.source.kind != SPHERE:
         return None
-    kind, coeff = (IOTA, symbol.deg) if symbol.kind == DEG else (symbol.kind, 1)
-    return _pure_entry(maps_group(symbol.source, symbol.target), kind, coeff)
+    kind = IOTA if symbol.kind == DEG else symbol.kind
+    return _pure_entry(maps_group(symbol.source, symbol.target), kind)
 
 
 def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
@@ -510,8 +500,6 @@ def transfer_alphabet(src: ElementaryComplex, dst: ElementaryComplex) -> tuple[G
 
 
 def self_equivalences(target: ElementaryComplex) -> tuple[str, ...]:
-    if target.kind == SPHERE:
-        return ("neg",)
     if target.kind == MOORE and not target.order % 2:
         return ("neg", "unit_plus_i_eta_q")
     return ("neg",)
@@ -584,18 +572,6 @@ def _exponent(x: ElementaryComplex) -> tuple[int, ...]:
     return (_moore_exponent(x),) if x.kind == MOORE else ()
 
 
-def _classify_rows(v: MapVector) -> list[str]:
-    kinds = []
-    for entry in v.entries:
-        k = entry.kind()
-        if k != ZERO and k not in _SURVIVORS:
-            raise UnsupportedVector(
-                f"entry {entry} in [{v.source}, {entry.target}] is outside the normal-form range"
-            )
-        kinds.append(k)
-    return kinds
-
-
 def normalize(v: MapVector) -> MapVector:
     """Canonical orbit representative with at most one nonzero entry: the
     unit generator of the first _SURVIVORS kind present, at its winning
@@ -604,7 +580,11 @@ def normalize(v: MapVector) -> MapVector:
         raise UnsupportedVector("vector carries an unresolved Whitehead-product remainder")
     if v.source.kind != SPHERE:
         raise UnsupportedVector("only sphere-sourced vectors are normalized")
-    kinds = _classify_rows(v)
+    kinds = [e.kind() for e in v.entries]
+    if OTHER in kinds:
+        entry = v.entries[kinds.index(OTHER)]
+        raise UnsupportedVector(
+            f"entry {entry} in [{v.source}, {entry.target}] is outside the normal-form range")
     out = v._replace(entries=tuple(MapClass(e.entry, (0,) * len(e.coeffs)) for e in v.entries))
     for kind, (highest, _) in _SURVIVORS.items():
         slots = [(_exponent(v.targets[i]), i) for i, k in enumerate(kinds) if k == kind]
@@ -666,17 +646,9 @@ def _all_moves(targets: tuple[ElementaryComplex, ...]):
 def _elements(source: ElementaryComplex, target: ElementaryComplex) -> tuple[tuple[int, ...], ...]:
     """The classes of [source, target] as reduced coefficient tuples, in
     ``itertools.product`` order over the entry orders: a class's row index
-    is its place here, and the zero class has index 0."""
+    is its place here, and the zero class has index 0.  Cached, so that
+    the state graphs of all target tuples share one copy per target."""
     return tuple(product(*(range(o) for o in maps_group(source, target).orders)))
-
-
-def _rows(move) -> tuple[tuple[int, ...], object]:
-    """The rows a move reads or writes, and the move on just those rows."""
-    if isinstance(move, AddRow):
-        return (move.src, move.dst), AddRow(1, 0, move.transfer)
-    if isinstance(move, SwapRows):
-        return (move.i, move.j), SwapRows(0, 1)
-    return (move.row,), ActBySelfEquiv(0, move.op)
 
 
 @cache
@@ -686,13 +658,7 @@ def _block(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
     off ``row_op`` on every block state: entry k is the index of the image
     of block state k, or None where ``row_op`` rejects it.  Block states
     are the tuples of the rows' indices into ``_elements``, numbered in
-    ``itertools.product`` order.
-
-    A move neither reads nor changes a row outside its block, so on a whole
-    vector it fixes every other row and is legal exactly where its block
-    state is: a transfer that cannot follow a map from a non-sphere source
-    is None everywhere, the zero state included.
-    """
+    ``itertools.product`` order."""
     entries = [maps_group(source, t) for t in targets]
     states = list(product(*(_elements(source, t) for t in targets)))
     index = {key: k for k, key in enumerate(states)}
@@ -706,44 +672,26 @@ def _block(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
     return tuple(table)
 
 
-def _move_tables(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
-                 moves) -> tuple[list[tuple[int, int]], list[tuple]]:
-    """Each move as an offset table on integer states, assembled from the
-    cached ``_block`` of the rows it touches.
-
-    A state is the mixed-radix number of the rows' indices into
-    ``_elements``, row 0 most significant: row i's index is
-    ``state // stride % size`` for its place (stride, size), returned
-    first.  A move becomes (hi, lo, radix, delta): on a state with row
-    indices d, its image is the state plus ``delta[d[hi] * radix + d[lo]]``,
-    and it is illegal where that entry is None.
-    """
-    sizes = [len(_elements(source, t)) for t in targets]
-    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-    steps = [range(0, n * s, s) for n, s in zip(sizes, strides)]  # per row index
-    tables = []
-    for move in moves:
-        rows, local = _rows(move)
-        table = _block(source, tuple(targets[i] for i in rows), local)
-        # the offset of each block state, in the block's product order
-        offsets = list(map(sum, product(*(steps[i] for i in rows))))
-        delta = tuple(None if k is None else offsets[k] - at for k, at in zip(table, offsets))
-        hi, lo = rows[0], rows[-1]
-        tables.append((hi, lo, sizes[lo] if len(rows) > 1 else 0, delta))
-    return list(zip(strides, sizes)), tables
-
-
 @cache
 def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...]):
     """What the oracle's closure needs for any vector from ``source`` into
-    ``targets``, built once per such pair: the places of ``_move_tables``,
-    the state graph, and each row's ``_elements``.  Raises TooLarge
-    (caching nothing) past the oracle's bounds.
+    ``targets``, built once per such pair: each row's place, the state
+    graph, and each row's ``_elements``.  Raises TooLarge (caching
+    nothing) past the oracle's bounds.
+
+    A state is the mixed-radix number of the rows' indices into
+    ``_elements``, row 0 most significant: row i's index is
+    ``state // stride % size`` for its place (stride, size).  A move
+    neither reads nor changes a row outside the one or two it touches, so
+    it fixes every other row and is legal exactly where its ``_block``
+    state is (a transfer that cannot follow a map from a non-sphere source
+    is illegal everywhere, the zero state included).  So its block, as
+    offsets on whole states, moves a state with row indices d by
+    ``delta[d[hi] * radix + d[lo]]``, for the rows hi and lo it touches.
 
     The graph lists, for every state, the distinct states one legal move
     away, in ``_all_moves`` order, leaving out the state itself: state k's
-    neighbours are ``graph[ends[k]:ends[k + 1]]``.  It is read off the
-    offset tables of ``_move_tables``, which are then dropped."""
+    neighbours are ``graph[ends[k]:ends[k + 1]]``."""
     if len(targets) > 4:
         raise TooLarge("oracle supports at most 4 targets")
     total = 1
@@ -754,16 +702,32 @@ def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...])
         total *= order
     if total > 2**12:
         raise TooLarge(f"total entry-group order {total} exceeds 2^12")
-    places, tables = _move_tables(source, targets, _all_moves(targets))
-    tables = [m for m in tables if any(m[3])]  # drop moves that fix every state
+    rows = tuple(_elements(source, t) for t in targets)
+    sizes = [len(r) for r in rows]
+    places = tuple((prod(sizes[i + 1:]), n) for i, n in enumerate(sizes))
+    steps = [range(0, n * s, s) for s, n in places]  # per row index
+    moves = []
+    for move in _all_moves(targets):
+        if isinstance(move, AddRow):
+            at, local = (move.src, move.dst), AddRow(1, 0, move.transfer)
+        elif isinstance(move, SwapRows):
+            at, local = (move.i, move.j), SwapRows(0, 1)
+        else:
+            at, local = (move.row,), ActBySelfEquiv(0, move.op)
+        block = _block(source, tuple(targets[i] for i in at), local)
+        # the offset of each block state, in the block's product order
+        offsets = list(map(sum, product(*(steps[i] for i in at))))
+        delta = tuple(None if k is None else offsets[k] - o for k, o in zip(block, offsets))
+        if any(delta):  # leave out moves that fix every state
+            moves.append((at[0], at[-1], sizes[at[-1]] if len(at) > 1 else 0, delta))
     graph, ends = array("H"), array("I", [0])  # a state is below 2^12
     for state in range(total):
         d = [state // s % n for s, n in places]
         # a step is None where the move is illegal, 0 where it fixes the state
-        graph.extend(dict.fromkeys([state + step for hi, lo, radix, delta in tables
+        graph.extend(dict.fromkeys([state + step for hi, lo, radix, delta in moves
                                     if (step := delta[d[hi] * radix + d[lo]])]))
         ends.append(len(graph))
-    return tuple(places), graph, ends, tuple(_elements(source, t) for t in targets)
+    return places, graph, ends, rows
 
 
 class Orbit(Mapping):

@@ -353,6 +353,20 @@ def test_oracle_sweep_s6_window():
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
 
 
+# Maps from S^3, whose P^3(2^r) entries are Z/2^(r+1) on i_2 eta: an odd
+# multiple other than +-1 is no unit generator, since no move reaches it
+# from i_2 eta (q i = 0 makes unit_plus_i_eta_q fix it).
+S3_WINDOW = {sphere(3): [moore(3, 2), moore(3, 4), moore(4, 2), moore(4, 4), moore(4, 8)]}
+
+
+def test_oracle_sweep_s3_window():
+    start = time.monotonic()
+    checked, orbits, discrepancies, _ = _oracle_sweep((1, 2, 3), S3_WINDOW)
+    assert (checked, orbits, discrepancies) == (5894, 356, 0)
+    elapsed = time.monotonic() - start
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
+
+
 def test_orbits_partition_s6_window():
     # Each member's orbit is its seed's: orbits are classes, so one state
     # graph per source and targets serves every vector into them.

@@ -19,7 +19,6 @@ from suspcalc.catalog import (
     TableMiss,
     WedgeComplex,
     _homology_pairs,
-    _mod2_basis,
     a_2r_eta2,
     a_eta2,
     a_tilde,
@@ -628,7 +627,7 @@ def test_maps_group_pool_matches_recording():
 def test_cached_facts_equal_fresh():
     # Each memoized fact, read cold and then warm, equals its uncached
     # computation; an entry's group is the canonical group of its orders.
-    for cached in (hopf_table, _homology_pairs, _mod2_basis):
+    for cached in (hopf_table, _homology_pairs):
         cached.cache_clear()
     pool = list(_maps_group_pool())
     complexes = list(dict.fromkeys([*pool, *_fact_window()]))
@@ -640,8 +639,6 @@ def test_cached_facts_equal_fresh():
                 with pytest.raises(TableMiss):
                     hopf_table.__wrapped__(x)
             assert _homology_pairs(x) == _homology_pairs.__wrapped__(x)
-            for k in range(x.top_dim + 3):
-                assert _mod2_basis(x, k) == _mod2_basis.__wrapped__(x, k)
     for source in pool:
         for target in pool:
             try:

@@ -119,8 +119,7 @@ def test_stages_built_only_when_printed(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "batch.json", batch)
     reversed_path = write(tmp_path, "reversed.json", batch[::-1])
     printed = ["classify", "--stages", "--validate", path]
-    for cached in (catalog.maps_group, catalog._mod2_basis, catalog._homology_pairs,
-                   ehp.hopf_table):
+    for cached in (catalog.maps_group, catalog._homology_pairs, ehp.hopf_table):
         cached.cache_clear()
     code, cold, _ = run_cli(printed, tmp_path, capsys)
     assert code == EXIT_OK
@@ -391,6 +390,10 @@ def s5_to_s4(coefficients, source="S^5", target="S^4"):
         # maps_group would build 2**r for the 2 q_3 row: r is bounded like a Moore order.
         pytest.param({"source": "A^5(eta~_10000000000)", "entries": [{"target": "S^3"}]},
                      "a_tilde needs 2**r below 2**64", id="a-tilde-huge-r"),
+        # 3 (i_2 eta) lies in no orbit of i_2 eta: no row operation reaches it.
+        pytest.param(s5_to_s4({"i_2 eta": 3}, source="S^3", target="P^3(4)"),
+                     "3(i_2 eta) in [S^3, P^3(4)] is outside the normal-form range",
+                     id="odd-multiple-of-i-eta"),
     ],
 )
 def test_normalize_rejects_unknown_generator(tmp_path, capsys, vector, culprit):
@@ -712,6 +715,22 @@ def test_failed_audit_outranks_declined_member(tmp_path, capsys, monkeypatch, ar
     assert code == EXIT_CHECK_FAILED
     assert "[FAIL] homology: tampered" in out
     assert err.startswith("declined: descriptor 1: ")
+
+
+@pytest.mark.parametrize("batch", [[], [OMITTED_DESCRIPTOR] * 2], ids=["empty", "all-declined"])
+@pytest.mark.parametrize("args, printed", [
+    (["classify"], ""),
+    (["cohomotopy"], ""),
+    (["validate"], ""),
+    (["classify", "--json"], "[]\n"),
+    (["cohomotopy", "--json"], "[]\n"),
+], ids=["classify", "cohomotopy", "validate", "classify-json", "cohomotopy-json"])
+def test_batch_without_reports_prints_no_blank_line(tmp_path, capsys, batch, args, printed):
+    path = write(tmp_path, "batch.json", batch)
+    code, out, err = run_cli([*args, path], tmp_path, capsys)
+    assert code == (EXIT_OMITTED if batch else EXIT_OK)
+    assert out == printed
+    assert err.count("declined: descriptor ") == err.count("\n") == len(batch)
 
 
 @pytest.mark.parametrize("command", ["classify", "cohomotopy", "validate"])

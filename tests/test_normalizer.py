@@ -165,13 +165,32 @@ def test_order_annihilation():
         assert not unit.scale(2**r).is_zero
 
 
+def test_kind_names_unit_generators_only():
+    # [S^3, P^3(4)] = Z/8 on i_2 eta: neg takes 1 to 7, and no move takes
+    # 1 to 3 or 5 (unit_plus_i_eta_q fixes i_2 eta, since q i = 0).
+    entry = maps_group(S3, moore(3, 4))
+    assert [MapClass(entry, (z,)).kind() for z in range(8)] == (
+        ["zero", "incl_eta"] + ["other"] * 5 + ["incl_eta"])
+    # On an eta~ entry, odd eta~ coefficients are eta~ and other classes
+    # i eta^2: one Z/4 at r = 1, two Z/2's at r = 2.
+    assert [MapClass.of(S5, moore(4, 2), {"eta~_1": z}).kind() for z in range(4)] == [
+        "zero", "eta_tilde", "incl_eta2", "eta_tilde"]
+    assert [MapClass(maps_group(S5, moore(4, 4)), c).kind()
+            for c in ((0, 0), (1, 0), (0, 1), (1, 1))] == [
+        "zero", "eta_tilde", "incl_eta2", "eta_tilde"]
+    # No survivor: the identity and the bottom-cell inclusion.
+    assert MapClass.of(S4, S4, {"iota": 1}).kind() == "other"
+    assert MapClass.of(S3, moore(4, 4), {"i_3": 1}).kind() == "other"
+
+
 # --------------------------------------------------------------------------
 # row_op
 # --------------------------------------------------------------------------
 
 def test_row_op_subtract_eta_rows():
+    # eta has order 2, so adding row 0 to row 1 subtracts it
     v = vec(S4, (S3, {"eta": 1}), (S3, {"eta": 1}))
-    g = GeneratorSymbol("deg", S3, S3, -1)
+    g = GeneratorSymbol("deg", S3, S3)
     out = row_op(v, AddRow(1, 0, g))
     assert out.key() == ((1,), (0,))
 
@@ -482,8 +501,8 @@ def test_orbit_independent_of_block_cache():
 
     # A graph compiled for one vector serves every vector into the same
     # targets: each orbit from a warm graph is the cold one.  The last ten
-    # vectors map S^6 into S^3 and P^5(2^r), r >= 2, where some moves are
-    # illegal, as their offset tables show.
+    # vectors map S^6 into S^3 and P^5(2^r), r >= 2, where some row
+    # additions are illegal, as their block tables show.
     rng = random.Random(3)
     illegal = 0
     for k in range(40):
@@ -496,8 +515,10 @@ def test_orbit_independent_of_block_cache():
         hits = normalizer._compiled.cache_info().hits
         warm = list(orbit(v))
         assert normalizer._compiled.cache_info().hits == hits + 1
-        _, tables = normalizer._move_tables(v.source, v.targets, normalizer._all_moves(v.targets))
-        illegal += any(None in delta for *_, delta in tables)
+        illegal += any(
+            None in normalizer._block(v.source, (v.targets[m.src], v.targets[m.dst]),
+                                      AddRow(1, 0, m.transfer))
+            for m in normalizer._all_moves(v.targets) if isinstance(m, AddRow))
         assert list(_cold_orbit(v)) == warm, v.key()
     assert illegal >= 10
 
@@ -569,33 +590,6 @@ def _random_pool_vector(rng, pool, most=4):
         entry = maps_group(source, t)
         components.append((t, {g: rng.randrange(o) for g, o in zip(entry.generators, entry.orders)}))
     return MapVector.of(source, components)
-
-
-def test_compiled_moves_equal_row_op():
-    # The oracle reads each move off row_op on every state of its block and
-    # applies it to whole vectors by offset tables; on any vector it must
-    # agree with row_op itself, legality included.
-    rng = random.Random(7)
-    checked = illegal = 0
-    for _ in range(500):
-        v = _random_pool_vector(rng, MOVE_POOL)
-        moves = normalizer._all_moves(v.targets)
-        places, tables = normalizer._move_tables(v.source, v.targets, moves)
-        rows = [normalizer._elements(v.source, t) for t in v.targets]
-        d = [r.index(e.coeffs) for r, e in zip(rows, v.entries)]
-        state = sum(i * s for i, (s, _) in zip(d, places))
-        for move, (hi, lo, radix, delta) in zip(moves, tables, strict=True):
-            step = delta[d[hi] * radix + d[lo]]
-            image = None if step is None else tuple(
-                r[(state + step) // s % n] for r, (s, n) in zip(rows, places))
-            try:
-                expected = row_op(v, move).key()
-            except IllegalOp:
-                expected = None
-                illegal += 1
-            assert image == expected, (v.key(), move)
-            checked += 1
-    assert checked > 5000 and illegal > 20
 
 
 # Maps from S^6 into up to three of these: eta-_r . eta~_r (r >= 2) makes

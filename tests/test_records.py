@@ -50,7 +50,7 @@ ENTRY = maps_group(sphere(5), moore(4, 4))
 # Values kept in the instance dict on first read, which copies must carry.
 assert REPORT.stages and KIND.pattern and ENTRY.group
 VECTOR = MapVector.of(sphere(5), [(sphere(4), {"eta": 1}), (moore(4, 4), {"eta~_2": 1})])
-TRANSFER = GeneratorSymbol(DEG, sphere(3), sphere(3), 3)
+TRANSFER = GeneratorSymbol(DEG, sphere(3), sphere(3))
 
 # Each record with the fields its dataclass had, in order.  _Kind's
 # derived values (params, top, pattern, ...) are properties, not fields.
@@ -75,7 +75,7 @@ RECORDS = [
     (ehp.is_E_surjective(REPORT), "surjective justification"),
     (ehp.fiber_of_E(True, REPORT), "empty coker cardinality"),
     (VECTOR.entries[1], "entry coeffs"),
-    (TRANSFER, "kind source target deg"),
+    (TRANSFER, "kind source target"),
     (VECTOR, "source targets entries theta_remainder"),
     (SwapRows(0, 1), "i j"),
     (AddRow(1, 0, TRANSFER), "dst src transfer"),
