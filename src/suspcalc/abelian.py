@@ -111,10 +111,6 @@ def merge_counts(pairs: Iterable[tuple], key: Callable | None = None) -> tuple:
     return tuple(sorted([(x, k) for x, k in merged.items() if k], key=key))
 
 
-class FactorAbsent(ValueError):
-    """Requested cyclic factor does not occur in the group."""
-
-
 class NotTorsion(ValueError):
     """A torsion group was required but the argument has free rank > 0."""
 
@@ -282,18 +278,6 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
         return tuple(chain.from_iterable(
             repeat(f.exponent, k) for f, k in self.pairs if f.prime == 2))
 
-    def quotient_by_factor(self, factor: CyclicFactor) -> "FgAbelianGroup":
-        """Drop one occurrence of a cyclic factor.
-
-        >>> G = FgAbelianGroup.of_orders(2, 4)
-        >>> print(G.quotient_by_factor(CyclicFactor(2, 2)))
-        Z/2
-        """
-        if all(f != factor for f, _ in self.pairs):
-            raise FactorAbsent(f"{factor} does not occur in {self}")
-        return FgAbelianGroup(self.free_rank, free_ring=self.free_ring,
-                              counts=((f, k - (f == factor)) for f, k in self.pairs))
-
     # ----- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -303,20 +287,6 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
             "torsion": [{"prime": f.prime, "exponent": f.exponent, "multiplicity": k}
                         for f, k in self.pairs],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FgAbelianGroup":
-        counts: list[tuple[CyclicFactor, int]] = []
-        for item in data.get("torsion", ()):
-            mult = item.get("multiplicity", 1)
-            if mult < 1:
-                raise ValueError("multiplicity must be >= 1")
-            counts.append((CyclicFactor(item["prime"], item["exponent"]), mult))
-        return cls(
-            free_rank=data.get("free_rank", 0),
-            free_ring=data.get("free_ring", RING_Z),
-            counts=counts,
-        )
 
     def __str__(self):
         parts = []

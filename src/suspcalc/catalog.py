@@ -48,7 +48,6 @@ _LEAST = {"order": 2, "r": 1, "t": 1}
 # like a torsion order: (its spelling, the bound on the parameter).
 _BITS = MAX_FACTOR_ORDER.bit_length() - 1
 _BOUND = {"order": ("order", MAX_FACTOR_ORDER), "r": ("2**r", _BITS), "t": ("2**t", _BITS)}
-_FIELDS = ("n", "top", *_LEAST)  # what a notation template may name
 
 
 class _Kind(namedtuple("_Kind", "notation least_n homology family sq2 theta pontryagin",
@@ -98,13 +97,6 @@ class _Kind(namedtuple("_Kind", "notation least_n homology family sq2 theta pont
         return re.compile("".join(
             re.escape(text) + (rf"(?P<{f}>\d+)" if f else "") for text, f, _, _ in self._parts),
             re.ASCII)  # \d is 0-9 alone, not every digit int() reads
-
-    @cached_property
-    def positional(self) -> str:
-        """The template with positional fields, (n, top, order, r, t): faster to fill."""
-        return "".join(
-            text.replace("{", "{{").replace("}", "}}") + (f"{{{_FIELDS.index(f)}}}" if f else "")
-            for text, f, _, _ in self._parts)
 
 
 # One row per kind, in the canonical order of kinds within a bottom dimension
@@ -162,12 +154,14 @@ class ElementaryComplex(_Frozen):
     Every entry is interned: ``ElementaryComplex(...)``, the named
     constructors, ``suspend``/``desuspend`` and ``parse_complex`` all
     return the one object with its fields (``_interned``), so complexes
-    compare and hash by identity and every cache keyed by them hits by
-    identity.
+    compare and hash by identity (``is`` finds a summand in a wedge) and
+    every cache keyed by them hits by identity.  Its sort key and its
+    notation (the kind's template, filled in) are set once, as it is built.
     """
 
-    # _sort_key is kept, not a field: every wedge sorts its summands by it.
-    __slots__ = ("kind", "n", "order", "r", "t", "_sort_key")
+    # _sort_key and _notation are kept, not fields: every wedge sorts its
+    # summands by the one and prints them by the other.
+    __slots__ = ("kind", "n", "order", "r", "t", "_sort_key", "_notation")
     _fields = ("kind", "n", "order", "r", "t")
 
     def __new__(cls, kind: str, n: int, order: int = 0, r: int = 0, t: int = 0):
@@ -205,8 +199,7 @@ class ElementaryComplex(_Frozen):
 
     @property
     def notation(self) -> str:
-        row = _KINDS[self.kind]
-        return row.positional.format(self.n, self.n + row.top, self.order, self.r, self.t)
+        return self._notation
 
     def __str__(self):
         return self.notation
@@ -237,7 +230,8 @@ def _interned(kind: str, n: int, order: int, r: int, t: int) -> ElementaryComple
             raise ValueError(f"{kind} needs {spelling} below 2**{_BITS}")
     x = object.__new__(ElementaryComplex)
     for name, value in (("kind", kind), *values.items(),
-                        ("_sort_key", (n + row.bottom, _RANK[kind], n, order, r, t))):
+                        ("_sort_key", (n + row.bottom, _RANK[kind], n, order, r, t)),
+                        ("_notation", row.notation.format(top=n + row.top, **values))):
         object.__setattr__(x, name, value)
     return x
 

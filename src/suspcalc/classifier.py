@@ -25,6 +25,7 @@ from .catalog import (
     chang_eta,
     chang_r,
     homology_by_degree,
+    moore,
     moore_pairs,
     sphere,
     sq2_is_nonzero,
@@ -268,13 +269,21 @@ class ManifoldInvariants(Validated, namedtuple(
         return cls(
             m=json_value(data, "m", int, "descriptor"),
             d=json_value(data, "d", int, "descriptor"),
-            torsion=FgAbelianGroup.from_json_dict({"torsion": items}),
+            torsion=FgAbelianGroup(counts=[_factor(item) for item in items]),
             spin=json_value(data, "spin", bool, "descriptor"),
             theta=theta,
             sq2_case=Sq2Case(case, json_value(sq2_data, key, int, "sq2_case")),
             postnikov_trivial=json_value(data, "postnikov_trivial", bool, "descriptor"),
             label=label,
         )
+
+
+def _factor(item: dict) -> tuple[CyclicFactor, int]:
+    """A torsion item, its shape and types checked, as (factor, multiplicity)."""
+    k = item.get("multiplicity", 1)
+    if k < 1:
+        raise ValueError("multiplicity must be >= 1")
+    return CyclicFactor(item["prime"], item["exponent"]), k
 
 
 def _order_below_bound(prime: int, exponent: int) -> bool:
@@ -368,14 +377,15 @@ def stage_decompositions(inv: ManifoldInvariants) -> StageDecompositions:
     return StageDecompositions(w3, None, symbolic, sigma_w4)
 
 
-def _top_piece(inv: ManifoldInvariants) -> tuple[str, ElementaryComplex, CyclicFactor | None, int]:
-    """Branch id, degree-6 top summand, quotiented factor, quotient slot (4 or 5)."""
-    exps = inv.two_exponents
+def _top_piece(inv: ManifoldInvariants) -> tuple[str, ElementaryComplex, ElementaryComplex | None]:
+    """Branch id, the degree-6 top piece, and the lower-cell summand it
+    replaces: the one the top cell's attaching map lands on in normal
+    form, None when the top cell splits off as S^6."""
     if inv.spin:
         if not inv.theta.nontrivial:
-            return BRANCH_SPIN_THETA_TRIVIAL, sphere(6), None, 0
-        r = exps[inv.theta.j0 - 1]
-        return BRANCH_SPIN_THETA_NONTRIVIAL, a_2r_eta2(3, r), CyclicFactor(2, r), 4
+            return BRANCH_SPIN_THETA_TRIVIAL, sphere(6), None
+        r = inv.exponent_at(inv.theta.j0)
+        return BRANCH_SPIN_THETA_NONTRIVIAL, a_2r_eta2(3, r), moore(4, 2**r)
     if inv.theta.nontrivial:
         raise OmittedCase(
             "non-spin with nontrivial secondary-operation action on degree-1 "
@@ -384,29 +394,22 @@ def _top_piece(inv: ManifoldInvariants) -> tuple[str, ElementaryComplex, CyclicF
         )
     case = inv.sq2_case.case
     if case == SQ2_CASE_A:
-        return BRANCH_NONSPIN_CASE_A, chang_eta(4), None, 0
+        return BRANCH_NONSPIN_CASE_A, chang_eta(4), sphere(4)
+    r = inv.exponent_at(inv.sq2_case.index)
     if case == SQ2_CASE_B:
-        r = exps[inv.sq2_case.index - 1]
-        return BRANCH_NONSPIN_CASE_B, chang_r(4, r), CyclicFactor(2, r), 5
-    r = exps[inv.sq2_case.index - 1]
-    return BRANCH_NONSPIN_CASE_C, a_tilde(3, r), CyclicFactor(2, r), 4
+        return BRANCH_NONSPIN_CASE_B, chang_r(4, r), moore(5, 2**r)
+    return BRANCH_NONSPIN_CASE_C, a_tilde(3, r), moore(4, 2**r)
 
 
 def classify_double_suspension(inv: ManifoldInvariants) -> DecompositionReport:
-    """The exact wedge decomposition of the double suspension."""
-    branch, top, removed, slot = _top_piece(inv)
-    T = inv.torsion
-    t4 = T.quotient_by_factor(removed) if slot == 4 else T
-    t5 = T.quotient_by_factor(removed) if slot == 5 else T
-    d4 = inv.d - 1 if branch == BRANCH_NONSPIN_CASE_A else inv.d
-    sigma2 = WedgeComplex(counts=(
-        (sphere(3), inv.m),
-        (sphere(5), inv.m),
-        (sphere(4), d4),
-        *moore_pairs(4, t4),
-        *moore_pairs(5, t5),
-        (top, 1),
-    ))
+    """The exact wedge decomposition of the double suspension: the lower
+    cells m S^3 v m S^5 v d S^4 v P^4(T) v P^5(T), with the top piece in
+    place of one copy of the summand it replaces."""
+    branch, top, replaced = _top_piece(inv)
+    lower = ((sphere(3), inv.m), (sphere(5), inv.m), (sphere(4), inv.d),
+             *moore_pairs(4, inv.torsion), *moore_pairs(5, inv.torsion))
+    # Complexes are interned, so ``is`` finds the replaced summand.
+    sigma2 = WedgeComplex(counts=(*((x, k - (x is replaced)) for x, k in lower), (top, 1)))
 
     notes: list[str] = []
     if branch == BRANCH_NONSPIN_CASE_B:

@@ -17,12 +17,14 @@ import os
 import sys
 from collections import namedtuple
 from functools import cache, lru_cache
+from itertools import product
 from json.encoder import encode_basestring_ascii
 
 # ehp and normalizer are imported by the commands that run them, so that
 # classify and validate start without loading either.
 from . import catalog
 from .catalog import (
+    A_ETA2,
     SPHERE,
     ElementaryComplex,
     Notation,
@@ -325,58 +327,9 @@ def run_normalize(args) -> int:
 # tables
 # --------------------------------------------------------------------------
 
-def _maps_rows() -> list[dict]:
-    """Every tabulated (source, target) pair in the dump window."""
-    pairs: list[tuple[ElementaryComplex, ElementaryComplex]] = []
-    for n in range(3, 7):
-        pairs.append((sphere(n), sphere(n)))
-    for n in range(3, 6):
-        pairs.append((sphere(n + 1), sphere(n)))
-    for n in range(3, 5):
-        pairs.append((sphere(n + 2), sphere(n)))
-    pairs.append((sphere(6), sphere(3)))
-    for r in (1, 2, 3):
-        for nM in (3, 4, 5):
-            P = moore(nM, 2**r)
-            pairs.append((sphere(nM - 1), P))
-            pairs.append((sphere(nM), P))
-            pairs.append((sphere(nM + 1), P))
-            pairs.append((P, sphere(nM)))
-            if nM >= 4:
-                pairs.append((P, sphere(nM - 1)))
-            if nM == 5:
-                pairs.append((P, sphere(3)))
-    pairs.append((sphere(4), moore(4, 3)))
-    pairs.append((sphere(5), moore(4, 3)))
-    pairs.append((chang_eta(2), sphere(2)))
-    pairs.append((chang_eta(3), sphere(3)))
-    pairs.append((chang_eta(3), sphere(5)))
-    pairs.append((chang_eta(4), sphere(5)))
-    for r in (1, 2, 3):
-        pairs.append((chang_r(2, r), sphere(2)))
-        pairs.append((chang_r(3, r), sphere(3)))
-        pairs.append((chang_r(3, r), sphere(5)))
-        pairs.append((chang_r(4, r), sphere(5)))
-        pairs.append((a_2r_eta2(2, r), sphere(3)))
-        pairs.append((a_2r_eta2(2, r), sphere(4)))
-        pairs.append((a_2r_eta2(2, r), sphere(5)))
-        pairs.append((a_2r_eta2(3, r), sphere(3)))
-        pairs.append((a_2r_eta2(3, r), sphere(5)))
-        pairs.append((a_tilde(2, r), sphere(3)))
-        pairs.append((a_tilde(2, r), sphere(5)))
-        pairs.append((a_tilde(3, r), sphere(5)))
-
-    rows = []
-    for src, tgt in pairs:
-        entry = maps_group(src, tgt)
-        # A row belongs to the family of its non-sphere member.
-        family = tgt.family if src.kind == SPHERE else src.family
-        rows.append({"family": family, **entry.to_json_dict()})
-    rows.sort(key=lambda row: (row["family"], row["source"], row["target"]))
-    return rows
-
-
-def _profile_rows() -> list[dict]:
+def _profiled() -> list[ElementaryComplex]:
+    """The dump window: the complexes whose operation profiles are dumped,
+    and among which the tabulated maps are."""
     complexes: list[ElementaryComplex] = []
     for n in range(2, 7):
         complexes.append(sphere(n))
@@ -397,9 +350,36 @@ def _profile_rows() -> list[dict]:
         for r in (1, 2, 3):
             complexes.append(a_tilde(n, r))
             complexes.append(a_2r_eta2(n, r))
+    return complexes
+
+
+def _maps_rows() -> list[dict]:
+    """Every [source, target] of the dump window that a ``catalog._GROUPS``
+    row gives (so a sphere is on one side), but for A^(n+3)(eta^2) and the
+    odd Moore space; of the latter only S^4 and S^5 into P^4(3)."""
+    window = [x for x in _profiled() if x.kind != A_ETA2 and x != moore(4, 3)]
+    spheres = [x for x in window if x.kind == SPHERE]
+    rows_at = {key[:3] for key in catalog._GROUPS}  # (source kind, target kind, n difference)
+    entries = [maps_group(sphere(4), moore(4, 3)), maps_group(sphere(5), moore(4, 3))]
+    for src, tgt in {*product(spheres, window), *product(window, spheres)}:
+        if (src.kind, tgt.kind, src.n - tgt.n) in rows_at:
+            try:
+                entries.append(maps_group(src, tgt))
+            except catalog.TableMiss:
+                pass
+    rows = []
+    for entry in entries:
+        # A row belongs to the family of its non-sphere member.
+        family = (entry.target if entry.source.kind == SPHERE else entry.source).family
+        rows.append({"family": family, **entry.to_json_dict()})
+    rows.sort(key=lambda row: (row["family"], row["source"], row["target"]))
+    return rows
+
+
+def _profile_rows() -> list[dict]:
     rows = [
         {"family": x.family, **operation_profile(x).to_json_dict()}
-        for x in complexes
+        for x in _profiled()
     ]
     rows.sort(key=lambda row: (row["family"], row["complex"]))
     return rows

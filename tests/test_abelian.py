@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 import suspcalc.abelian
 from suspcalc.abelian import (
     CyclicFactor,
-    FactorAbsent,
     FgAbelianGroup,
     RING_Z2LOCAL,
     direct_sum,
@@ -47,31 +46,8 @@ def test_two_primary_respects_direct_sum(rng):
 
 
 # --------------------------------------------------------------------------
-# quotient_by_factor / direct_sum
+# direct_sum
 # --------------------------------------------------------------------------
-
-def test_quotient_by_factor():
-    assert orders(2, 4).quotient_by_factor(CyclicFactor(2, 2)) == orders(2)
-    assert orders(2, 2).quotient_by_factor(CyclicFactor(2, 1)) == orders(2)
-    with pytest.raises(FactorAbsent):
-        orders(3).quotient_by_factor(CyclicFactor(2, 1))
-
-
-def test_quotient_then_sum_roundtrip(rng):
-    for _ in range(30):
-        g = random_nontrivial_torsion(rng)
-        factor = rng.choice(g.torsion)
-        quotient = g.quotient_by_factor(factor)
-        restored = quotient.direct_sum(FgAbelianGroup(torsion=(factor,)))
-        assert restored == g
-
-
-def random_nontrivial_torsion(rng):
-    while True:
-        g = FgAbelianGroup.of_orders(*[rng.randint(2, 16) for _ in range(rng.randint(1, 3))])
-        if g.torsion:
-            return g
-
 
 def test_direct_sum_examples():
     assert Z.direct_sum(orders(2)) == orders(0, 2)
@@ -91,8 +67,8 @@ FACTORS = st.builds(CyclicFactor, st.sampled_from([2, 3, 5]), st.integers(1, 3))
 
 
 @given(st.lists(FACTORS, max_size=12), st.lists(FACTORS, max_size=12),
-       st.integers(0, 2), st.integers(0, 2), st.integers(0, 3), FACTORS, st.data())
-def test_multiset_group_matches_per_copy_reference(a, b, rank_a, rank_b, k, factor, data):
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 3), st.data())
+def test_multiset_group_matches_per_copy_reference(a, b, rank_a, rank_b, k, data):
     """Every operation on (factor, multiplicity) pairs against a sorted
     list of CyclicFactor copies."""
     ref_a, ref_b = sorted(a), sorted(b)
@@ -111,19 +87,9 @@ def test_multiset_group_matches_per_copy_reference(a, b, rank_a, rank_b, k, fact
     assert ga.two_primary_exponents() == tuple(f.exponent for f in ref_a if f.prime == 2)
     assert ga.torsion_order() == math.prod(f.order for f in a)
 
-    if factor in a:
-        rest = list(ref_a)
-        rest.remove(factor)
-        assert ga.quotient_by_factor(factor) == FgAbelianGroup(rank_a, rest)
-        assert ga.quotient_by_factor(factor).torsion == tuple(rest)
-    else:
-        with pytest.raises(FactorAbsent):
-            ga.quotient_by_factor(factor)
-
     data_a = ga.to_json_dict()
     assert [(t["prime"], t["exponent"], t["multiplicity"]) for t in data_a["torsion"]] == [
         (f.prime, f.exponent, ref_a.count(f)) for f in sorted(set(a))]
-    assert FgAbelianGroup.from_json_dict(data_a) == ga
 
     free = [] if not rank_a else ["Z" if rank_a == 1 else f"Z^{rank_a}"]
     assert str(ga) == (" + ".join(free + [f"Z/{f.prime ** f.exponent}" for f in ref_a]) or "0")
@@ -272,7 +238,10 @@ def test_json_roundtrip(rng):
             *[rng.randint(0, 16) for _ in range(4)],
             free_ring=rng.choice(["Z", RING_Z2LOCAL]),
         )
-        assert FgAbelianGroup.from_json_dict(g.to_json_dict()) == g
+        data = g.to_json_dict()
+        assert (data["free_rank"], data["free_ring"]) == (g.free_rank, g.free_ring)
+        assert [(CyclicFactor(t["prime"], t["exponent"]), t["multiplicity"])
+                for t in data["torsion"]] == list(g.pairs)
 
 
 def test_json_shape():

@@ -196,6 +196,8 @@ def nonspin_case_b(**indices):
                      id="float-exponent"),
         pytest.param(spin_with(torsion=[{"prime": 2, "exponent": 1, "multiplicity": 2.0}]),
                      "multiplicity", id="float-multiplicity"),
+        pytest.param(spin_with(torsion=[{"prime": 2, "exponent": 1, "multiplicity": 0}]),
+                     "multiplicity must be >= 1", id="zero-multiplicity"),
         pytest.param(spin_with(m=True), "'m'", id="boolean-m"),
         pytest.param(spin_with(spin=1), "spin", id="integer-spin"),
         pytest.param(spin_with(label=None), "label", id="null-label"),
@@ -327,6 +329,18 @@ def test_cohomotopy_golden_output(tmp_path, capsys, rng):
         for summand, _ in report.sigma2.pairs:
             assert (summand.kind, summand.n) in ehp._HOPF, summand
             assert ehp.hopf_table(summand).rule
+
+
+def test_classify_golden_output(tmp_path, capsys):
+    # The same input through classify --stages --validate: Sigma^2 M on all
+    # five branches, with repeated exponents, so that the copy the top piece
+    # replaces is pinned byte for byte.
+    path = DATA_DIR / "cohomotopy_golden_input.json"
+    for args, golden in ([], "classify_golden.txt"), (["--json"], "classify_golden.json"):
+        code, out, err = run_cli(["classify", "--stages", "--validate", str(path), *args],
+                                 tmp_path, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.encode("utf-8") == (DATA_DIR / golden).read_bytes(), golden
 
 
 def test_cohomotopy_omitted(tmp_path, capsys):
