@@ -301,9 +301,3 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
 
 ZERO_GROUP = FgAbelianGroup.zero()
 
-
-def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
-    out = ZERO_GROUP
-    for g in groups:
-        out = out.direct_sum(g)
-    return out

@@ -373,10 +373,6 @@ class WedgeComplex(_Frozen):
     def of(cls, *summands: ElementaryComplex) -> "WedgeComplex":
         return cls(summands)
 
-    @classmethod
-    def point(cls) -> "WedgeComplex":
-        return cls()
-
     @property
     def summands(self) -> _Copies:
         return _Copies(self.pairs)
@@ -423,10 +419,6 @@ def _distinct(x: "ElementaryComplex | WedgeComplex") -> tuple[tuple[ElementaryCo
     return ((x, 1),) if isinstance(x, ElementaryComplex) else x.pairs
 
 
-def suspend(x: "WedgeComplex | ElementaryComplex"):
-    return x.suspend()
-
-
 # --------------------------------------------------------------------------
 # notation parsing
 # --------------------------------------------------------------------------
@@ -443,13 +435,6 @@ def parse_complex(text: str) -> ElementaryComplex:
             n = fields.pop("top") - row.top if "top" in fields else fields.pop("n")
             return _interned(kind, n, *(fields.get(name, 0) for name in _LEAST))
     raise ValueError(f"cannot parse complex notation {text!r}")
-
-
-def parse_wedge(text: str) -> WedgeComplex:
-    text = text.strip()
-    if text in ("*", ""):
-        return WedgeComplex.point()
-    return WedgeComplex(parse_complex(part) for part in text.split(" v "))
 
 
 # --------------------------------------------------------------------------
@@ -499,10 +484,6 @@ def _mod2_basis(x: ElementaryComplex, k: int) -> int:
         if degree == k - 1:
             dim += two_torsion
     return dim
-
-
-def mod2_cohomology_dim(x: "ElementaryComplex | WedgeComplex", k: int) -> int:
-    return sum(mult * _mod2_basis(s, k) for s, mult in _distinct(x))
 
 
 def sq2_action(x: ElementaryComplex, k: int) -> tuple[tuple[int, ...], ...]:
@@ -646,10 +627,6 @@ class MapsGroupEntry(namedtuple("MapsGroupEntry", "source target generators orde
         """The canonical-form group, computed on first read and then kept:
         building an entry factors nothing."""
         return FgAbelianGroup.of_orders(*self.orders, free_ring=RING_Z2LOCAL)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.generators
 
     def to_json_dict(self) -> dict:
         return {

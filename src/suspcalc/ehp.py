@@ -20,7 +20,8 @@ the degree-5 cohomotopy likewise always carries the full torsion sum
 (+)_j Z/2^(r_j) next to the branch-dependent top contribution.  On the
 C^6 branch this bookkeeping intentionally follows the closed formulas of
 the source results rather than a literal summand-by-summand sum, which
-would drop the quotiented Moore factor.
+would drop the P^5(2^(r_{j1})) summand that the C^6 top piece replaces
+in the wedge (``classifier._top_piece``'s ``replaced``).
 """
 
 from __future__ import annotations

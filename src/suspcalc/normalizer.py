@@ -71,7 +71,6 @@ from .catalog import (
     chang_eta,
     chang_r,
     maps_group,
-    moore,
     parse_complex,
     sphere,
 )
@@ -210,41 +209,6 @@ class GeneratorSymbol(namedtuple("GeneratorSymbol", "kind source target")):
 
     def __str__(self):
         return f"{self.kind}: {self.source} -> {self.target}"
-
-
-def sym_eta(n: int) -> GeneratorSymbol:
-    """eta: S^(n+1) -> S^n."""
-    return GeneratorSymbol(ETA, sphere(n + 1), sphere(n))
-
-
-def sym_eta2(n: int) -> GeneratorSymbol:
-    """eta^2: S^(n+2) -> S^n."""
-    return GeneratorSymbol(ETA2, sphere(n + 2), sphere(n))
-
-
-def sym_incl(nM: int, order: int) -> GeneratorSymbol:
-    """i: S^(nM-1) -> P^nM(order)."""
-    return GeneratorSymbol(INCL, sphere(nM - 1), moore(nM, order))
-
-
-def sym_eta_tilde(nM: int, r: int) -> GeneratorSymbol:
-    """eta~_r: S^(nM+1) -> P^nM(2^r)."""
-    return GeneratorSymbol(ETA_TILDE, sphere(nM + 1), moore(nM, 2**r))
-
-
-def sym_eta_bar(nM: int, r: int) -> GeneratorSymbol:
-    """eta-_r: P^nM(2^r) -> S^(nM-2)."""
-    return GeneratorSymbol(ETA_BAR, moore(nM, 2**r), sphere(nM - 2))
-
-
-def sym_pinch(nM: int, order: int) -> GeneratorSymbol:
-    """q: P^nM(order) -> S^nM."""
-    return GeneratorSymbol(PINCH, moore(nM, order), sphere(nM))
-
-
-def sym_chi(nM: int, r: int, s: int) -> GeneratorSymbol:
-    """chi^r_s: P^nM(2^r) -> P^nM(2^s)."""
-    return GeneratorSymbol(CHI, moore(nM, 2**r), moore(nM, 2**s))
 
 
 def _contribution(entry: MapsGroupEntry, kind: str, coeff: int, acc: list[int]) -> None:

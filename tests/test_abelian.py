@@ -10,7 +10,6 @@ from suspcalc.abelian import (
     CyclicFactor,
     FgAbelianGroup,
     RING_Z2LOCAL,
-    direct_sum,
     factorint,
     iroot,
     isprime,
@@ -259,7 +258,7 @@ def test_json_shape():
 def test_order_queries():
     assert orders(4, 3).order() == 12
     assert Z.order() is None
-    assert direct_sum(orders(2), orders(3), orders(5)).order() == 30
+    assert orders(2).direct_sum(orders(3)).direct_sum(orders(5)).order() == 30
 
 
 def test_doctests():

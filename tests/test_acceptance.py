@@ -13,8 +13,12 @@ from pathlib import Path
 import pytest
 
 from conftest import random_invariants
-from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, direct_sum
+from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup
 from suspcalc.catalog import (
+    ETA,
+    ETA2,
+    ETA_TILDE,
+    PINCH,
     WedgeComplex,
     a_2r_eta2,
     a_tilde,
@@ -42,6 +46,7 @@ from suspcalc.classifier import (
 from suspcalc.cli import build_tables, main, tables_text
 from suspcalc.ehp import coker_H2, is_E_surjective
 from suspcalc.normalizer import (
+    GeneratorSymbol,
     MapClass,
     MapVector,
     UnsupportedVector,
@@ -50,10 +55,6 @@ from suspcalc.normalizer import (
     normalize,
     oracle_normal_form,
     orbit,
-    sym_eta,
-    sym_eta2,
-    sym_eta_tilde,
-    sym_pinch,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -417,12 +418,8 @@ def test_criterion_5_cohomotopy_formulas():
             if expected is None:
                 continue
             report = classify_double_suspension(descriptor)
-            formula = direct_sum(
-                FgAbelianGroup.free(descriptor.m, RING_Z2LOCAL),
-                *[
-                    FgAbelianGroup.of_orders(2 ** (r - 1))
-                    for r in descriptor.two_exponents
-                ],
+            formula = FgAbelianGroup.free(descriptor.m, RING_Z2LOCAL).direct_sum(
+                FgAbelianGroup.of_orders(*(2 ** (r - 1) for r in descriptor.two_exponents))
             )
             if report.branch == BRANCH_NONSPIN_CASE_B:
                 r = descriptor.exponent_at(descriptor.sq2_case.index)
@@ -479,9 +476,12 @@ def test_criterion_7_operation_properties():
                 assert sq2_action(chang_rt(n, 2, t), n) == ((1,),)
         # relation anchors
         for r in (1, 2, 3, 4):
-            out = compose_relation(sym_pinch(4, 2**r), sym_eta_tilde(4, r))
+            out = compose_relation(GeneratorSymbol(PINCH, moore(4, 2**r), sphere(4)),
+                                   GeneratorSymbol(ETA_TILDE, sphere(5), moore(4, 2**r)))
             assert out.coefficients() == {"eta": 1}
-        assert compose_relation(sym_eta(3), sym_eta2(4)).coefficients() == {"nu'": 2}
+        eta_cubed = compose_relation(GeneratorSymbol(ETA, sphere(4), sphere(3)),
+                                     GeneratorSymbol(ETA2, sphere(6), sphere(4)))
+        assert eta_cubed.coefficients() == {"nu'": 2}
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from test_catalog import recorded_complexes
 import suspcalc
 import suspcalc.cli
 from suspcalc import catalog, ehp
-from suspcalc.catalog import WedgeComplex, parse_wedge
+from suspcalc.catalog import WedgeComplex, parse_complex
 from suspcalc.classifier import (
     ALL_BRANCHES,
     CheckResult,
@@ -262,9 +262,9 @@ def test_report_grammar_roundtrip(tmp_path, capsys):
     path = write(tmp_path, "d.json", SPIN_DESCRIPTOR)
     code, out, _ = run_cli(["classify", path, "--json"], tmp_path, capsys)
     payload = json.loads(out)
-    sigma2 = parse_wedge(payload["sigma2"])
+    sigma2 = WedgeComplex(parse_complex(p) for p in payload["sigma2"].split(" v "))
     assert sigma2.notation == payload["sigma2"]
-    sigma = parse_wedge(payload["sigma"])
+    sigma = WedgeComplex(parse_complex(p) for p in payload["sigma"].split(" v "))
     assert sigma.suspend() == sigma2
 
 

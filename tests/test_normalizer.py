@@ -10,6 +10,12 @@ from hypothesis import given, strategies as st
 
 from suspcalc import cli, normalizer
 from suspcalc.catalog import (
+    ETA,
+    ETA2,
+    ETA_BAR,
+    ETA_TILDE,
+    INCL,
+    PINCH,
     TableMiss,
     WedgeComplex,
     a_2r_eta2,
@@ -22,6 +28,7 @@ from suspcalc.catalog import (
     sphere,
 )
 from suspcalc.normalizer import (
+    CHI,
     ActBySelfEquiv,
     AddRow,
     GeneratorSymbol,
@@ -40,13 +47,6 @@ from suspcalc.normalizer import (
     oracle_normal_form,
     orbit,
     row_op,
-    sym_chi,
-    sym_eta,
-    sym_eta2,
-    sym_eta_bar,
-    sym_eta_tilde,
-    sym_incl,
-    sym_pinch,
     transfer_alphabet,
 )
 
@@ -64,49 +64,65 @@ def vec(source, *components):
 
 def test_chi_on_inclusion():
     # chi^r_s i = i for r >= s and 2^(s-r) i for r <= s
-    down = compose_relation(sym_chi(4, 2, 1), sym_incl(4, 4))
+    down = compose_relation(GeneratorSymbol(CHI, moore(4, 4), moore(4, 2)),
+                            GeneratorSymbol(INCL, S3, moore(4, 4)))
     assert down.coefficients() == {"i_3": 1}
-    up = compose_relation(sym_chi(4, 1, 3), sym_incl(4, 2))
+    up = compose_relation(GeneratorSymbol(CHI, moore(4, 2), moore(4, 8)),
+                          GeneratorSymbol(INCL, S3, moore(4, 2)))
     assert up.coefficients() == {"i_3": 4}
 
 
 def test_chi_on_eta_tilde():
-    up = compose_relation(sym_chi(4, 1, 2), sym_eta_tilde(4, 1))
+    up = compose_relation(GeneratorSymbol(CHI, moore(4, 2), moore(4, 4)),
+                          GeneratorSymbol(ETA_TILDE, S5, moore(4, 2)))
     assert up.coefficients() == {"eta~_2": 1}
-    down = compose_relation(sym_chi(4, 3, 2), sym_eta_tilde(4, 3))
+    down = compose_relation(GeneratorSymbol(CHI, moore(4, 8), moore(4, 4)),
+                            GeneratorSymbol(ETA_TILDE, S5, moore(4, 8)))
     assert down.coefficients() == {"eta~_2": 0} or down.is_zero  # 2 eta~_2 = 0
-    down1 = compose_relation(sym_chi(4, 2, 1), sym_eta_tilde(4, 2))
+    down1 = compose_relation(GeneratorSymbol(CHI, moore(4, 4), moore(4, 2)),
+                             GeneratorSymbol(ETA_TILDE, S5, moore(4, 4)))
     assert down1.coefficients() == {"eta~_1": 2}  # 2^(r-s) eta~_1
 
 
 def test_pinch_after_chi():
     # q chi^r_s = q for r <= s and 2^(r-s) q for r >= s
-    assert compose_relation(sym_pinch(4, 4), sym_chi(4, 1, 2)).coefficients() == {"q_4": 1}
-    assert compose_relation(sym_pinch(4, 2), sym_chi(4, 3, 1)).coefficients() == {"q_4": 4}
+    up = compose_relation(GeneratorSymbol(PINCH, moore(4, 4), S4),
+                          GeneratorSymbol(CHI, moore(4, 2), moore(4, 4)))
+    assert up.coefficients() == {"q_4": 1}
+    down = compose_relation(GeneratorSymbol(PINCH, moore(4, 2), S4),
+                            GeneratorSymbol(CHI, moore(4, 8), moore(4, 2)))
+    assert down.coefficients() == {"q_4": 4}
 
 
 def test_pinch_kills_inclusion():
-    assert compose_relation(sym_pinch(4, 4), sym_incl(4, 4)).is_zero
+    assert compose_relation(GeneratorSymbol(PINCH, moore(4, 4), S4),
+                            GeneratorSymbol(INCL, S3, moore(4, 4))).is_zero
 
 
 def test_relation_anchors():
     # q eta~_r = eta, for every tabulated exponent
     for r in (1, 2, 3, 4):
-        out = compose_relation(sym_pinch(4, 2**r), sym_eta_tilde(4, r))
+        out = compose_relation(GeneratorSymbol(PINCH, moore(4, 2**r), S4),
+                               GeneratorSymbol(ETA_TILDE, S5, moore(4, 2**r)))
         assert out.coefficients() == {"eta": 1}
     # eta-_r i = eta
     for r in (1, 2, 3, 4):
-        out = compose_relation(sym_eta_bar(5, r), sym_incl(5, 2**r))
+        out = compose_relation(GeneratorSymbol(ETA_BAR, moore(5, 2**r), S3),
+                               GeneratorSymbol(INCL, S4, moore(5, 2**r)))
         assert out.coefficients() == {"eta": 1}
 
 
 def test_nu_prime_factorization():
     # nu' = eta-_1 eta~_1, and 2 nu' = eta^3
-    nu = compose_relation(sym_eta_bar(5, 1), sym_eta_tilde(5, 1))
+    nu = compose_relation(GeneratorSymbol(ETA_BAR, moore(5, 2), S3),
+                          GeneratorSymbol(ETA_TILDE, sphere(6), moore(5, 2)))
     assert nu.coefficients() == {"nu'": 1}
-    eta_cubed = compose_relation(sym_eta(3), sym_eta2(4))
+    eta_cubed = compose_relation(GeneratorSymbol(ETA, S4, S3),
+                                 GeneratorSymbol(ETA2, sphere(6), S4))
     assert eta_cubed.coefficients() == {"nu'": 2}
-    assert compose_relation(sym_eta2(3), sym_eta(5)).coefficients() == {"nu'": 2}
+    eta_cubed = compose_relation(GeneratorSymbol(ETA2, S5, S3),
+                                 GeneratorSymbol(ETA, sphere(6), S5))
+    assert eta_cubed.coefficients() == {"nu'": 2}
 
 
 def _unit(i, n):
@@ -150,11 +166,12 @@ def test_unit_compositions_match_golden():
 
 def test_not_composable():
     with pytest.raises(NotComposable):
-        compose_relation(sym_pinch(4, 2), sym_incl(5, 2))
+        compose_relation(GeneratorSymbol(PINCH, moore(4, 2), S4),
+                         GeneratorSymbol(INCL, S4, moore(5, 2)))
     # P^4(3) is a point 2-locally: i eta and i eta^2 have no generator there.
-    for right in (sym_eta(3), sym_eta2(3)):
+    for right in (GeneratorSymbol(ETA, S4, S3), GeneratorSymbol(ETA2, S5, S3)):
         with pytest.raises(TableMiss):
-            compose_relation(sym_incl(4, 3), right)
+            compose_relation(GeneratorSymbol(INCL, S3, moore(4, 3)), right)
 
 
 def test_order_annihilation():
@@ -199,7 +216,7 @@ def test_row_op_chi_move():
     # (i_3 eta, i_3 eta) in P^4(2^r) v P^4(2^s): the larger exponent kills
     # the smaller via -chi^s_r applied to its row.
     v = vec(S4, (moore(4, 2), {"i_3 eta": 1}), (moore(4, 4), {"i_3 eta": 1}))
-    out = row_op(v, AddRow(0, 1, sym_chi(4, 2, 1)))
+    out = row_op(v, AddRow(0, 1, GeneratorSymbol(CHI, moore(4, 4), moore(4, 2))))
     assert out.key() == ((0,), (1,))
 
 

@@ -4,11 +4,15 @@ printed as dataclasses print, and never built around their validation.
 Value records are namedtuple subclasses whose ``__new__`` validates;
 ``ElementaryComplex`` (interned, compared by identity) and ``WedgeComplex``
 are slotted classes.
+
+The last test keeps src free of names that only tests read.
 """
 
+import ast
 import copy
 import dataclasses
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +201,77 @@ def test_moves_of_different_types_never_compare_equal():
             assert other != move and not other == move
         assert {move: 1}.get(lookalikes[i]) is None
         assert {lookalikes[i]: 1}.get(move) is None
+
+
+# --------------------------------------------------------------------------
+# no src name that only tests read
+# --------------------------------------------------------------------------
+
+# The src definitions that no src code reads, each with why it stays.
+# perfbench/tracing.py also binds WedgeComplex.summands and __post_init__
+# and the method FgAbelianGroup.direct_sum; src reads those, so they need
+# no entry here, and neither does a package export that src reads.
+KEPT_UNREAD = {
+    "abelian.Validated._make": "namedtuple's _replace and copy.replace build through it, "
+                               "so they run the validating constructor",
+    "abelian.FgAbelianGroup._make": "maps the fields onto the constructor for _replace "
+                                    "and copy.replace",
+    "catalog.WedgeComplex.wedge": "perfbench/tracing.py counts catalog.wedge calls on it",
+    "catalog.WedgeComplex.suspend": "criterion 3 checks that the wedge of Sigma M suspends "
+                                    "to that of Sigma^2 M; it inverts desuspend",
+    "catalog.integral_homology": "a package export; perfbench/tracing.py times it through "
+                                 "classifier's import until ROADMAP item 10",
+    "catalog.peterson_of_group": "a package export; perfbench/tracing.py times it through "
+                                 "classifier's import until ROADMAP item 10",
+    "catalog.pontryagin_square_Ct": "criterion 7, and the model of ROADMAP item 8's check",
+    "classifier.classify_suspension": "a package export",
+    "ehp.fiber_of_E": "ROADMAP item 4 calls it; its result type FiberOfE goes with it",
+    "normalizer.compose_relation": "criterion 7, and ROADMAP items 7 and 8",
+    "normalizer.oracle_normal_form": "the orbit oracle that normalize is checked against",
+}
+
+
+def _src_definitions_and_readers():
+    """Every function, class and method that src defines (dunders aside),
+    by qualified name, and the qualified names of those that src reads.
+
+    A definition is read where its name occurs as a Name or an attribute
+    outside its own body.  An import reads nothing: code that uses an
+    imported name reads it by name, so the package's re-exports and an
+    import no code uses do not count.  Strings, comments and doctests are
+    not code.
+    """
+    defined = {}  # qualified name -> (name, node)
+    reads = []  # (name, the definitions enclosing the occurrence)
+
+    def walk(node, prefix, enclosing):
+        for child in ast.iter_child_nodes(node):
+            inner, qual = enclosing, prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = f"{prefix}.{child.name}"
+                inner = enclosing | {child}
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    defined[qual] = (child.name, child)
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                reads.append((child.id, enclosing))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                reads.append((child.attr, enclosing))
+            walk(child, qual, inner)
+
+    for path in sorted(Path(catalog.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, frozenset())
+    enclosing_by_name = {}
+    for name, enclosing in reads:
+        enclosing_by_name.setdefault(name, []).append(enclosing)
+    read = {qual for qual, (name, node) in defined.items()
+            if any(node not in enclosing for enclosing in enclosing_by_name.get(name, ()))}
+    return defined, read
+
+
+def test_src_defines_no_name_that_only_tests_read():
+    defined, read = _src_definitions_and_readers()
+    unread = sorted(set(defined) - read - set(KEPT_UNREAD))
+    assert unread == [], "defined in src but read only outside it: " + ", ".join(unread)
+    for qual in KEPT_UNREAD:
+        assert qual in defined, f"{qual} is kept unread but no longer defined"
+        assert qual not in read, f"{qual} has a src reader now: drop its entry"
