@@ -190,25 +190,11 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
     def __reduce__(self):
         return type(self), (self.free_rank, (), self.free_ring, self.pairs)
 
-    @property
-    def torsion(self) -> tuple[CyclicFactor, ...]:
-        """The cyclic factors copy by copy, ascending."""
-        return tuple(chain.from_iterable(repeat(f, k) for f, k in self.pairs))
-
     # ----- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "FgAbelianGroup":
-        return cls()
 
     @classmethod
     def free(cls, rank: int, ring: str = RING_Z) -> "FgAbelianGroup":
         return cls(free_rank=rank, free_ring=ring)
-
-    @classmethod
-    def cyclic(cls, order: int) -> "FgAbelianGroup":
-        """Z/order (order 0 means Z, order 1 means the trivial group)."""
-        return cls.of_orders(order)
 
     @classmethod
     def of_orders(cls, *orders: int, free_ring: str = RING_Z) -> "FgAbelianGroup":
@@ -232,14 +218,11 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
     def is_torsion(self) -> bool:
         return self.free_rank == 0
 
-    def torsion_order(self) -> int:
-        return prod(f.order**k for f, k in self.pairs)
-
     def order(self) -> int | None:
         """Group order, or None when the group is infinite."""
         if self.free_rank > 0:
             return None
-        return self.torsion_order()
+        return prod(f.order**k for f, k in self.pairs)
 
     # ----- operations ---------------------------------------------------
 
@@ -299,5 +282,5 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
         return " + ".join(parts) if parts else "0"
 
 
-ZERO_GROUP = FgAbelianGroup.zero()
+ZERO_GROUP = FgAbelianGroup()
 

@@ -7,8 +7,8 @@ together with their integral homology, mod-2 cohomology operations
 (Sq^2, higher Bocksteins, the secondary operation Theta, the Pontryagin
 square on the two-cell model), the suspension operator, and the table of
 homotopy / cohomotopy groups used by the matrix method and the EHP
-bookkeeping.  All group values are 2-local: free summands are tagged
-Z_(2) and odd-primary torsion maps to zero.
+bookkeeping.  Maps groups are 2-local (free summands tagged Z_(2)), except
+that a sphere's maps into P^n(p^e), p odd, keep the Z/p^e of i_(n-1).
 """
 
 from __future__ import annotations
@@ -327,8 +327,8 @@ class WedgeComplex(_Frozen):
     copy, ``counts`` takes ``(summand, multiplicity)`` pairs; both may be
     given and are merged.
 
-    >>> w = WedgeComplex.of(sphere(3), moore(4, 2)).wedge(sphere(3))
-    >>> len(w.pairs), w.count(sphere(3)), len(w.summands)
+    >>> w = WedgeComplex((sphere(3), moore(4, 2))).wedge(sphere(3))
+    >>> len(w.pairs), dict(w.pairs)[sphere(3)], len(w.summands)
     (2, 2, 3)
     >>> print(w)
     S^3 v S^3 v P^4(2)
@@ -369,10 +369,6 @@ class WedgeComplex(_Frozen):
         object.__setattr__(w, "pairs", pairs)
         return w
 
-    @classmethod
-    def of(cls, *summands: ElementaryComplex) -> "WedgeComplex":
-        return cls(summands)
-
     @property
     def summands(self) -> _Copies:
         return _Copies(self.pairs)
@@ -393,9 +389,6 @@ class WedgeComplex(_Frozen):
 
     def desuspend(self) -> "WedgeComplex":
         return WedgeComplex._of_canonical(tuple((x.desuspend(), k) for x, k in self.pairs))
-
-    def count(self, summand: ElementaryComplex) -> int:
-        return next((k for x, k in self.pairs if x == summand), 0)
 
     @property
     def notation(self) -> Notation:
@@ -445,7 +438,7 @@ def parse_complex(text: str) -> ElementaryComplex:
 def _homology_pairs(x: ElementaryComplex) -> tuple[tuple[int, FgAbelianGroup], ...]:
     """Reduced integral homology as (degree, group) pairs."""
     orders = {"Z": 0, "order": x.order, "r": 2**x.r, "t": 2**x.t}
-    return tuple((x.n + offset, FgAbelianGroup.cyclic(orders[order]))
+    return tuple((x.n + offset, FgAbelianGroup.of_orders(orders[order]))
                  for offset, order in _KINDS[x.kind].homology)
 
 

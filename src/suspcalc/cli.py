@@ -43,7 +43,6 @@ from .catalog import (
 )
 from .classifier import (
     DecompositionReport,
-    InvalidInvariants,
     ManifoldInvariants,
     OmittedCase,
     classify_double_suspension,
@@ -280,6 +279,8 @@ def run_cohomotopy(args) -> int:
                 "rules": rules,
             }
         )
+        if args.json:
+            continue
         if inv.label:
             lines.append(f"label:    {inv.label}")
         lines.append(f"branch:   {report.branch}")
@@ -488,9 +489,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_STDOUT_CLOSED
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except InvalidInvariants as err:
-        print(f"error: invalid invariants: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OmittedCase as err:
         print(f"declined: {err}", file=sys.stderr)

@@ -365,10 +365,6 @@ class MapVector(Validated, namedtuple("MapVector", "source targets entries theta
     def key(self) -> tuple:
         return tuple(e.coeffs for e in self.entries)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
-
     def to_json_dict(self) -> dict:
         return {
             "source": self.source.notation,
@@ -416,8 +412,9 @@ class SwapRows(_Move, namedtuple("SwapRows", "i j")):
     __slots__ = ()
 
 
-class AddRow(_Move, namedtuple("AddRow", "dst src transfer")):
-    """row[dst] += transfer . row[src]."""
+class AddRow(_Move, namedtuple("AddRow", "dst src kind")):
+    """row[dst] += g . row[src], for the transfer g of ``kind`` from the
+    target of row src to the target of row dst."""
 
     __slots__ = ()
 
@@ -458,11 +455,6 @@ def _move_kinds(src: ElementaryComplex, dst: ElementaryComplex) -> tuple[str, ..
     return _MOVES.get((src.kind, dst.kind, offset), ())
 
 
-def transfer_alphabet(src: ElementaryComplex, dst: ElementaryComplex) -> tuple[GeneratorSymbol, ...]:
-    """Tabulated maps src -> dst usable for row additions."""
-    return tuple(GeneratorSymbol(kind, src, dst) for kind in _move_kinds(src, dst))
-
-
 def self_equivalences(target: ElementaryComplex) -> tuple[str, ...]:
     if target.kind == MOORE and not target.order % 2:
         return ("neg", "unit_plus_i_eta_q")
@@ -494,9 +486,7 @@ def row_op(v: MapVector, op) -> MapVector:
             raise IllegalOp("use ActBySelfEquiv for diagonal moves")
         if not (0 <= op.dst < len(v.targets) and 0 <= op.src < len(v.targets)):
             raise IllegalOp("row index out of range")
-        g = op.transfer
-        if (g.source, g.target) != (v.targets[op.src], v.targets[op.dst]):
-            raise IllegalOp(f"{g} does not map row {op.src} to row {op.dst}")
+        g = GeneratorSymbol(op.kind, v.targets[op.src], v.targets[op.dst])
         if g.kind not in _move_kinds(g.source, g.target):
             raise IllegalOp(f"{g.kind} is not in the move alphabet")
         try:
@@ -594,8 +584,8 @@ def _all_moves(targets: tuple[ElementaryComplex, ...]):
         for src in range(n):
             if dst == src:
                 continue
-            for g in transfer_alphabet(targets[src], targets[dst]):
-                moves.append(AddRow(dst, src, g))
+            for kind in _move_kinds(targets[src], targets[dst]):
+                moves.append(AddRow(dst, src, kind))
     for i in range(n):
         for op in self_equivalences(targets[i]):
             moves.append(ActBySelfEquiv(i, op))
@@ -673,7 +663,7 @@ def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...])
     moves = []
     for move in _all_moves(targets):
         if isinstance(move, AddRow):
-            at, local = (move.src, move.dst), AddRow(1, 0, move.transfer)
+            at, local = (move.src, move.dst), AddRow(1, 0, move.kind)
         elif isinstance(move, SwapRows):
             at, local = (move.i, move.j), SwapRows(0, 1)
         else:

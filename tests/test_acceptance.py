@@ -93,59 +93,59 @@ NA = Sq2Case("not_applicable")
 BRANCH_SUITE = [
     (
         inv(0, 0, (), True, TRIVIAL_THETA, NA, label="s4"),
-        WedgeComplex.of(sphere(6)),
+        WedgeComplex([sphere(6)]),
     ),
     (
         inv(1, 1, (2,), True, TRIVIAL_THETA, NA, label="spin-small"),
         spheres(3, 1).wedge(spheres(5, 1)).wedge(spheres(4, 1))
-        .wedge(petersons(4, [2])).wedge(petersons(5, [2])).wedge(WedgeComplex.of(sphere(6))),
+        .wedge(petersons(4, [2])).wedge(petersons(5, [2])).wedge(WedgeComplex([sphere(6)])),
     ),
     (
         inv(3, 3, (4, 3), True, TRIVIAL_THETA, NA, label="spin-mixed"),
         spheres(3, 3).wedge(spheres(5, 3)).wedge(spheres(4, 3))
         .wedge(petersons(4, [4, 3])).wedge(petersons(5, [4, 3]))
-        .wedge(WedgeComplex.of(sphere(6))),
+        .wedge(WedgeComplex([sphere(6)])),
     ),
     (
         inv(0, 1, (2, 4), True, ThetaAction("nontrivial", 2), NA, label="theta-j2"),
         spheres(4, 1).wedge(petersons(4, [2])).wedge(petersons(5, [2, 4]))
-        .wedge(WedgeComplex.of(a_2r_eta2(3, 2))),
+        .wedge(WedgeComplex([a_2r_eta2(3, 2)])),
     ),
     (
         inv(1, 0, (2, 2, 16), True, ThetaAction("nontrivial", 1), NA, label="theta-j1"),
         spheres(3, 1).wedge(spheres(5, 1)).wedge(petersons(4, [2, 16]))
-        .wedge(petersons(5, [2, 2, 16])).wedge(WedgeComplex.of(a_2r_eta2(3, 1))),
+        .wedge(petersons(5, [2, 2, 16])).wedge(WedgeComplex([a_2r_eta2(3, 1)])),
     ),
     (
         inv(0, 1, (), False, TRIVIAL_THETA, Sq2Case("A"), label="case-a-minimal"),
-        WedgeComplex.of(chang_eta(4)),
+        WedgeComplex([chang_eta(4)]),
     ),
     (
         inv(2, 3, (8,), False, TRIVIAL_THETA, Sq2Case("A"), label="case-a"),
         spheres(3, 2).wedge(spheres(5, 2)).wedge(spheres(4, 2))
         .wedge(petersons(4, [8])).wedge(petersons(5, [8]))
-        .wedge(WedgeComplex.of(chang_eta(4))),
+        .wedge(WedgeComplex([chang_eta(4)])),
     ),
     (
         inv(1, 0, (4,), False, TRIVIAL_THETA, Sq2Case("B", 1), label="case-b-minimal"),
         spheres(3, 1).wedge(spheres(5, 1)).wedge(petersons(4, [4]))
-        .wedge(WedgeComplex.of(chang_r(4, 2))),
+        .wedge(WedgeComplex([chang_r(4, 2)])),
     ),
     (
         inv(0, 2, (2, 2, 8), False, TRIVIAL_THETA, Sq2Case("B", 3), label="case-b"),
         spheres(4, 2).wedge(petersons(4, [2, 2, 8])).wedge(petersons(5, [2, 2]))
-        .wedge(WedgeComplex.of(chang_r(4, 3))),
+        .wedge(WedgeComplex([chang_r(4, 3)])),
     ),
     (
         inv(2, 1, (2, 4), False, TRIVIAL_THETA, Sq2Case("C", 1), label="case-c"),
         spheres(3, 2).wedge(spheres(5, 2)).wedge(spheres(4, 1))
         .wedge(petersons(4, [4])).wedge(petersons(5, [2, 4]))
-        .wedge(WedgeComplex.of(a_tilde(3, 1))),
+        .wedge(WedgeComplex([a_tilde(3, 1)])),
     ),
     (
         inv(0, 0, (4, 4, 9), False, TRIVIAL_THETA, Sq2Case("C", 2), label="case-c-tied"),
         petersons(4, [4, 9]).wedge(petersons(5, [4, 4, 9]))
-        .wedge(WedgeComplex.of(a_tilde(3, 2))),
+        .wedge(WedgeComplex([a_tilde(3, 2)])),
     ),
     (
         inv(1, 1, (2,), False, ThetaAction("nontrivial", 1), Sq2Case("B", 1), label="omitted"),

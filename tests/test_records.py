@@ -5,12 +5,14 @@ Value records are namedtuple subclasses whose ``__new__`` validates;
 ``ElementaryComplex`` (interned, compared by identity) and ``WedgeComplex``
 are slotted classes.
 
-The last test keeps src free of names that only tests read.
+The last two tests keep src free of names that only tests read, and keep
+every name that perfbench's tracer rebinds.
 """
 
 import ast
 import copy
 import dataclasses
+import importlib.util
 import pickle
 from pathlib import Path
 
@@ -63,7 +65,7 @@ RECORDS = [
     (FgAbelianGroup.of_orders(0, 2, 12), "free_rank pairs free_ring"),
     (KIND, "notation least_n homology family sq2 theta pontryagin"),
     (chang_rt(3, 2, 1), "kind n order r t"),
-    (WedgeComplex.of(sphere(3), sphere(3), moore(4, 2)), "pairs"),
+    (WedgeComplex((sphere(3), sphere(3), moore(4, 2))), "pairs"),
     (operation_profile(chang_r(2, 1)), "complex mod2_dims sq2 bocksteins theta pontryagin"),
     (ENTRY, "source target generators orders kinds"),
     (ThetaAction("nontrivial", 1), "action j0"),
@@ -82,7 +84,7 @@ RECORDS = [
     (TRANSFER, "kind source target"),
     (VECTOR, "source targets entries theta_remainder"),
     (SwapRows(0, 1), "i j"),
-    (AddRow(1, 0, TRANSFER), "dst src transfer"),
+    (AddRow(1, 0, DEG), "dst src kind"),
     (ActBySelfEquiv(0, "neg"), "row op"),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
@@ -192,8 +194,8 @@ def test_replace_builds_through_the_validating_constructor():
 
 
 def test_moves_of_different_types_never_compare_equal():
-    moves = [SwapRows(0, 1), ActBySelfEquiv(0, 1), AddRow(0, 1, TRANSFER)]
-    lookalikes = [(0, 1), (0, 1), (0, 1, TRANSFER)]
+    moves = [SwapRows(0, 1), ActBySelfEquiv(0, 1), AddRow(0, 1, DEG)]
+    lookalikes = [(0, 1), (0, 1), (0, 1, DEG)]
     for i, move in enumerate(moves):
         assert move == type(move)(*move) and hash(move) == hash(type(move)(*move))
         for other in moves[:i] + moves[i + 1:] + lookalikes:
@@ -235,36 +237,76 @@ def _src_definitions_and_readers():
     """Every function, class and method that src defines (dunders aside),
     by qualified name, and the qualified names of those that src reads.
 
-    A definition is read where its name occurs as a Name or an attribute
-    outside its own body.  An import reads nothing: code that uses an
-    imported name reads it by name, so the package's re-exports and an
-    import no code uses do not count.  Strings, comments and doctests are
-    not code.
+    A definition is read where its name occurs outside its own body: a
+    function or class as a Name or an attribute, a method as an attribute
+    alone, so that the bare Name ``count`` (``itertools.count``) reads no
+    method ``count``.  Where the attribute's receiver is ``self``, ``cls``
+    or the name of a src class (``MapClass.of``), it reads that class's
+    definition, or that of its nearest src base that has one, and no
+    other.  Any other receiver may be of any type, so it reads every
+    definition with the name: ``inv.torsion`` reads a property
+    ``torsion`` of any class, and ``e.is_zero`` one ``is_zero``.  An
+    import reads nothing: code that uses an imported name reads it by
+    name, so the package's re-exports and an import no code uses do not
+    count.  Strings, comments and doctests are not code.
     """
-    defined = {}  # qualified name -> (name, node)
-    reads = []  # (name, the definitions enclosing the occurrence)
+    defined = {}  # qualified name -> (name, node, whether it is a method)
+    bases = {}  # class qualified name -> the names of its bases
+    reads = []  # (name, receiver, the definitions enclosing the occurrence)
 
-    def walk(node, prefix, enclosing):
+    def walk(node, prefix, enclosing, owner):
         for child in ast.iter_child_nodes(node):
-            inner, qual = enclosing, prefix
+            inner, qual, inner_owner = enclosing, prefix, owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qual = f"{prefix}.{child.name}"
                 inner = enclosing | {child}
                 if not (child.name.startswith("__") and child.name.endswith("__")):
-                    defined[qual] = (child.name, child)
+                    defined[qual] = (child.name, child, isinstance(node, ast.ClassDef))
+                if isinstance(child, ast.ClassDef):
+                    inner_owner = qual
+                    bases[qual] = [b.id for b in child.bases if isinstance(b, ast.Name)]
             elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                reads.append((child.id, enclosing))
+                reads.append((child.id, None, enclosing))
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
-                reads.append((child.attr, enclosing))
-            walk(child, qual, inner)
+                # the receiver's name; for self and cls, the enclosing class
+                value = getattr(child.value, "id", "")
+                reads.append((child.attr, owner if value in ("self", "cls") and owner else value,
+                              enclosing))
+            walk(child, qual, inner, inner_owner)
 
     for path in sorted(Path(catalog.__file__).parent.glob("*.py")):
-        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, frozenset())
-    enclosing_by_name = {}
-    for name, enclosing in reads:
-        enclosing_by_name.setdefault(name, []).append(enclosing)
-    read = {qual for qual, (name, node) in defined.items()
-            if any(node not in enclosing for enclosing in enclosing_by_name.get(name, ()))}
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, frozenset(), None)
+    by_name, classes = {}, {}
+    for qual, (name, _, _) in defined.items():
+        by_name.setdefault(name, []).append(qual)
+    for qual in bases:
+        classes.setdefault(qual.rsplit(".", 1)[-1], []).append(qual)
+
+    def src_class(receiver):
+        """The qualified name of the one src class ``receiver`` names, or None."""
+        if receiver in bases:  # self or cls, resolved where they were read
+            return receiver
+        quals = classes.get(receiver, ())
+        return quals[0] if len(quals) == 1 else None
+
+    def nearest(cls, name):
+        """The definition of ``name`` in ``cls`` or its nearest src base."""
+        if f"{cls}.{name}" in defined:
+            return [f"{cls}.{name}"]
+        for base in map(src_class, bases[cls]):
+            if base and (found := nearest(base, name)):
+                return found
+        return []
+
+    read = set()
+    for name, receiver, enclosing in reads:
+        if receiver is None:  # a bare Name
+            quals = [q for q in by_name.get(name, ()) if not defined[q][2]]
+        elif cls := src_class(receiver):
+            quals = nearest(cls, name)
+        else:
+            quals = by_name.get(name, ())
+        read.update(q for q in quals if defined[q][1] not in enclosing)
     return defined, read
 
 
@@ -275,3 +317,18 @@ def test_src_defines_no_name_that_only_tests_read():
     for qual in KEPT_UNREAD:
         assert qual in defined, f"{qual} is kept unread but no longer defined"
         assert qual not in read, f"{qual} has a src reader now: drop its entry"
+
+
+def test_perfbench_tracer_rebinds_and_restores_every_name():
+    # perfbench/tracing.py replaces calculator names by wrappers while it
+    # traces.  A name that src no longer defines makes it raise
+    # AttributeError, and each name must hold its own object again after.
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    bound = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in tracer._patches()]
+    with tracer.patched():
+        assert all(owner.__dict__[attr] is not original for owner, attr, original in bound)
+    assert all(owner.__dict__[attr] is original for owner, attr, original in bound)
