@@ -111,10 +111,6 @@ def merge_counts(pairs: Iterable[tuple], key: Callable | None = None) -> tuple:
     return tuple(sorted([(x, k) for x, k in merged.items() if k], key=key))
 
 
-class NotTorsion(ValueError):
-    """A torsion group was required but the argument has free rank > 0."""
-
-
 class Validated:
     """Base of a namedtuple whose ``__new__`` validates.  namedtuple's own
     ``_make``, which ``_replace`` and ``copy.replace`` call, builds the

@@ -26,7 +26,6 @@ from .abelian import (
     ZERO_GROUP,
     CyclicFactor,
     FgAbelianGroup,
-    NotTorsion,
     isprime,
     merge_counts,
     perfect_power,
@@ -576,7 +575,7 @@ def moore_pairs(n: int, group: FgAbelianGroup) -> tuple[tuple[ElementaryComplex,
     """The ``(P^n(p^e), multiplicity)`` pairs of P^n(G) for torsion G, one
     per distinct primary factor: counts for a wedge that holds them."""
     if group.free_rank:
-        raise NotTorsion(f"{group} has free rank {group.free_rank}")
+        raise ValueError(f"{group} has free rank {group.free_rank}")
     return tuple((moore(n, f.order), k) for f, k in group.pairs)
 
 

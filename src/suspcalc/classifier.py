@@ -43,19 +43,6 @@ BRANCH_NONSPIN_CASE_A = "nonspin-case-a"
 BRANCH_NONSPIN_CASE_B = "nonspin-case-b"
 BRANCH_NONSPIN_CASE_C = "nonspin-case-c"
 
-ALL_BRANCHES = (
-    BRANCH_SPIN_THETA_TRIVIAL,
-    BRANCH_SPIN_THETA_NONTRIVIAL,
-    BRANCH_NONSPIN_CASE_A,
-    BRANCH_NONSPIN_CASE_B,
-    BRANCH_NONSPIN_CASE_C,
-)
-
-
-class InvalidInvariants(ValueError):
-    """The invariant record violates its own consistency constraints."""
-
-
 class OmittedCase(ValueError):
     """Non-spin with nontrivial secondary-operation action: the
     classification declines this case ("We omit the discussion")."""
@@ -70,13 +57,13 @@ def json_fields(data, where: str, required: tuple[str, ...],
     """``data`` itself, once it is an object holding every ``required``
     field and no field outside ``required`` and ``optional``."""
     if type(data) is not dict:
-        raise InvalidInvariants(f"{where} must be an object, not {_json_type(data)}")
+        raise ValueError(f"{where} must be an object, not {_json_type(data)}")
     unknown = set(data).difference(required, optional)
     if unknown:
-        raise InvalidInvariants(f"unknown field {min(unknown)!r} in {where}")
+        raise ValueError(f"unknown field {min(unknown)!r} in {where}")
     for key in required:
         if key not in data:
-            raise InvalidInvariants(f"missing field {key!r} in {where}")
+            raise ValueError(f"missing field {key!r} in {where}")
     return data
 
 
@@ -87,7 +74,7 @@ def json_value(data: dict, key: str, kind: type, where: str, default=None):
         return default
     value = data[key]
     if type(value) is not kind:
-        raise InvalidInvariants(
+        raise ValueError(
             f"{key!r} in {where} must be {_JSON_TYPES[kind]}, not {_json_type(value)}"
         )
     return value
@@ -123,11 +110,11 @@ class ThetaAction(Validated, namedtuple("ThetaAction", "action j0")):
 
     def __new__(cls, action: str, j0: int | None = None):
         if action not in (THETA_TRIVIAL, THETA_NONTRIVIAL):
-            raise InvalidInvariants(f"unknown theta action {action!r}")
+            raise ValueError(f"unknown theta action {action!r}")
         if action == THETA_NONTRIVIAL and j0 is None:
-            raise InvalidInvariants("nontrivial theta action needs an index j0")
+            raise ValueError("nontrivial theta action needs an index j0")
         if action == THETA_TRIVIAL and j0 is not None:
-            raise InvalidInvariants("trivial theta action carries no index")
+            raise ValueError("trivial theta action carries no index")
         return tuple.__new__(cls, (action, j0))
 
     @property
@@ -143,12 +130,12 @@ class Sq2Case(Validated, namedtuple("Sq2Case", "case index")):
 
     def __new__(cls, case: str, index: int | None = None):
         if case not in (SQ2_NOT_APPLICABLE, SQ2_CASE_A, SQ2_CASE_B, SQ2_CASE_C):
-            raise InvalidInvariants(f"unknown sq2 case {case!r}")
+            raise ValueError(f"unknown sq2 case {case!r}")
         needs_index = case in (SQ2_CASE_B, SQ2_CASE_C)
         if needs_index and index is None:
-            raise InvalidInvariants(f"case {case} needs an index")
+            raise ValueError(f"case {case} needs an index")
         if not needs_index and index is not None:
-            raise InvalidInvariants(f"case {case} carries no index")
+            raise ValueError(f"case {case} carries no index")
         return tuple.__new__(cls, (case, index))
 
 
@@ -167,26 +154,26 @@ class ManifoldInvariants(Validated, namedtuple(
         self = tuple.__new__(cls, (m, d, torsion, spin, theta, sq2_case, postnikov_trivial,
                                    label))
         if m < 0 or d < 0:
-            raise InvalidInvariants("m and d must be non-negative")
+            raise ValueError("m and d must be non-negative")
         if max(m, d) > MAX_FREE_RANK:
-            raise InvalidInvariants(f"m and d must be at most {MAX_FREE_RANK}")
+            raise ValueError(f"m and d must be at most {MAX_FREE_RANK}")
         if sum(k for _, k in torsion.pairs) > MAX_TORSION_FACTORS:
-            raise InvalidInvariants(f"torsion may have at most {MAX_TORSION_FACTORS} factors "
+            raise ValueError(f"torsion may have at most {MAX_TORSION_FACTORS} factors "
                                     "(summed multiplicity)")
         if not torsion.is_torsion:
-            raise InvalidInvariants("torsion group must have free rank 0")
+            raise ValueError("torsion group must have free rank 0")
         n = len(self.two_exponents)
         if theta.nontrivial and not 1 <= theta.j0 <= n:
-            raise InvalidInvariants(f"theta index j0 must lie in 1..{n}")
+            raise ValueError(f"theta index j0 must lie in 1..{n}")
         if spin and sq2_case.case != SQ2_NOT_APPLICABLE:
-            raise InvalidInvariants("spin manifolds take sq2_case not_applicable")
+            raise ValueError("spin manifolds take sq2_case not_applicable")
         if not spin and sq2_case.case == SQ2_NOT_APPLICABLE:
-            raise InvalidInvariants("non-spin manifolds need sq2_case A, B or C")
+            raise ValueError("non-spin manifolds need sq2_case A, B or C")
         if sq2_case.case == SQ2_CASE_A and not spin and d < 1:
-            raise InvalidInvariants("case A consumes a free degree-4 class; d >= 1 required")
+            raise ValueError("case A consumes a free degree-4 class; d >= 1 required")
         if sq2_case.case in (SQ2_CASE_B, SQ2_CASE_C):
             if not 1 <= sq2_case.index <= n:
-                raise InvalidInvariants(f"sq2 index must lie in 1..{n}")
+                raise ValueError(f"sq2 index must lie in 1..{n}")
         return self
 
     @cached_property
@@ -249,7 +236,7 @@ class ManifoldInvariants(Validated, namedtuple(
                 json_value(item, key, int, where)
             if not _order_below_bound(item["prime"], item["exponent"]):
                 bits = MAX_FACTOR_ORDER.bit_length() - 1
-                raise InvalidInvariants(f"{where}: prime**exponent must be below 2**{bits}")
+                raise ValueError(f"{where}: prime**exponent must be below 2**{bits}")
         theta_data = json_fields(data["theta"], "theta", ("action",), ("j0",))
         theta = ThetaAction(
             json_value(theta_data, "action", str, "theta"),
@@ -259,13 +246,13 @@ class ManifoldInvariants(Validated, namedtuple(
         case = json_value(sq2_data, "case", str, "sq2_case")
         key, stray = ("j1", "j2") if case == SQ2_CASE_B else ("j2", "j1")
         if stray in sq2_data:
-            raise InvalidInvariants(f"sq2_case {case!r} takes no {stray}")
+            raise ValueError(f"sq2_case {case!r} takes no {stray}")
         label = json_value(data, "label", str, "descriptor")
         if label is not None:
             try:
                 label.encode("utf-8")
             except UnicodeEncodeError:  # a lone surrogate, which no output can print
-                raise InvalidInvariants("'label' in descriptor must be valid Unicode") from None
+                raise ValueError("'label' in descriptor must be valid Unicode") from None
         return cls(
             m=json_value(data, "m", int, "descriptor"),
             d=json_value(data, "d", int, "descriptor"),

@@ -77,24 +77,8 @@ from .catalog import (
 from .classifier import json_fields, json_value
 
 
-class NotComposable(ValueError):
-    """The two symbols have mismatched source/target."""
-
-
 class IllegalOp(ValueError):
     """The requested row operation is not in the move alphabet."""
-
-
-class NotNormalForm(ValueError):
-    """cofiber() needs a vector with at most one nonzero entry."""
-
-
-class UnsupportedVector(ValueError):
-    """The vector carries entries outside the normalizable range."""
-
-
-class TooLarge(ValueError):
-    """The oracle bounds (<= 4 targets, entry-group order <= 2^12) are exceeded."""
 
 
 ZERO = "zero"  # the kind of a zero class
@@ -278,7 +262,7 @@ _COMPOSITION: dict[tuple[str, str], tuple[str | None, int]] = {
 def apply_transfer(transfer: GeneratorSymbol, x: MapClass) -> MapClass:
     """Left-compose a transfer map with a sphere-sourced class."""
     if transfer.source != x.target:
-        raise NotComposable(f"{transfer} cannot follow a class into {x.target}")
+        raise ValueError(f"{transfer} cannot follow a class into {x.target}")
     src, out_target = x.source, transfer.target
     if src.kind != SPHERE:
         raise TableMiss("only sphere-sourced classes can be pushed along transfers")
@@ -314,7 +298,7 @@ def _symbol_as_class(symbol: GeneratorSymbol) -> MapClass | None:
 def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
     """Normal form of left . right via the stored relation formulas."""
     if left.source != right.target:
-        raise NotComposable(f"{left} cannot follow {right}")
+        raise ValueError(f"{left} cannot follow {right}")
     as_class = _symbol_as_class(right)
     if as_class is not None:
         return apply_transfer(left, as_class)
@@ -324,7 +308,7 @@ def compose_relation(left: GeneratorSymbol, right: GeneratorSymbol) -> MapClass:
         s = _moore_exponent(right.target)
         factor = 2 ** (r - s) if r >= s else 1
         return _pure_entry(maps_group(right.source, left.target), left.kind, factor)
-    raise NotComposable(f"no relation stored for {left.kind} . {right.kind}")
+    raise ValueError(f"no relation stored for {left.kind} . {right.kind}")
 
 
 # --------------------------------------------------------------------------
@@ -531,13 +515,13 @@ def normalize(v: MapVector) -> MapVector:
     unit generator of the first _SURVIVORS kind present, at its winning
     (exponent, index), or the zero vector."""
     if v.theta_remainder:
-        raise UnsupportedVector("vector carries an unresolved Whitehead-product remainder")
+        raise ValueError("vector carries an unresolved Whitehead-product remainder")
     if v.source.kind != SPHERE:
-        raise UnsupportedVector("only sphere-sourced vectors are normalized")
+        raise ValueError("only sphere-sourced vectors are normalized")
     kinds = [e.kind() for e in v.entries]
     if OTHER in kinds:
         entry = v.entries[kinds.index(OTHER)]
-        raise UnsupportedVector(
+        raise ValueError(
             f"entry {entry} in [{v.source}, {entry.target}] is outside the normal-form range")
     out = v._replace(entries=tuple(MapClass(e.entry, (0,) * len(e.coeffs)) for e in v.entries))
     for kind, (highest, _) in _SURVIVORS.items():
@@ -557,7 +541,7 @@ def cofiber(v: MapVector) -> WedgeComplex:
     """
     live = [(i, e) for i, e in enumerate(v.entries) if not e.is_zero]
     if len(live) > 1:
-        raise NotNormalForm("cofiber needs at most one nonzero entry")
+        raise ValueError("cofiber needs at most one nonzero entry")
     summands = list(v.targets)
     if not live:
         summands.append(sphere(v.source.n + 1))
@@ -566,7 +550,7 @@ def cofiber(v: MapVector) -> WedgeComplex:
     kind = entry.kind()
     target = v.targets[i]
     if kind not in _SURVIVORS:
-        raise UnsupportedVector(f"no catalog cofiber for a {kind} entry on {target}")
+        raise ValueError(f"no catalog cofiber for a {kind} entry on {target}")
     _, construct = _SURVIVORS[kind]
     summands[i] = construct(target.bottom_dim, *_exponent(target))
     return WedgeComplex(tuple(summands))
@@ -630,8 +614,9 @@ def _block(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
 def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...]):
     """What the oracle's closure needs for any vector from ``source`` into
     ``targets``, built once per such pair: each row's place, the state
-    graph, and each row's ``_elements``.  Raises TooLarge (caching
-    nothing) past the oracle's bounds.
+    graph, and each row's ``_elements``.  Raises ValueError (caching
+    nothing) past the oracle's bounds: more than 4 targets, an infinite
+    entry group, or a total entry-group order above 2^12.
 
     A state is the mixed-radix number of the rows' indices into
     ``_elements``, row 0 most significant: row i's index is
@@ -647,15 +632,15 @@ def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...])
     away, in ``_all_moves`` order, leaving out the state itself: state k's
     neighbours are ``graph[ends[k]:ends[k + 1]]``."""
     if len(targets) > 4:
-        raise TooLarge("oracle supports at most 4 targets")
+        raise ValueError("oracle supports at most 4 targets")
     total = 1
     for t in targets:
         order = maps_group(source, t).group.order()
         if order is None:
-            raise TooLarge(f"entry group [{source}, {t}] is infinite")
+            raise ValueError(f"entry group [{source}, {t}] is infinite")
         total *= order
     if total > 2**12:
-        raise TooLarge(f"total entry-group order {total} exceeds 2^12")
+        raise ValueError(f"total entry-group order {total} exceeds 2^12")
     rows = tuple(_elements(source, t) for t in targets)
     sizes = [len(r) for r in rows]
     places = tuple((prod(sizes[i + 1:]), n) for i, n in enumerate(sizes))

@@ -49,7 +49,6 @@ from suspcalc.normalizer import (
     GeneratorSymbol,
     MapClass,
     MapVector,
-    UnsupportedVector,
     cofiber,
     compose_relation,
     normalize,
@@ -276,7 +275,8 @@ def _oracle_sweep(sizes, pools=SWEEP_POOL):
                     least = reachable[least_key]
                     try:
                         orbit_cofiber = cofiber(normalize(least))
-                    except UnsupportedVector:
+                    except ValueError as err:  # declined: any other error fails the sweep
+                        assert "outside the normal-form range" in str(err), err
                         orbit_cofiber = None  # the first accepted member's then
                     for key in reachable:
                         member = unvisited.pop(key, None)
@@ -285,7 +285,8 @@ def _oracle_sweep(sizes, pools=SWEEP_POOL):
                         checked += 1
                         try:
                             nf = normalize(member)
-                        except UnsupportedVector:
+                        except ValueError as err:
+                            assert "outside the normal-form range" in str(err), err
                             declined.append(member)
                             continue
                         if nf.key() not in reachable:

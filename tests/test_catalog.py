@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, NotTorsion
+from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup
 from suspcalc.cli import build_tables
 from suspcalc.ehp import hopf_table
 from suspcalc import catalog
 from suspcalc.catalog import (
     ETA,
+    ETA2,
     IOTA,
     OTHER,
     SPHERE,
@@ -363,9 +364,9 @@ def test_peterson_of_group():
     assert peterson_of_group(3, FgAbelianGroup.of_orders(2, 2)) == WedgeComplex((
         moore(3, 2), moore(3, 2)
     ))
-    with pytest.raises(NotTorsion):
+    with pytest.raises(ValueError, match="Z has free rank 1"):
         peterson_of_group(4, Z)
-    with pytest.raises(NotTorsion):
+    with pytest.raises(ValueError, match="Z has free rank 1"):
         moore_pairs(4, Z)
     g = FgAbelianGroup.of_orders(2, 2, 8, 9)
     assert moore_pairs(5, g) == ((moore(5, 2), 2), (moore(5, 8), 1), (moore(5, 9), 1))
@@ -450,6 +451,50 @@ def test_a_eta2_rows_match_the_cofibre_sequence_count():
         entry = maps_group(a_eta2(n), sphere(N))
         assert entry.group == FgAbelianGroup.of_orders(coker, ker, free_ring=RING_Z2LOCAL)
         assert str(entry.group) == group
+
+
+# eta precomposed with the generator of each sphere row that the count
+# below meets, as the generator it lands on (Toda 1962): iota eta = eta,
+# and eta eta = eta^2.
+_ETA_PRECOMPOSED = {IOTA: ETA, ETA: ETA2}
+
+
+def _eta_precomposition(k, N):
+    """Orders of the cokernel and the kernel of eta precomposition
+    [S^k, S^N] -> [S^(k+1), S^N], read off the sphere rows; order 0 is
+    Z_(2), and a zero group has order 1.  Each group met is cyclic, and a
+    nonzero one maps onto the next."""
+    source, target = maps_group(sphere(k), sphere(N)), maps_group(sphere(k + 1), sphere(N))
+    if not source.orders:
+        return (target.orders[0] if target.orders else 1), 1
+    assert target.kinds == (_ETA_PRECOMPOSED[source.kinds[0]],), (k, N)
+    return 1, source.orders[0] // target.orders[0]
+
+
+def test_chang_eta_rows_match_the_cofibre_sequence_count():
+    # X = C^(n+2)_eta = S^n u_eta e^(n+2): its cofibre sequence gives
+    #   [S^(n+1), S^N] -> [S^(n+2), S^N] -> [X, S^N] -> [S^n, S^N] -> [S^(n+1), S^N],
+    # the outer maps precomposition with S eta and eta.  So [X, S^N] is an
+    # extension of ker eta^* by coker (S eta)^*, which splits wherever the
+    # kernel is free.  N >= 3: [C^4_eta, S^2] = 0 is unstable (k -> k^2 eta_2
+    # is no homomorphism), and only the recording pins it.
+    printed = {}
+    for n, N in product(range(2, 9), range(3, 9)):
+        try:
+            entry = maps_group(chang_eta(n), sphere(N))
+        except TableMiss:
+            continue
+        coker, _ = _eta_precomposition(n + 1, N)
+        _, ker = _eta_precomposition(n, N)
+        assert coker == 1 or ker in (0, 1), (n, N)  # the extension is forced
+        assert entry.group == FgAbelianGroup.of_orders(coker, ker, free_ring=RING_Z2LOCAL), (n, N)
+        printed[n, N] = str(entry.group)
+    assert len(printed) == 13
+    # The three rows with n <= N <= n + 2, by hand: [C^5_eta, S^3] = ker eta^* = 2Z,
+    # [C^5_eta, S^5] = Z from the top cell, and [C^6_eta, S^5] = 0 since iota eta = eta.
+    assert {key: group for key, group in printed.items() if group != "0"} == {
+        (3, 3): "Z_(2)", (3, 5): "Z_(2)"}
+    assert printed[4, 5] == "0"
 
 
 def test_moore_rows_match_the_cofibre_sequence_count():

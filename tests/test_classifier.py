@@ -19,14 +19,13 @@ from suspcalc.catalog import (
     sphere,
 )
 from suspcalc.classifier import (
-    ALL_BRANCHES,
     BRANCH_NONSPIN_CASE_A,
+    BRANCH_NONSPIN_CASE_B,
     BRANCH_NONSPIN_CASE_C,
     BRANCH_SPIN_THETA_NONTRIVIAL,
     BRANCH_SPIN_THETA_TRIVIAL,
     MAX_FREE_RANK,
     MAX_TORSION_FACTORS,
-    InvalidInvariants,
     ManifoldInvariants,
     OmittedCase,
     Sq2Case,
@@ -217,18 +216,18 @@ def test_roundtrip_bockstein_check_on_torsion_free():
 # --------------------------------------------------------------------------
 
 def test_invalid_case_a_without_free_class():
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match="case A consumes a free degree-4 class; d >= 1 required"):
         invariants(1, 0, (2,), spin=False, sq2=Sq2Case("A"))
 
 
 def test_invalid_indices():
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match="theta index j0 must lie in 1..1"):
         invariants(0, 0, (2,), theta=ThetaAction("nontrivial", 2))
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match="sq2 index must lie in 1..0"):
         invariants(0, 0, (), spin=False, sq2=Sq2Case("B", 1))
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match="spin manifolds take sq2_case not_applicable"):
         invariants(0, 0, (2,), spin=True, sq2=Sq2Case("B", 1))
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match="torsion group must have free rank 0"):
         ManifoldInvariants(
             0, 0, FgAbelianGroup.free(1), True, ThetaAction("trivial"),
             Sq2Case("not_applicable"), True,
@@ -298,6 +297,10 @@ def test_suspension_coherence_randomized(rng):
             continue
         assert not isinstance(report.sigma, Unresolved)
         assert report.sigma.suspend() == report.sigma2
+
+
+ALL_BRANCHES = (BRANCH_SPIN_THETA_TRIVIAL, BRANCH_SPIN_THETA_NONTRIVIAL, BRANCH_NONSPIN_CASE_A,
+                BRANCH_NONSPIN_CASE_B, BRANCH_NONSPIN_CASE_C)
 
 
 def test_branch_totality(rng):
@@ -452,6 +455,7 @@ def test_classify_and_audit_at_the_input_bound():
 ])
 def test_invariants_over_the_input_bound_rejected(m, d, factors):
     torsion = FgAbelianGroup(torsion=(CyclicFactor(2, 1),) * factors)
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match=f"m and d must be at most {MAX_FREE_RANK}|"
+                                         f"torsion may have at most {MAX_TORSION_FACTORS} factors"):
         ManifoldInvariants(m, d, torsion, True, ThetaAction("trivial"),
                            Sq2Case("not_applicable"), True)

@@ -14,12 +14,12 @@ from hypothesis import given, strategies as st
 from conftest import random_invariants, valid_invariants
 from test_acceptance import BRANCH_SUITE
 from test_catalog import recorded_complexes
+from test_classifier import ALL_BRANCHES
 import suspcalc
 import suspcalc.cli
 from suspcalc import catalog, ehp
 from suspcalc.catalog import WedgeComplex, parse_complex
 from suspcalc.classifier import (
-    ALL_BRANCHES,
     CheckResult,
     OmittedCase,
     classify_double_suspension,
@@ -212,6 +212,12 @@ def nonspin_case_b(**indices):
                      id="missing-spin"),
         pytest.param(nonspin_case_b(j2=1), "j2", id="case-b-with-j2"),
         pytest.param(nonspin_case_b(j1=1, j2=1), "j2", id="case-b-with-j1-and-j2"),
+        pytest.param(spin_with(theta={"action": "trivial", "j0": 1}),
+                     "descriptor 0: trivial theta action carries no index", id="trivial-theta-with-j0"),
+        pytest.param(spin_with(spin=False, sq2_case={"case": "A", "j2": 1}),
+                     "case A carries no index", id="case-a-with-j2"),
+        pytest.param(spin_with(sq2_case={"case": "not_applicable", "j2": 1}),
+                     "case not_applicable carries no index", id="not-applicable-with-j2"),
         pytest.param([SPIN_DESCRIPTOR, 7], "descriptor 1", id="non-object-batch-item"),
     ],
 )
@@ -408,6 +414,9 @@ def s5_to_s4(coefficients, source="S^5", target="S^4"):
         pytest.param(s5_to_s4({"i_2 eta": 3}, source="S^3", target="P^3(4)"),
                      "3(i_2 eta) in [S^3, P^3(4)] is outside the normal-form range",
                      id="odd-multiple-of-i-eta"),
+        pytest.param({"source": "P^4(2)",
+                      "entries": [{"target": "S^3", "coefficients": {"eta q_4": 1}}]},
+                     "only sphere-sourced vectors are normalized", id="moore-source"),
     ],
 )
 def test_normalize_rejects_unknown_generator(tmp_path, capsys, vector, culprit):
@@ -495,7 +504,9 @@ def test_console_entry_point_runs():
 
 def test_output_is_the_same_under_every_hash_seed(tmp_path):
     # Complexes hash by identity and strings by the hash seed: no output may
-    # follow either, so two processes under different seeds print the same bytes.
+    # follow either, so two processes under different seeds print the same
+    # bytes, and under each seed the golden commands print their goldens and
+    # tables the transcription.
     batch = write(tmp_path, "batch.json", _mixed_batch())
     vector = write(tmp_path, "v.json", {
         "source": "S^5",
@@ -503,10 +514,15 @@ def test_output_is_the_same_under_every_hash_seed(tmp_path):
                     {"target": "P^4(4)", "coefficients": {"eta~_2": 1}},
                     {"target": "S^3", "coefficients": {"eta^2": 1}}],
     })
+    golden_input = str(DATA_DIR / "cohomotopy_golden_input.json")
     commands = [["classify", "--json", "--stages", "--validate", batch],
-                ["cohomotopy", "--json", str(DATA_DIR / "cohomotopy_golden_input.json")],
+                ["cohomotopy", "--json", golden_input],
+                ["cohomotopy", golden_input],
+                ["classify", "--stages", "--validate", golden_input],
                 ["normalize", "--json", vector],
                 ["tables"]]
+    goldens = {2: "cohomotopy_golden.txt", 3: "classify_golden.txt",  # by place in commands
+               5: "tables_transcription.json"}
     script = ("import json, sys; from suspcalc.cli import main\n"
               "for args in json.loads(sys.argv[1]): print('exit', main(args), flush=True)")
     src = str(Path(suspcalc.__file__).resolve().parents[1])
@@ -517,22 +533,38 @@ def test_output_is_the_same_under_every_hash_seed(tmp_path):
                               env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count(b"exit 0\n") == len(commands), proc.stdout[-200:]
+        printed = proc.stdout.split(b"exit 0\n")
+        for i, golden in goldens.items():
+            assert printed[i] == (DATA_DIR / golden).read_bytes(), (seed, golden)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("module", ["jsonschema", "sympy", "suspcalc.ehp", "suspcalc.normalizer",
-                                    "dataclasses", "inspect"])
-def test_cli_imports_without(module):
+# Importing the CLI alone; and every module a command runs, under -S:
+# without site, which may load typing itself, so only the program's own
+# imports count.
+CLI_ALONE = ([], "suspcalc.cli")
+EVERY_COMMAND = (["-S"], "suspcalc.cli, suspcalc.ehp, suspcalc.normalizer")
+
+
+@pytest.mark.parametrize("module, imports", [
+    *(pytest.param(module, [CLI_ALONE], id=module)
+      for module in ("jsonschema", "sympy", "suspcalc.ehp", "suspcalc.normalizer")),
+    *(pytest.param(module, [CLI_ALONE, EVERY_COMMAND], id=module)
+      for module in ("dataclasses", "inspect")),
+    pytest.param("typing", [EVERY_COMMAND], id="typing"),
+])
+def test_cli_imports_without(module, imports):
     src = str(Path(suspcalc.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, suspcalc.cli; print({module!r} in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for flags, modules in imports:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", f"import sys, {modules}; print({module!r} in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", flags
 
 
 # The suspcalc modules each command loads when it is the first call of a process.
@@ -674,6 +706,36 @@ def test_unreadable_json_rejected(tmp_path, capsys, command, content):
     assert code == EXIT_BAD_INPUT
     assert out == ""
     assert err.startswith("error: malformed JSON:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, culprit", [
+    pytest.param("missing.json", "[Errno 2] No such file or directory", id="missing-file"),
+    pytest.param("directory", "[Errno 21] Is a directory", id="directory"),
+])
+@pytest.mark.parametrize("command", ["classify", "normalize"])
+def test_unreadable_path_rejected(tmp_path, capsys, command, name, culprit):
+    (tmp_path / "directory").mkdir(exist_ok=True)
+    code, out, err = run_cli([command, str(tmp_path / name)], tmp_path, capsys)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith(f"error: {culprit}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "cohomotopy", "validate"])
+def test_lone_surrogate_label_rejected_on_a_strict_stdout(command):
+    # pytest's capture buffer takes strings that a real UTF-8 stdout refuses,
+    # so only a process shows a label that reached the output.  Its stdout
+    # must encode strictly: in UTF-8 mode it would escape the surrogate.
+    src = str(Path(suspcalc.__file__).resolve().parents[1])
+    path = DATA_DIR / "lone_surrogate_label.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "suspcalc.cli", command, str(path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "label" in proc.stderr
 
 
 # Deeper than the decoder recurses on any supported Python.
@@ -924,4 +986,10 @@ def test_normalize_prints_json_dumps_indent_2(vector):
 
 @pytest.mark.parametrize("family", [None, *catalog.FAMILIES])
 def test_tables_print_json_dumps_indent_2(family):
-    _printed_as_indent_2(["tables"] + (["--filter", family] if family else []), "")
+    out = _printed_as_indent_2(["tables"] + (["--filter", family] if family else []), "")
+    # The transcription's rows of the family, as json.dumps spells them.
+    dump = json.loads(TRANSCRIPTION.read_text(encoding="utf-8"))
+    if family:
+        dump = {section: [row for row in rows if row["family"] == family]
+                for section, rows in dump.items()}
+    assert out == json.dumps(dump, indent=2) + "\n"

@@ -10,6 +10,7 @@ every name that perfbench's tracer rebinds.
 """
 
 import ast
+import builtins
 import copy
 import dataclasses
 import importlib.util
@@ -32,7 +33,6 @@ from suspcalc.catalog import (
     sphere,
 )
 from suspcalc.classifier import (
-    InvalidInvariants,
     ManifoldInvariants,
     Sq2Case,
     ThetaAction,
@@ -164,13 +164,13 @@ def test_replace_builds_through_the_validating_constructor():
         CyclicFactor(2, 1)._replace(prime=4)
     with pytest.raises(ValueError):
         CyclicFactor._make((2, 0))
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match="nontrivial theta action needs an index j0"):
         ThetaAction("trivial")._replace(action="nontrivial")
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match="case B needs an index"):
         Sq2Case("A")._replace(case="B")
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match="m and d must be non-negative"):
         INV._replace(d=-1)
-    with pytest.raises(InvalidInvariants):
+    with pytest.raises(ValueError, match="torsion group must have free rank 0"):
         INV._replace(torsion=FgAbelianGroup.free(1))
     assert INV._replace(label=None).two_exponents == INV.two_exponents
 
@@ -233,28 +233,49 @@ KEPT_UNREAD = {
 }
 
 
-def _src_definitions_and_readers():
-    """Every function, class and method that src defines (dunders aside),
-    by qualified name, and the qualified names of those that src reads.
+def _told_apart(tree):
+    """The ids of the expressions where ``tree`` tells exception types
+    apart: an except clause's type (each member of a tuple), the second
+    argument of ``isinstance`` or ``issubclass``, and a class's bases."""
+    spots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type:
+            spots.append(node.type)
+        elif (isinstance(node, ast.Call) and len(node.args) == 2
+              and getattr(node.func, "id", "") in ("isinstance", "issubclass")):
+            spots.append(node.args[1])
+        elif isinstance(node, ast.ClassDef):
+            spots.extend(node.bases)
+    return {id(n) for spot in spots for n in (spot.elts if isinstance(spot, ast.Tuple) else [spot])}
 
-    A definition is read where its name occurs outside its own body: a
-    function or class as a Name or an attribute, a method as an attribute
-    alone, so that the bare Name ``count`` (``itertools.count``) reads no
-    method ``count``.  Where the attribute's receiver is ``self``, ``cls``
-    or the name of a src class (``MapClass.of``), it reads that class's
-    definition, or that of its nearest src base that has one, and no
-    other.  Any other receiver may be of any type, so it reads every
-    definition with the name: ``inv.torsion`` reads a property
-    ``torsion`` of any class, and ``e.is_zero`` one ``is_zero``.  An
-    import reads nothing: code that uses an imported name reads it by
-    name, so the package's re-exports and an import no code uses do not
-    count.  Strings, comments and doctests are not code.
+
+def _src_definitions_and_readers():
+    """Every function, class, method and module-level constant that src
+    defines (dunders aside), by qualified name, and the qualified names of
+    those that src reads.
+
+    A definition is read where its name occurs outside its own body (for
+    a constant, outside its own assignment): a function, class or constant
+    as a Name or an attribute, a method as an attribute alone, so that the
+    bare Name ``count`` (``itertools.count``) reads no method ``count``.
+    Where the attribute's receiver is ``self``, ``cls`` or the name of a
+    src class (``MapClass.of``), it reads that class's definition, or that
+    of its nearest src base that has one, and no other.  Any other
+    receiver may be of any type, so it reads every definition with the
+    name: ``inv.torsion`` reads a property ``torsion`` of any class, and
+    ``e.is_zero`` one ``is_zero``.  An exception class is read only where
+    src tells it apart from other exceptions (``_told_apart``); a ``raise``
+    does not read it, since a caller that catches only ``ValueError``
+    needs no subclass.  An import reads nothing: code that uses an
+    imported name reads it by name, so the package's re-exports and an
+    import no code uses do not count.  Strings, comments and doctests are
+    not code.
     """
     defined = {}  # qualified name -> (name, node, whether it is a method)
     bases = {}  # class qualified name -> the names of its bases
-    reads = []  # (name, receiver, the definitions enclosing the occurrence)
+    reads = []  # (name, receiver, the definitions enclosing it, whether it tells apart)
 
-    def walk(node, prefix, enclosing, owner):
+    def walk(node, prefix, enclosing, owner, telling):
         for child in ast.iter_child_nodes(node):
             inner, qual, inner_owner = enclosing, prefix, owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -265,17 +286,24 @@ def _src_definitions_and_readers():
                 if isinstance(child, ast.ClassDef):
                     inner_owner = qual
                     bases[qual] = [b.id for b in child.bases if isinstance(b, ast.Name)]
+            elif isinstance(node, ast.Module) and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                inner = enclosing | {child}
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    if not (name.startswith("__") and name.endswith("__")):
+                        defined[f"{prefix}.{name}"] = (name, child, False)
             elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                reads.append((child.id, None, enclosing))
+                reads.append((child.id, None, enclosing, id(child) in telling))
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
                 # the receiver's name; for self and cls, the enclosing class
                 value = getattr(child.value, "id", "")
                 reads.append((child.attr, owner if value in ("self", "cls") and owner else value,
-                              enclosing))
-            walk(child, qual, inner, inner_owner)
+                              enclosing, id(child) in telling))
+            walk(child, qual, inner, inner_owner, telling)
 
     for path in sorted(Path(catalog.__file__).parent.glob("*.py")):
-        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, frozenset(), None)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        walk(tree, path.stem, frozenset(), None, _told_apart(tree))
     by_name, classes = {}, {}
     for qual, (name, _, _) in defined.items():
         by_name.setdefault(name, []).append(qual)
@@ -298,15 +326,27 @@ def _src_definitions_and_readers():
                 return found
         return []
 
+    def is_exception(cls):
+        """Whether the src class ``cls`` derives from a built-in exception."""
+        for base in bases[cls]:
+            builtin = getattr(builtins, base, None)
+            if isinstance(builtin, type) and issubclass(builtin, BaseException):
+                return True
+            if src_class(base) and is_exception(src_class(base)):
+                return True
+        return False
+
+    exceptions = {cls for cls in bases if is_exception(cls)}
     read = set()
-    for name, receiver, enclosing in reads:
+    for name, receiver, enclosing, tells_apart in reads:
         if receiver is None:  # a bare Name
             quals = [q for q in by_name.get(name, ()) if not defined[q][2]]
         elif cls := src_class(receiver):
             quals = nearest(cls, name)
         else:
             quals = by_name.get(name, ())
-        read.update(q for q in quals if defined[q][1] not in enclosing)
+        read.update(q for q in quals
+                    if defined[q][1] not in enclosing and (tells_apart or q not in exceptions))
     return defined, read
 
 
