@@ -145,52 +145,34 @@ class CyclicFactor(Validated, namedtuple("CyclicFactor", "prime exponent")):
         return f"Z/{self.order}"
 
 
-class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
+class FgAbelianGroup(Validated, namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
     """A finitely generated abelian group in primary canonical form.
 
     The torsion is held as ``pairs``, one ``(factor, multiplicity)`` per
     distinct factor, ascending, so that every operation costs what the
-    distinct factors cost.  ``torsion=`` takes factors copy by copy and
-    ``counts=`` takes pairs; both are merged.  Equal canonical forms are
-    equal groups:
+    distinct factors cost.  ``counts`` takes ``(factor, multiplicity)``
+    pairs and merges repeated factors.  Equal canonical forms are equal
+    groups:
 
     >>> FgAbelianGroup.of_orders(6) == FgAbelianGroup.of_orders(2, 3)
     True
     >>> FgAbelianGroup.of_orders(8) == FgAbelianGroup.of_orders(2, 4)
     False
-    >>> FgAbelianGroup(torsion=[CyclicFactor(2, 1)] * 3).pairs
+    >>> FgAbelianGroup(counts=[(CyclicFactor(2, 1), 1)] * 3).pairs
     ((CyclicFactor(prime=2, exponent=1), 3),)
     """
 
     __slots__ = ()
 
-    def __new__(cls, free_rank: int = 0, torsion: Iterable[CyclicFactor] = (),
-                free_ring: str = RING_Z, counts: Iterable[tuple[CyclicFactor, int]] = ()):
+    def __new__(cls, free_rank: int = 0, counts: Iterable[tuple[CyclicFactor, int]] = (),
+                free_ring: str = RING_Z):
         if free_rank < 0:
             raise ValueError("free_rank must be non-negative")
         if free_ring not in (RING_Z, RING_Z2LOCAL):
             raise ValueError(f"unknown free ring tag {free_ring!r}")
-        if torsion:
-            counts = chain(zip(torsion, repeat(1)), counts)
         # The ring tag is meaningless without a free part.
         return tuple.__new__(cls, (free_rank, merge_counts(counts),
                                    free_ring if free_rank else RING_Z))
-
-    # The constructor takes ``counts``, not the ``pairs`` field: these
-    # two map the fields onto it.
-    @classmethod
-    def _make(cls, iterable):
-        free_rank, pairs, free_ring = iterable
-        return cls(free_rank, free_ring=free_ring, counts=pairs)
-
-    def __reduce__(self):
-        return type(self), (self.free_rank, (), self.free_ring, self.pairs)
-
-    # ----- constructors -------------------------------------------------
-
-    @classmethod
-    def free(cls, rank: int, ring: str = RING_Z) -> "FgAbelianGroup":
-        return cls(free_rank=rank, free_ring=ring)
 
     @classmethod
     def of_orders(cls, *orders: int, free_ring: str = RING_Z) -> "FgAbelianGroup":
@@ -200,19 +182,15 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
         Z + Z/4 + Z/3 + Z/5
         """
         rank = 0
-        factors: list[CyclicFactor] = []
+        counts: list[tuple[CyclicFactor, int]] = []
         for k in map(abs, orders):
             if k == 0:
                 rank += 1
             elif k > 1:
-                factors += (CyclicFactor(p, e) for p, e in factorint(k).items())
-        return cls(free_rank=rank, torsion=factors, free_ring=free_ring)
+                counts += ((CyclicFactor(p, e), 1) for p, e in factorint(k).items())
+        return cls(rank, counts, free_ring)
 
     # ----- basic queries ------------------------------------------------
-
-    @property
-    def is_torsion(self) -> bool:
-        return self.free_rank == 0
 
     def order(self) -> int | None:
         """Group order, or None when the group is infinite."""
@@ -232,8 +210,7 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
         if self.free_rank and other.free_rank and self.free_ring != other.free_ring:
             raise ValueError("cannot sum free parts over different rings")
         ring = self.free_ring if self.free_rank else other.free_ring
-        return FgAbelianGroup(self.free_rank + other.free_rank, free_ring=ring,
-                              counts=self.pairs + other.pairs)
+        return FgAbelianGroup(self.free_rank + other.free_rank, self.pairs + other.pairs, ring)
 
     def times(self, k: int) -> "FgAbelianGroup":
         """The direct sum of k copies.
@@ -241,8 +218,8 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
         >>> print(FgAbelianGroup.of_orders(0, 2).times(2))
         Z^2 + Z/2 + Z/2
         """
-        return FgAbelianGroup(k * self.free_rank, free_ring=self.free_ring,
-                              counts=((f, k * m) for f, m in self.pairs))
+        return FgAbelianGroup(k * self.free_rank, ((f, k * m) for f, m in self.pairs),
+                              self.free_ring)
 
     def two_primary(self) -> "FgAbelianGroup":
         """The 2-primary subgroup (free rank discarded).
@@ -250,7 +227,7 @@ class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
         >>> print(FgAbelianGroup.of_orders(12, 5).two_primary())
         Z/4
         """
-        return FgAbelianGroup(counts=((f, k) for f, k in self.pairs if f.prime == 2))
+        return FgAbelianGroup(0, ((f, k) for f, k in self.pairs if f.prime == 2))
 
     def two_primary_exponents(self) -> tuple[int, ...]:
         """Sorted exponents r_1 <= ... <= r_n of the 2-primary factors."""

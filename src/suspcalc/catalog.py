@@ -158,9 +158,9 @@ class ElementaryComplex(_Frozen):
     notation (the kind's template, filled in) are set once, as it is built.
     """
 
-    # _sort_key and _notation are kept, not fields: every wedge sorts its
+    # sort_key and notation are kept, not fields: every wedge sorts its
     # summands by the one and prints them by the other.
-    __slots__ = ("kind", "n", "order", "r", "t", "_sort_key", "_notation")
+    __slots__ = ("kind", "n", "order", "r", "t", "sort_key", "notation")
     _fields = ("kind", "n", "order", "r", "t")
 
     def __new__(cls, kind: str, n: int, order: int = 0, r: int = 0, t: int = 0):
@@ -183,9 +183,6 @@ class ElementaryComplex(_Frozen):
     def family(self) -> str:
         return _KINDS[self.kind].family
 
-    def sort_key(self):
-        return self._sort_key
-
     # ----- suspension ---------------------------------------------------
 
     def suspend(self) -> "ElementaryComplex":
@@ -195,10 +192,6 @@ class ElementaryComplex(_Frozen):
         return _interned(self.kind, self.n - 1, self.order, self.r, self.t)
 
     # ----- notation -------------------------------------------------------
-
-    @property
-    def notation(self) -> str:
-        return self._notation
 
     def __str__(self):
         return self.notation
@@ -229,8 +222,8 @@ def _interned(kind: str, n: int, order: int, r: int, t: int) -> ElementaryComple
             raise ValueError(f"{kind} needs {spelling} below 2**{_BITS}")
     x = object.__new__(ElementaryComplex)
     for name, value in (("kind", kind), *values.items(),
-                        ("_sort_key", (n + row.bottom, _RANK[kind], n, order, r, t)),
-                        ("_notation", row.notation.format(top=n + row.top, **values))):
+                        ("sort_key", (n + row.bottom, _RANK[kind], n, order, r, t)),
+                        ("notation", row.notation.format(top=n + row.top, **values))):
         object.__setattr__(x, name, value)
     return x
 
@@ -348,7 +341,7 @@ class WedgeComplex(_Frozen):
     # perfbench/tracing.py wraps to count the summands sorted.
     def __post_init__(self):
         object.__setattr__(self, "pairs",
-                           merge_counts(self.pairs, lambda pair: pair[0].sort_key()))
+                           merge_counts(self.pairs, lambda pair: pair[0].sort_key))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -371,10 +364,6 @@ class WedgeComplex(_Frozen):
     @property
     def summands(self) -> _Copies:
         return _Copies(self.pairs)
-
-    @property
-    def is_point(self) -> bool:
-        return not self.pairs
 
     def wedge(self, other: "WedgeComplex | ElementaryComplex") -> "WedgeComplex":
         if isinstance(other, ElementaryComplex):

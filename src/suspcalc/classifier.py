@@ -160,7 +160,7 @@ class ManifoldInvariants(Validated, namedtuple(
         if sum(k for _, k in torsion.pairs) > MAX_TORSION_FACTORS:
             raise ValueError(f"torsion may have at most {MAX_TORSION_FACTORS} factors "
                                     "(summed multiplicity)")
-        if not torsion.is_torsion:
+        if torsion.free_rank:
             raise ValueError("torsion group must have free rank 0")
         n = len(self.two_exponents)
         if theta.nontrivial and not 1 <= theta.j0 <= n:
@@ -187,10 +187,10 @@ class ManifoldInvariants(Validated, namedtuple(
     def _homology_groups(self) -> dict[int, FgAbelianGroup]:
         """The nonzero degrees of ``homology``, each group built once."""
         return {
-            1: FgAbelianGroup.free(self.m).direct_sum(self.torsion),
-            2: FgAbelianGroup.free(self.d).direct_sum(self.torsion),
-            3: FgAbelianGroup.free(self.m),
-            4: FgAbelianGroup.free(1),
+            1: FgAbelianGroup(self.m).direct_sum(self.torsion),
+            2: FgAbelianGroup(self.d).direct_sum(self.torsion),
+            3: FgAbelianGroup(self.m),
+            4: FgAbelianGroup(1),
         }
 
     def homology(self, i: int) -> FgAbelianGroup:
@@ -360,7 +360,7 @@ def stage_decompositions(inv: ManifoldInvariants) -> StageDecompositions:
         w4 = WedgeComplex(counts=(*w3.pairs, (sphere(4), inv.m)))
         return StageDecompositions(w3, w4, None, sigma_w4)
     known = WedgeComplex(counts=((sphere(3), inv.d), *p4))
-    symbolic = Notation(f"{known.notation} v C_{{g2}}" if not known.is_point else "C_{g2}")
+    symbolic = Notation(f"{known.notation} v C_{{g2}}" if known.pairs else "C_{g2}")
     return StageDecompositions(w3, None, symbolic, sigma_w4)
 
 

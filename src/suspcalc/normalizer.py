@@ -133,9 +133,6 @@ class MapClass(Validated, namedtuple("MapClass", "entry coeffs")):
     def scale(self, k: int) -> "MapClass":
         return MapClass(self.entry, tuple(k * c for c in self.coeffs))
 
-    def neg(self) -> "MapClass":
-        return self.scale(-1)
-
     def coefficients(self) -> dict[str, int]:
         return {g: c for g, c in zip(self.entry.generators, self.coeffs) if c}
 
@@ -447,7 +444,7 @@ def self_equivalences(target: ElementaryComplex) -> tuple[str, ...]:
 
 def _apply_self_equiv(entry: MapClass, op: str) -> MapClass:
     if op == "neg":
-        return entry.neg()
+        return entry.scale(-1)
     if op == "unit_plus_i_eta_q":
         transfer = GeneratorSymbol(INCL_ETA_PINCH, entry.target, entry.target)
         return entry.add(apply_transfer(transfer, entry))
@@ -550,7 +547,7 @@ def cofiber(v: MapVector) -> WedgeComplex:
     kind = entry.kind()
     target = v.targets[i]
     if kind not in _SURVIVORS:
-        raise ValueError(f"no catalog cofiber for a {kind} entry on {target}")
+        raise ValueError(f"entry {entry} in [{v.source}, {target}] has no catalog cofiber")
     _, construct = _SURVIVORS[kind]
     summands[i] = construct(target.bottom_dim, *_exponent(target))
     return WedgeComplex(tuple(summands))

@@ -18,7 +18,7 @@ from suspcalc.abelian import (
 import suspcalc.catalog
 from suspcalc.catalog import TableMiss, _odd_prime_power, maps_group, moore, sphere
 
-Z = FgAbelianGroup.free(1)
+Z = FgAbelianGroup(1)
 ZERO = FgAbelianGroup()
 
 
@@ -76,8 +76,8 @@ def test_multiset_group_matches_per_copy_reference(a, b, rank_a, rank_b, k, data
         return tuple((f, copies.count(f)) for f in sorted(set(copies)))
 
     split = data.draw(st.integers(0, len(a)))
-    ga = FgAbelianGroup(rank_a, a[:split], counts=[(f, 1) for f in a[split:]])
-    gb = FgAbelianGroup(rank_b, b[::-1])
+    ga = FgAbelianGroup(rank_a, [(f, 1) for f in a[:split]] + list(pairs(a[split:])))
+    gb = FgAbelianGroup(rank_b, [(f, 1) for f in b[::-1]])
     assert ga.pairs == pairs(a)
 
     total = ga.direct_sum(gb)
@@ -99,7 +99,7 @@ def test_multiset_group_matches_per_copy_reference(a, b, rank_a, rank_b, k, data
 
 
 def test_mixed_free_rings_rejected():
-    local = FgAbelianGroup.free(1, RING_Z2LOCAL)
+    local = FgAbelianGroup(1, free_ring=RING_Z2LOCAL)
     with pytest.raises(ValueError):
         Z.direct_sum(local)
     # A rank-0 side never clashes.

@@ -419,7 +419,7 @@ def test_criterion_5_cohomotopy_formulas():
             if expected is None:
                 continue
             report = classify_double_suspension(descriptor)
-            formula = FgAbelianGroup.free(descriptor.m, RING_Z2LOCAL).direct_sum(
+            formula = FgAbelianGroup(descriptor.m, free_ring=RING_Z2LOCAL).direct_sum(
                 FgAbelianGroup.of_orders(*(2 ** (r - 1) for r in descriptor.two_exponents))
             )
             if report.branch == BRANCH_NONSPIN_CASE_B:

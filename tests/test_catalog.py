@@ -48,7 +48,7 @@ from suspcalc.catalog import (
     theta_flag,
 )
 
-Z = FgAbelianGroup.free(1)
+Z = FgAbelianGroup(1)
 ZERO = FgAbelianGroup()
 
 
@@ -614,7 +614,7 @@ def test_wedge_aggregates_match_per_copy_reference(counts, rnd):
     rnd.shuffle(copies)
     w = WedgeComplex(counts=counts)
     assert w == WedgeComplex(tuple(copies))
-    assert list(w.summands) == sorted(copies, key=lambda x: x.sort_key())
+    assert list(w.summands) == sorted(copies, key=lambda x: x.sort_key)
     assert len(w.summands) == len(copies)
     assert len(w.pairs) == len(set(copies))
     for x, _ in counts:
@@ -667,7 +667,7 @@ def _catalog_facts():
             parse_complex(x.notation) == x,
             x.bottom_dim,
             x.top_dim,
-            list(x.sort_key()),
+            list(x.sort_key),
             [str(integral_homology(x, i)) for i in range(12)],
             operation_profile(x).to_json_dict(),
         ]

@@ -229,7 +229,7 @@ def test_invalid_indices():
         invariants(0, 0, (2,), spin=True, sq2=Sq2Case("B", 1))
     with pytest.raises(ValueError, match="torsion group must have free rank 0"):
         ManifoldInvariants(
-            0, 0, FgAbelianGroup.free(1), True, ThetaAction("trivial"),
+            0, 0, FgAbelianGroup(1), True, ThetaAction("trivial"),
             Sq2Case("not_applicable"), True,
         )
 
@@ -432,7 +432,7 @@ def test_classify_and_audit_at_the_input_bound():
     wedge has over three million copies but eight distinct summands, and
     nothing is rendered."""
     n = MAX_TORSION_FACTORS // 2
-    torsion = FgAbelianGroup(torsion=(CyclicFactor(2, 1),) * n + (CyclicFactor(2, 3),) * n)
+    torsion = FgAbelianGroup(counts=[(CyclicFactor(2, 1), n), (CyclicFactor(2, 3), n)])
     inv = ManifoldInvariants(MAX_FREE_RANK, MAX_FREE_RANK, torsion, False,
                              ThetaAction("trivial"), Sq2Case("B", n + 1), True)
     assert MAX_FREE_RANK == 10**6
@@ -454,7 +454,7 @@ def test_classify_and_audit_at_the_input_bound():
     (0, 0, MAX_TORSION_FACTORS + 1),
 ])
 def test_invariants_over_the_input_bound_rejected(m, d, factors):
-    torsion = FgAbelianGroup(torsion=(CyclicFactor(2, 1),) * factors)
+    torsion = FgAbelianGroup(counts=[(CyclicFactor(2, 1), factors)])
     with pytest.raises(ValueError, match=f"m and d must be at most {MAX_FREE_RANK}|"
                                          f"torsion may have at most {MAX_TORSION_FACTORS} factors"):
         ManifoldInvariants(m, d, torsion, True, ThetaAction("trivial"),

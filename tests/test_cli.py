@@ -375,6 +375,25 @@ def test_normalize_command(tmp_path, capsys):
     assert payload["normal_form"]["entries"][0]["coefficients"] == {}
 
 
+@pytest.mark.parametrize("vector, wedge", [
+    ({"source": "S^6", "entries": [{"target": "S^5"}]}, "S^5 v S^7"),
+    # 2 eta and 2 eta~_2 are zero: the cofiber adds the sphere above the source.
+    ({"source": "S^5", "entries": [{"target": "S^4", "coefficients": {"eta": 2}},
+                                   {"target": "P^4(4)", "coefficients": {"eta~_2": 2}}]},
+     "P^4(4) v S^4 v S^6"),
+])
+def test_normalize_zero_vector_adds_the_sphere_above_the_source(tmp_path, capsys, vector, wedge):
+    path = write(tmp_path, "v.json", vector)
+    code, out, err = run_cli(["normalize", path], tmp_path, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == f"cofiber: {wedge}"
+    code, out, err = run_cli(["normalize", path, "--json"], tmp_path, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["cofiber"] == wedge
+    assert all(e["coefficients"] == {} for e in payload["normal_form"]["entries"])
+
+
 # A 60-digit Moore order with two large prime factors, far too slow to factor.
 HUGE_ORDER = (2**89 - 1) * (2**107 - 1)
 

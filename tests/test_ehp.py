@@ -41,7 +41,7 @@ from suspcalc.ehp import (
 
 
 def z2local(rank=1):
-    return FgAbelianGroup.free(rank, RING_Z2LOCAL)
+    return FgAbelianGroup(rank, free_ring=RING_Z2LOCAL)
 
 
 def cyclic(k):

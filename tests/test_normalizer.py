@@ -404,7 +404,7 @@ def test_cofiber_requires_normal_form():
     v = vec(S4, (S3, {"eta": 1}), (S3, {"eta": 1}))
     with pytest.raises(ValueError, match="cofiber needs at most one nonzero entry"):
         cofiber(v)
-    with pytest.raises(ValueError, match=re.escape("no catalog cofiber for a other entry on S^3")):
+    with pytest.raises(ValueError, match=re.escape("entry iota in [S^3, S^3] has no catalog cofiber")):
         cofiber(vec(S3, (S3, {"iota": 1})))
 
 
