@@ -7,8 +7,8 @@ together with their integral homology, mod-2 cohomology operations
 (Sq^2, higher Bocksteins, the secondary operation Theta, the Pontryagin
 square on the two-cell model), the suspension operator, and the table of
 homotopy / cohomotopy groups used by the matrix method and the EHP
-bookkeeping.  Maps groups are 2-local (free summands tagged Z_(2)), except
-that a sphere's maps into P^n(p^e), p odd, keep the Z/p^e of i_(n-1).
+bookkeeping.  Maps groups are 2-local (free summands tagged Z_(2)), so
+every map into or out of P^n(k) for odd k is zero.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from .abelian import (
     ZERO_GROUP,
     CyclicFactor,
     FgAbelianGroup,
-    isprime,
     merge_counts,
-    perfect_power,
 )
 
 SPHERE = "sphere"
@@ -629,11 +627,6 @@ def _is_two_power(k: int) -> bool:
     return k >= 2 and (k & (k - 1)) == 0
 
 
-def _odd_prime_power(k: int) -> bool:
-    """Whether k = p^e for an odd prime p; exact e-th roots, nothing factored."""
-    return k % 2 == 1 and isprime(perfect_power(k)[0])
-
-
 # [source, target] by (source kind, target kind, source.n - target.n, and
 # the target n for a fact of one dimension, else None), with the least
 # target n of the row and its generators as (name, order, kind).  A name
@@ -680,7 +673,8 @@ _GROUPS = {
 
 @cache
 def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGroupEntry:
-    """The tabulated group [source, target], 2-locally.
+    """The tabulated group [source, target], 2-locally: P^n(k) for odd k
+    is a point, so every map into or out of it is zero.
 
     Raises TableMiss for pairs the tables do not determine.
     """
@@ -689,21 +683,17 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
     # maps of a sphere below a Moore space's bottom cell.
     if source.top_dim < target.bottom_dim and (target.kind == SPHERE or pair == (SPHERE, MOORE)):
         return _entry(source, target)
-    order = source.order or target.order  # of the Moore space, if one takes part
-    # P^n(p^e) for an odd prime p is a point 2-locally: nothing maps out of
-    # it into a sphere, and only the bottom cell's i maps into it.
-    point = _odd_prime_power(order)
-    if point and pair == (MOORE, SPHERE):
+    if source.order % 2 or target.order % 2:
         return _entry(source, target)
+    order = source.order or target.order  # of the Moore space, if one takes part
     d = source.n - target.n
     least, rows = _GROUPS.get((*pair, d, target.n)) or _GROUPS.get((*pair, d, None)) or (None, ())
-    if least is None or target.n < least or (order and not point and not _is_two_power(order)):
+    if least is None or target.n < least or (order and not _is_two_power(order)):
         raise TableMiss(f"[{source}, {target}]")
     k = order or 2**source.r
     fields = {"bottom": target.bottom_dim, "top": source.top_dim, "r": k.bit_length() - 1}
     scaled = {"k": k, "2k": 2 * k, "k/2": k // 2}
-    gens = [(name.format(**fields), scaled.get(size, size), kind)
-            for name, size, kind in rows if not point or kind == INCL]
+    gens = [(name.format(**fields), scaled.get(size, size), kind) for name, size, kind in rows]
     if k == 2 and gens and gens[-1][2] in (INCL_ETA2, ETA2_PINCH):
         # At r = 1, i eta^2 = 2 eta~_1 and eta^2 q = 2 eta-_1: one Z/4.
         gens = [(gens[0][0], 4, gens[0][2])]

@@ -119,7 +119,7 @@ def hopf_table(summand: ElementaryComplex) -> HopfEntry:
     row = _HOPF.get((summand.kind, summand.n))
     if row is None:
         raise TableMiss(f"no Hopf data for {summand}")
-    if summand.kind == MOORE and summand.order % 2:
+    if summand.order % 2:
         return HopfEntry(summand, ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, None,
                          "odd-primary summands vanish 2-locally")
     rank, shift, kernel_trivial, rule = row

@@ -429,7 +429,7 @@ _MOVES: dict[tuple[str, str, int], tuple[str, ...]] = {
 
 def _move_kinds(src: ElementaryComplex, dst: ElementaryComplex) -> tuple[str, ...]:
     offset = dst.n - src.n
-    if any(x.kind == MOORE and x.order % 2 for x in (src, dst)):
+    if src.order % 2 or dst.order % 2:
         return ()
     if dst.kind == SPHERE and offset < 0 and dst.n < 3:
         return ()
@@ -437,7 +437,7 @@ def _move_kinds(src: ElementaryComplex, dst: ElementaryComplex) -> tuple[str, ..
 
 
 def self_equivalences(target: ElementaryComplex) -> tuple[str, ...]:
-    if target.kind == MOORE and not target.order % 2:
+    if target.kind == MOORE:
         return ("neg", "unit_plus_i_eta_q")
     return ("neg",)
 

@@ -16,7 +16,7 @@ from suspcalc.abelian import (
     perfect_power,
 )
 import suspcalc.catalog
-from suspcalc.catalog import TableMiss, _odd_prime_power, maps_group, moore, sphere
+from suspcalc.catalog import TableMiss, maps_group, moore, sphere
 
 Z = FgAbelianGroup(1)
 ZERO = FgAbelianGroup()
@@ -132,7 +132,6 @@ def test_number_theory_matches_trial_division():
         expected = trial_division(n)
         assert factorint(n) == expected, n
         assert isprime(n) == (expected == {n: 1}), n
-        assert _odd_prime_power(n) == (len(expected) == 1 and 2 not in expected), n
         e = math.gcd(*expected.values()) or 1
         assert perfect_power(n) == (math.prod(p ** (a // e) for p, a in expected.items()), e), n
 
@@ -155,7 +154,6 @@ def test_number_theory_matches_trial_division():
 def test_number_theory_named_cases(n, factors):
     assert factorint(n) == factors
     assert isprime(n) == (factors == {n: 1})
-    assert _odd_prime_power(n) == (len(factors) == 1 and 2 not in factors)
 
 
 def test_moore_maps_factor_nothing(monkeypatch):
@@ -165,10 +163,13 @@ def test_moore_maps_factor_nothing(monkeypatch):
     monkeypatch.setattr(suspcalc.abelian, "factorint", refuse)
     monkeypatch.setattr(suspcalc.catalog, "factorint", refuse, raising=False)
     lookup = maps_group.__wrapped__  # past the cache, so the table is consulted
+    # An odd order is decided by its parity, and an even one that is no
+    # power of 2 by a bit test.
+    for k in (P32 * Q32, P32**2, 3**40):
+        assert lookup(sphere(3), moore(4, k)).generators == ()
+        assert lookup(moore(5, k), sphere(3)).generators == ()
     with pytest.raises(TableMiss):
-        lookup(sphere(3), moore(4, P32 * Q32))
-    for k in (P32**2, 3**40):
-        assert lookup(sphere(3), moore(4, k)).generators == ("i_3",)
+        lookup(sphere(3), moore(4, 2 * P32))
 
 
 def test_factorint_takes_perfect_powers_without_rho(monkeypatch):

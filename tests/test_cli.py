@@ -381,6 +381,8 @@ def test_normalize_command(tmp_path, capsys):
     ({"source": "S^5", "entries": [{"target": "S^4", "coefficients": {"eta": 2}},
                                    {"target": "P^4(4)", "coefficients": {"eta~_2": 2}}]},
      "P^4(4) v S^4 v S^6"),
+    # 2-locally P^4(15) is a point, as P^4(9) is: [S^4, P^4(15)] = 0.
+    ({"source": "S^4", "entries": [{"target": "P^4(15)"}]}, "P^4(15) v S^5"),
 ])
 def test_normalize_zero_vector_adds_the_sphere_above_the_source(tmp_path, capsys, vector, wedge):
     path = write(tmp_path, "v.json", vector)
@@ -433,6 +435,9 @@ def s5_to_s4(coefficients, source="S^5", target="S^4"):
         pytest.param(s5_to_s4({"i_2 eta": 3}, source="S^3", target="P^3(4)"),
                      "3(i_2 eta) in [S^3, P^3(4)] is outside the normal-form range",
                      id="odd-multiple-of-i-eta"),
+        # 2-locally [S^3, P^4(3)] = 0, so it has no generator i_3.
+        pytest.param(s5_to_s4({"i_3": 1}, source="S^3", target="P^4(3)"),
+                     "unknown generators ['i_3'] for [S^3, P^4(3)]", id="odd-moore-bottom-cell"),
         pytest.param({"source": "P^4(2)",
                       "entries": [{"target": "S^3", "coefficients": {"eta q_4": 1}}]},
                      "only sphere-sourced vectors are normalized", id="moore-source"),

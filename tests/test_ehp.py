@@ -1,12 +1,17 @@
 from itertools import product
+from math import prod
 
 import pytest
 
 from conftest import random_invariants
 from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, ZERO_GROUP
 from suspcalc.catalog import (
+    A_2R_ETA2,
+    A_TILDE,
     ETA,
     ETA2,
+    MOORE,
+    SPHERE,
     TableMiss,
     a_2r_eta2,
     a_eta2,
@@ -31,6 +36,7 @@ from suspcalc.classifier import (
 )
 from suspcalc.ehp import (
     _E_RULES,
+    _HOPF,
     coker_H2,
     fiber_of_E,
     hopf_table,
@@ -132,30 +138,42 @@ def test_coker_insensitive_to_non_chang_top():
 # per-summand additivity
 # --------------------------------------------------------------------------
 
-def _per_summand_sum(report):
-    out = ZERO_GROUP
-    for summand in report.sigma2:
-        out = out.direct_sum(hopf_table(summand).cokernel)
-    return out
+def _torsion_order(group):
+    return prod(f.order**k for f, k in group.pairs)
 
 
 def test_additivity_over_summands_off_the_chang_branch(rng):
-    for _ in range(80):
+    # H is natural, so over a wedge pi^5 and coker(H_2) are the sums over
+    # the summands of Sigma^2 M.  For dim X <= N + 1 and N >= 3 the 2-stage
+    # Postnikov section of S^N gives the exact sequence
+    #   H^(N-1)(X; Z) -> H^(N+1)(X; Z/2) -> [X, S^N] -> H^N(X; Z) -> 0,
+    # so the torsion of [Sigma^2 M, S^5] has order at most 2 |T_2|, and the
+    # sum meets that bound on every branch.  On case B the closed formulas
+    # keep the P^5(2^(r_j1)) summand that C^6_r replaced: pi^5 exceeds the
+    # bound by its Z/2^(r_j1), and coker(H_2) keeps its Z/2^(r_j1 - 1).
+    branches = {}
+    for _ in range(400):
         inv = random_invariants(rng)
         try:
             report = classify_double_suspension(inv)
         except OmittedCase:
             continue
-        expected = coker_H2(report)
-        actual = _per_summand_sum(report)
+        pi5 = coker = ZERO_GROUP
+        for x, k in report.sigma2.pairs:
+            pi5 = pi5.direct_sum(maps_group(x, sphere(5)).group.times(k))
+            coker = coker.direct_sum(hopf_table(x).cokernel.times(k))
+        bound = 2 * _torsion_order(inv.torsion.two_primary())
+        assert pi5.free_rank == inv.m and _torsion_order(pi5) <= bound
+        closed = (pi5_double_suspension(report), coker_H2(report))
         if report.branch == BRANCH_NONSPIN_CASE_B:
-            # The closed formula keeps the Z/2^(r_j1 - 1) slot of the Moore
-            # factor consumed by C^6_{r_j1}; the literal summand sum does not.
             r = inv.exponent_at(inv.sq2_case.index)
-            missing = cyclic(2 ** (r - 1)) if r > 1 else ZERO_GROUP
-            assert actual.direct_sum(missing) == expected
+            assert _torsion_order(pi5) == bound
+            assert _torsion_order(closed[0]) == bound * 2**r
+            assert coker.direct_sum(cyclic(2 ** (r - 1))) == closed[1]
         else:
-            assert actual == expected
+            assert closed == (pi5, coker)
+        branches[report.branch] = branches.get(report.branch, 0) + 1
+    assert len(branches) == 5 and branches[BRANCH_NONSPIN_CASE_B] == 50
 
 
 # --------------------------------------------------------------------------
@@ -254,6 +272,64 @@ def test_moore_cokernel_forced_by_exactness():
     # and the catalog agrees
     for r in (2, 3, 4):
         assert hopf_table(moore(5, 2**r)).cokernel == cyclic(2 ** (r - 1))
+
+
+# [Y, S^2] for the Y whose double suspension the EHP check below meets,
+# as the order of a cyclic group: 0 for Z, and "k" for the Moore order.
+# _GROUPS holds no S^2 targets but C^4_eta and C^4_r, since composition
+# into S^2 is not linear ((k iota_2) eta_2 = k^2 eta_2), so these stay here:
+_INTO_S2 = {
+    # [S^k, S^2] for k = 1..4: 0, Z on iota_2, Z on the Hopf map eta_2
+    # (Hopf 1931), Z/2 on eta_2 eta_3 (Toda 1962, Prop. 5.1).
+    (SPHERE, 1): 1,
+    (SPHERE, 2): 0,
+    (SPHERE, 3): 0,
+    (SPHERE, 4): 2,
+    # [P^2(2^r), S^2] = H^2(P^2(2^r); Z) = Z/2^r on the pinch, by Hopf's
+    # classification theorem for 2-complexes.
+    (MOORE, 2): "k",
+    # [P^3(2^r), S^2] = [P^3(2^r), S^3] = H^3 = Z/2^r on eta_2 q_3: the Hopf
+    # fibration S^3 -> S^2 -> CP^oo gives this, since H^1 = H^2(; Z) = 0.
+    (MOORE, 3): "k",
+}
+
+
+def _cyclic_order(y, target):
+    """|[y, target]| as in _INTO_S2 for target S^2, else from maps_group."""
+    if target == sphere(2) and (y.kind, y.n) in _INTO_S2:
+        order = _INTO_S2[y.kind, y.n]
+        return y.order if order == "k" else order
+    orders = maps_group(y, target).orders
+    assert len(orders) <= 1, y  # cyclic
+    return orders[0] if orders else 1
+
+
+def test_hopf_cokernel_is_the_kernel_of_e():
+    # James's 2-local fibration S^2 -> Omega S^3 -> Omega S^5 gives, for a
+    # complex Y, the exact sequence
+    #   [Sigma^2 Y, S^3] -H-> [Sigma^2 Y, S^5] -P-> [Y, S^2] -E-> [Sigma Y, S^3],
+    # so on X = Sigma^2 Y, coker(H) = ker(E).  On every Y below, E takes the
+    # generator to the generator (iota_2, eta_2, eta_2 eta_3, the pinch,
+    # eta_2 q_3 and eta q_3 suspend to iota, eta, eta^2, q_3, eta q_4 and
+    # eta q_4), so it is onto wherever [Y, S^2] is nonzero, and ker(E) is
+    # Z for Z onto a finite group, else of order |[Y, S^2]| / |[Sigma Y, S^3]|.
+    ys = [sphere(k) for k in range(1, 5)]
+    ys += [moore(n, 2**r) for n in (2, 3) for r in range(1, 5)]
+    ys += [chang_eta(2), *(chang_r(2, r) for r in range(1, 5))]
+    assert len(ys) == 17
+    for y in ys:
+        a, b = _cyclic_order(y, sphere(2)), _cyclic_order(y.suspend(), sphere(3))
+        if a == 1 or a == b == 0:
+            kernel = (0, 1)
+        elif a == 0:
+            kernel = (1, 1)
+        else:
+            assert b and a % b == 0, y  # finite onto finite
+            kernel = (0, a // b)
+        cokernel = hopf_table(y.suspend().suspend()).cokernel
+        assert (cokernel.free_rank, _torsion_order(cokernel)) == kernel, y
+    # Every _HOPF row but the two whose desuspension is below the catalog.
+    assert {(y.kind, y.n + 2) for y in ys} == set(_HOPF) - {(A_TILDE, 3), (A_2R_ETA2, 3)}
 
 
 def test_pi6_s3_relations():
