@@ -30,14 +30,15 @@ number of those row indices.  A move touches one row, or two, and what
 it does there depends only on the source, those rows' targets and the
 move: each such block is tabulated once, from ``row_op`` on every block
 state, and cached, so ``row_op`` stays the only definition of a move.
-Once per source and tuple of targets, the blocks are compiled into the
-state graph, each state's distinct neighbours one legal move away in two
-flat arrays, and cached, so the closure is a walk of neighbour lists.
+Once per source and tuple of targets, the blocks are compiled into a
+partition of the tuple's states into orbits, which is cached, so the
+closure of a vector is a lookup of its state's orbit.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cache
@@ -520,13 +521,14 @@ def normalize(v: MapVector) -> MapVector:
         entry = v.entries[kinds.index(OTHER)]
         raise ValueError(
             f"entry {entry} in [{v.source}, {entry.target}] is outside the normal-form range")
-    out = v._replace(entries=tuple(MapClass(e.entry, (0,) * len(e.coeffs)) for e in v.entries))
+    entries = [MapClass(e.entry, (0,) * len(e.coeffs)) for e in v.entries]
     for kind, (highest, _) in _SURVIVORS.items():
         slots = [(_exponent(v.targets[i]), i) for i, k in enumerate(kinds) if k == kind]
         if slots:
             _, i = max(slots) if highest else min(slots)
-            return out.with_entry(i, _pure_entry(v.entries[i].entry, kind))
-    return out
+            entries[i] = _pure_entry(v.entries[i].entry, kind)
+            break
+    return MapVector(v.source, v.targets, tuple(entries))
 
 
 def cofiber(v: MapVector) -> WedgeComplex:
@@ -582,7 +584,7 @@ def _elements(source: ElementaryComplex, target: ElementaryComplex) -> tuple[tup
     """The classes of [source, target] as reduced coefficient tuples, in
     ``itertools.product`` order over the entry orders: a class's row index
     is its place here, and the zero class has index 0.  Cached, so that
-    the state graphs of all target tuples share one copy per target."""
+    the orbit keys of all target tuples share one copy per target."""
     return tuple(product(*(range(o) for o in maps_group(source, target).orders)))
 
 
@@ -609,11 +611,13 @@ def _block(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...],
 
 @cache
 def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...]):
-    """What the oracle's closure needs for any vector from ``source`` into
-    ``targets``, built once per such pair: each row's place, the state
-    graph, and each row's ``_elements``.  Raises ValueError (caching
-    nothing) past the oracle's bounds: more than 4 targets, an infinite
-    entry group, or a total entry-group order above 2^12.
+    """What the oracle needs for any vector from ``source`` into
+    ``targets``, built once per such pair: each row's place, each row's
+    ``_elements``, and the states split into orbits.  Raises ValueError
+    (caching nothing) past the oracle's bounds: more than 4 targets, an
+    infinite entry group, or a total entry-group order above 2^12; and,
+    naming the move, for a move whose block does not permute the states
+    where it is legal.
 
     A state is the mixed-radix number of the rows' indices into
     ``_elements``, row 0 most significant: row i's index is
@@ -625,9 +629,14 @@ def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...])
     offsets on whole states, moves a state with row indices d by
     ``delta[d[hi] * radix + d[lo]]``, for the rows hi and lo it touches.
 
-    The graph lists, for every state, the distinct states one legal move
-    away, in ``_all_moves`` order, leaving out the state itself: state k's
-    neighbours are ``graph[ends[k]:ends[k + 1]]``."""
+    Each move permutes the states where it is legal, and that set is
+    closed under the move, so some power of the move is its inverse: a
+    state reaches every state that reaches it, the orbits partition the
+    states, and one walk from any member finds its whole orbit.  Each
+    block is checked for that premise.  ``labels[state]`` numbers the
+    orbit of each state, and ``members[label]`` lists that orbit's keys in
+    state order, which is key order, since ``_elements`` lists each row's
+    classes in ``product`` order and row 0 is the most significant digit."""
     if len(targets) > 4:
         raise ValueError("oracle supports at most 4 targets")
     total = 1
@@ -651,30 +660,43 @@ def _compiled(source: ElementaryComplex, targets: tuple[ElementaryComplex, ...])
         else:
             at, local = (move.row,), ActBySelfEquiv(0, move.op)
         block = _block(source, tuple(targets[i] for i in at), local)
+        legal = [k for k, image in enumerate(block) if image is not None]
+        if sorted(block[k] for k in legal) != legal:
+            raise ValueError(f"{move} does not permute the states where it is legal")
         # the offset of each block state, in the block's product order
         offsets = list(map(sum, product(*(steps[i] for i in at))))
         delta = tuple(None if k is None else offsets[k] - o for k, o in zip(block, offsets))
         if any(delta):  # leave out moves that fix every state
             moves.append((at[0], at[-1], sizes[at[-1]] if len(at) > 1 else 0, delta))
-    graph, ends = array("H"), array("I", [0])  # a state is below 2^12
-    for state in range(total):
-        d = [state // s % n for s, n in places]
-        # a step is None where the move is illegal, 0 where it fixes the state
-        graph.extend(dict.fromkeys([state + step for hi, lo, radix, delta in moves
-                                    if (step := delta[d[hi] * radix + d[lo]])]))
-        ends.append(len(graph))
-    return places, graph, ends, rows
+    keys = list(product(*rows))  # in state order
+    digits = list(product(*map(range, sizes)))  # each state's row indices
+    labels = array("H", [total]) * total  # total <= 2^12 marks a state not reached yet
+    members = []
+    for first in range(total):
+        if labels[first] < total:
+            continue
+        states = [first]
+        labels[first] = len(members)
+        for state in states:  # a worklist that grows while it is read
+            d = digits[state]
+            for hi, lo, radix, delta in moves:
+                # a step is None where the move is illegal, 0 where it fixes the state
+                if (step := delta[d[hi] * radix + d[lo]]) and labels[state + step] == total:
+                    labels[state + step] = len(members)
+                    states.append(state + step)
+        members.append(tuple([keys[state] for state in sorted(states)]))
+    return places, rows, labels, tuple(members)
 
 
 class Orbit(Mapping):
     """The orbit of a vector under row operations, read-only, keyed like
-    ``MapVector.key()`` in the order the closure reached its members,
-    ``v.key()`` first.  A member vector is built, through the ``MapClass``
-    and ``MapVector`` constructors, only when it is looked up."""
+    ``MapVector.key()`` in key order, so the least member comes first.  A
+    member vector is built, through the ``MapClass`` and ``MapVector``
+    constructors, only when it is looked up."""
 
-    def __init__(self, v: MapVector, keys):
+    def __init__(self, v: MapVector, keys: tuple[tuple, ...]):
         self._v = v
-        self._keys = dict.fromkeys(keys)
+        self._keys = keys  # sorted
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -683,10 +705,15 @@ class Orbit(Mapping):
         return iter(self._keys)
 
     def __contains__(self, key) -> bool:
-        return key in self._keys
+        keys = self._keys
+        try:
+            i = bisect_left(keys, key)
+        except TypeError:  # not comparable with a key, so not one
+            return False
+        return i < len(keys) and keys[i] == key
 
     def __getitem__(self, key) -> MapVector:
-        if key not in self._keys:
+        if key not in self:
             raise KeyError(key)
         v = self._v
         entries = tuple(MapClass(e.entry, coeffs) for e, coeffs in zip(v.entries, key))
@@ -696,22 +723,14 @@ class Orbit(Mapping):
 def orbit(v: MapVector) -> Orbit:
     """Closure of v under all legal row operations, keyed by coefficients.
 
-    The closure is a breadth-first walk of the state graph that
-    ``_compiled`` builds once per source and targets: a state's
-    neighbours are its images under the moves of ``_all_moves``, in that
-    order.  Each reached state's row indices, read through ``_elements``,
-    are a member's key.  Members are built as vectors only when looked up.
+    ``_compiled`` splits the states of every vector into v's targets into
+    orbits once per source and targets, so the closure is the orbit of
+    v's state, looked up: its members' keys, in key order.  Members are
+    built as vectors only when looked up.
     """
-    places, graph, ends, rows = _compiled(v.source, v.targets)
+    places, rows, labels, members = _compiled(v.source, v.targets)
     start = sum(r.index(e.coeffs) * s for r, e, (s, _) in zip(rows, v.entries, places))
-    states, seen = [start], {start}
-    for state in states:  # a worklist that grows while it is read
-        for image in graph[ends[state]:ends[state + 1]]:
-            if image not in seen:
-                seen.add(image)
-                states.append(image)
-    return Orbit(v, (tuple([r[state // s % n] for r, (s, n) in zip(rows, places)])
-                     for state in states))
+    return Orbit(v, members[labels[start]])
 
 
 def oracle_normal_form(v: MapVector) -> MapVector:

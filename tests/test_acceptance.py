@@ -370,8 +370,8 @@ def test_oracle_sweep_s3_window():
 
 
 def test_orbits_partition_s6_window():
-    # Each member's orbit is its seed's: orbits are classes, so one state
-    # graph per source and targets serves every vector into them.
+    # Each member's orbit is its seed's: orbits are classes, so one
+    # partition per source and targets serves every vector into them.
     checked = 0
     for source, pool in S6_WINDOW.items():
         for size in (1, 2, 3):

@@ -3,7 +3,7 @@ import json
 import pickle
 from json.encoder import encode_basestring_ascii
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -709,6 +709,49 @@ def test_suspension_is_an_isomorphism_in_the_stable_range():
         pairs += 1
         nontrivial += group != ZERO
     assert (pairs, nontrivial) == (7193, 143)
+
+
+def _stable_count(x, N):
+    """(free rank, torsion order) of [X, S^N] 2-locally, read off the
+    ``_KINDS`` row of x alone, for N >= 3 and top_dim(X) <= N + 1.  There
+    the 2-stage Postnikov section of S^N gives the exact sequence
+      H^(N-1)(X; Z) -> H^(N+1)(X; Z/2) -> [X, S^N] -> H^N(X; Z) -> 0,
+    whose first map is Sq^2 rho, and the torsion of H^N(X; Z) is that of
+    H_(N-1)(X).  rho: H^k(X; Z) -> H^k(X; Z/2) misses only the duals of the
+    torsion of H_k(X), so Sq^2 rho is nonzero exactly where Sq^2 acts from
+    degree N - 1 and H_(N-1)(X) has no 2-torsion."""
+    row = catalog._KINDS[x.kind]
+    two_part = {"order": x.order & -x.order, "r": 2**x.r, "t": 2**x.t}
+    free, torsion = {}, {}  # degree -> rank, 2-primary cyclic orders
+    for offset, order in row.homology:
+        if order == "Z":
+            free[x.n + offset] = free.get(x.n + offset, 0) + 1
+        elif two_part[order] > 1:
+            torsion.setdefault(x.n + offset, []).append(two_part[order])
+
+    def mod2_dim(k):
+        return free.get(k, 0) + len(torsion.get(k, ())) + len(torsion.get(k - 1, ()))
+
+    sq2_rho = row.sq2 is not None and x.n + row.sq2 == N - 1 and N - 1 not in torsion
+    return free.get(N, 0), prod(torsion.get(N - 1, ())) * 2 ** (mod2_dim(N + 1) - sq2_rho)
+
+
+def test_maps_into_spheres_match_the_stable_count():
+    # Every tabulated [X, S^N] in the stable range, X from the recorded
+    # complexes, against the count from X's homology and Sq^2 alone.
+    rows = nontrivial = 0
+    for x, N in product(_fact_window(), range(3, 10)):
+        if x.top_dim > N + 1:
+            continue
+        try:
+            group = maps_group(x, sphere(N)).group
+        except TableMiss:
+            continue
+        count = group.free_rank, prod(f.order**k for f, k in group.pairs)
+        assert count == _stable_count(x, N), (x.notation, N)
+        rows += 1
+        nontrivial += count != (0, 1)
+    assert (rows, nontrivial) == (612, 57)
 
 
 @given(st.integers(1, 2**63 - 1).map(lambda h: 2 * h + 1), st.integers(2, 7))

@@ -446,6 +446,56 @@ def test_oracle_bounds():
         oracle_normal_form(vec(S3, *[(moore(3, 16), {}) for _ in range(3)]))
 
 
+def _blocks(sources, targets):
+    """(source, targets, move) for every block the oracle compiles from
+    these complexes: each self-equivalence on one target, and each row
+    addition and swap on an ordered pair of targets whose groups are
+    finite, with a total order within the oracle's 2^12."""
+    for source in sources:
+        orders = {}
+        for t in targets:
+            try:
+                orders[t] = maps_group(source, t).group.order()
+            except TableMiss:
+                continue
+        orders = {t: order for t, order in orders.items() if order is not None}
+        for t in orders:
+            yield from ((source, (t,), ActBySelfEquiv(0, op)) for op in normalizer.self_equivalences(t))
+        for a, b in product(orders, repeat=2):
+            if orders[a] * orders[b] <= 2**12:
+                yield from ((source, (a, b), AddRow(1, 0, kind)) for kind in normalizer._move_kinds(a, b))
+                if a == b:
+                    yield source, (a, b), SwapRows(0, 1)
+
+
+def test_every_move_permutes_its_legal_states():
+    # Why the oracle may split states into orbits by walking moves forward:
+    # each move maps the states where it is legal one to one onto
+    # themselves, so some power of it is its inverse.
+    sources = [sphere(n) for n in range(2, 8)]
+    targets = [sphere(n) for n in range(1, 10)]
+    targets += [moore(n, 2**r) for n in range(2, 10) for r in range(1, 5)]
+    blocks = list(_blocks(sources, targets))
+    assert len(blocks) == 3454
+    for source, rows, move in blocks:
+        block = normalizer._block(source, rows, move)
+        legal = [k for k, image in enumerate(block) if image is not None]
+        assert sorted(block[k] for k in legal) == legal, (source, rows, move)
+
+
+def test_compiled_rejects_a_move_that_does_not_permute(monkeypatch):
+    block = normalizer._block
+
+    def collapsed(source, targets, move):  # neg sends every state to zero
+        table = block(source, targets, move)
+        return (0,) * len(table) if move == ActBySelfEquiv(0, "neg") else table
+
+    monkeypatch.setattr(normalizer, "_block", collapsed)
+    with pytest.raises(ValueError, match=re.escape(
+            "ActBySelfEquiv(row=0, op='neg') does not permute the states where it is legal")):
+        normalizer._compiled.__wrapped__(S5, (S4,))  # past the cache
+
+
 def test_oracle_agrees_on_degree5_moore_targets():
     # the P^5 slots of the full pipeline, outside the exhaustive-sweep window
     targets = [S4, moore(5, 4), moore(4, 2)]
@@ -487,7 +537,7 @@ def test_oracle_seed_insensitive(monkeypatch):
         monkeypatch.setattr(normalizer, "_all_moves", shuffled_moves)
         normalizer._compiled.cache_clear()
         assert oracle_normal_form(v) == in_order
-    normalizer._compiled.cache_clear()  # later orbits list members in the unshuffled order
+    normalizer._compiled.cache_clear()  # later orbits compile from the unshuffled moves
     # Each answer came from the shuffled moves, not from moves compiled earlier.
     assert shuffled == list(range(5))
 
@@ -500,7 +550,7 @@ def _cold_orbit(v):
 
 def test_orbit_independent_of_block_cache():
     # The oracle caches each move's block by complexes and move only, and
-    # the state graph by source and targets.  Blocks cached from the
+    # the orbit partition by source and targets.  Blocks cached from the
     # reversed vector, at other rows, give the same orbit as cold caches;
     # the second vector has illegal columns (eta-_2 . eta~_2 is not
     # tabulated).
@@ -514,8 +564,8 @@ def test_orbit_independent_of_block_cache():
         assert normalizer._block.cache_info().misses == misses > 0
         assert _cold_orbit(v) == warm
 
-    # A graph compiled for one vector serves every vector into the same
-    # targets: each orbit from a warm graph is the cold one.  The last ten
+    # A partition compiled for one vector serves every vector into the
+    # same targets: each orbit from a warm one is the cold one.  The last ten
     # vectors map S^6 into S^3 and P^5(2^r), r >= 2, where some row
     # additions are illegal, as their block tables show.
     rng = random.Random(3)
@@ -544,7 +594,7 @@ def test_orbit_mapping_builds_members_on_lookup(monkeypatch):
         reachable = orbit(w)
         assert all(reachable[k].key() == k for k in reachable)
         first = next(iter(reachable))
-        assert first == w.key() and reachable[first] == w
+        assert first == min(reachable) and reachable[w.key()] == w
         assert reachable == {k: reachable[k] for k in reachable}
     zero = tuple((0,) * len(e.coeffs) for e in v.entries)  # no automorphism reaches it
     assert zero not in reachable
@@ -613,34 +663,48 @@ S6_WINDOW = (S3, moore(5, 4), moore(5, 2), S5)
 
 
 def test_state_graph_equals_row_op():
-    # Each state's neighbours in the oracle's graph are, in order, the
-    # distinct images row_op gives it over _all_moves, leaving out illegal
-    # moves and the state itself; every state of each target tuple.
+    # The oracle's orbits are the connected classes of the graph whose
+    # edges join each state to its row_op images over _all_moves, built
+    # here on every state of each target tuple: each image shares the
+    # state's label, and each class has a label of its own.  Each orbit
+    # lists its members' keys in state order.
     rng = random.Random(13)
     pairs = [(sphere(6), targets) for size in (1, 2, 3)
              for targets in combinations_with_replacement(S6_WINDOW, size)]
     pairs += [(v.source, v.targets) for v in (_random_pool_vector(rng, MOVE_POOL) for _ in range(200))]
     with_illegal = 0
     for source, targets in dict.fromkeys(pairs):
-        places, graph, ends, rows = normalizer._compiled(source, targets)
+        places, rows, labels, members = normalizer._compiled(source, targets)
         moves = normalizer._all_moves(targets)
         entries = [maps_group(source, t) for t in targets]
+        keys = list(product(*rows))  # states number the keys in this order
+        states = {key: state for state, key in enumerate(keys)}
+        parent = list(range(len(keys)))  # a union-find forest over the states
+
+        def root(state):
+            while parent[state] != state:
+                state = parent[state] = parent[parent[state]]
+            return state
+
         illegal = False
-        for state, key in enumerate(product(*rows)):  # states number the keys in this order
+        for state, key in enumerate(keys):
             w = MapVector(source, targets, tuple(MapClass(e, c) for e, c in zip(entries, key)))
-            expected = {}
             for move in moves:
                 try:
-                    image = row_op(w, move).key()
+                    image = states[row_op(w, move).key()]
                 except IllegalOp:
                     illegal = True
                     continue
-                if image != key:
-                    expected[image] = None
-            neighbours = [tuple(r[image // s % n] for r, (s, n) in zip(rows, places))
-                          for image in graph[ends[state]:ends[state + 1]]]
-            assert neighbours == list(expected), (source, targets, key)
-        assert len(ends) == state + 2
+                if image != state:
+                    assert labels[image] == labels[state], (source, targets, key, move)
+                    parent[root(image)] = root(state)
+        assert len(labels) == len(keys)
+        classes = [root(state) for state in range(len(keys))]
+        assert len(set(zip(classes, labels))) == len(set(classes)) == len(members)
+        orbits = [[] for _ in members]
+        for key, label in zip(keys, labels):
+            orbits[label].append(key)
+        assert members == tuple(map(tuple, orbits))
         with_illegal += illegal
     assert with_illegal >= 10
 
@@ -670,12 +734,12 @@ MOORE_POOL = {
 
 def test_orbit_equals_row_op_closure():
     # A cross-check of the closure that does not depend on how moves are
-    # compiled: the same keys in the same order as the reference worklist.
+    # compiled: the keys of the reference worklist, in key order.
     rng = random.Random(11)
     for pool, count, most in ((MOVE_POOL, 60, 4), (MOORE_POOL, 60, 3)):
         for _ in range(count):
             v = _random_pool_vector(rng, pool, most)
-            assert list(orbit(v)) == _row_op_closure(v), v.key()
+            assert list(orbit(v)) == sorted(_row_op_closure(v)), v.key()
 
 
 # --------------------------------------------------------------------------
