@@ -623,10 +623,6 @@ def _entry(source, target, *rows: tuple[str, int, str]) -> MapsGroupEntry:
     return MapsGroupEntry(source, target, generators, orders, kinds)
 
 
-def _is_two_power(k: int) -> bool:
-    return k >= 2 and (k & (k - 1)) == 0
-
-
 # [source, target] by (source kind, target kind, source.n - target.n, and
 # the target n for a fact of one dimension, else None), with the least
 # target n of the row and its generators as (name, order, kind).  A name
@@ -688,7 +684,7 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
     order = source.order or target.order  # of the Moore space, if one takes part
     d = source.n - target.n
     least, rows = _GROUPS.get((*pair, d, target.n)) or _GROUPS.get((*pair, d, None)) or (None, ())
-    if least is None or target.n < least or (order and not _is_two_power(order)):
+    if least is None or target.n < least or order & (order - 1):
         raise TableMiss(f"[{source}, {target}]")
     k = order or 2**source.r
     fields = {"bottom": target.bottom_dim, "top": source.top_dim, "r": k.bit_length() - 1}

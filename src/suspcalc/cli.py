@@ -25,16 +25,10 @@ from json.encoder import encode_basestring_ascii
 from . import catalog
 from .catalog import (
     A_ETA2,
+    MOORE,
     SPHERE,
     ElementaryComplex,
     Notation,
-    a_2r_eta2,
-    a_eta2,
-    a_tilde,
-    chang_eta,
-    chang_r,
-    chang_rt,
-    chang_t,
     maps_group,
     moore,
     of_kind,
@@ -330,27 +324,18 @@ def run_normalize(args) -> int:
 
 def _profiled() -> list[ElementaryComplex]:
     """The dump window: the complexes whose operation profiles are dumped,
-    and among which the tabulated maps are."""
-    complexes: list[ElementaryComplex] = []
-    for n in range(2, 7):
-        complexes.append(sphere(n))
-    for nM in (3, 4, 5):
-        for r in (1, 2, 3):
-            complexes.append(moore(nM, 2**r))
-    complexes.append(moore(4, 3))
-    for n in (2, 3, 4):
-        complexes.append(chang_eta(n))
-        for r in (1, 2, 3):
-            complexes.append(chang_r(n, r))
-        for t in (1, 2):
-            complexes.append(chang_t(n, t))
-            for r in (1, 2):
-                complexes.append(chang_rt(n, r, t))
-    for n in (2, 3):
-        complexes.append(a_eta2(n))
-        for r in (1, 2, 3):
-            complexes.append(a_tilde(n, r))
-            complexes.append(a_2r_eta2(n, r))
+    and among which the tabulated maps are.  It holds every kind whose
+    cells lie in dimensions 2 to 6 (5 for a Moore space): at r = 1, 2, 3
+    for a kind that takes r alone (a Moore space takes the order 2^r), at
+    r, t = 1, 2 for a kind that takes t; and P^4(3)."""
+    complexes = [moore(4, 3)]
+    for kind, row in catalog._KINDS.items():
+        exponents = (1, 2) if "t" in row.params else (1, 2, 3)
+        values = {"order": [2**e for e in exponents], "r": exponents, "t": exponents}
+        # each parameter's values in _LEAST order, as _interned takes them; 0 if not taken
+        choices = [values[p] if p in row.params else (0,) for p in catalog._LEAST]
+        for n in range(2 - row.bottom, (5 if kind == MOORE else 6) - row.top + 1):
+            complexes += (catalog._interned(kind, n, *fields) for fields in product(*choices))
     return complexes
 
 

@@ -196,8 +196,6 @@ class GeneratorSymbol(namedtuple("GeneratorSymbol", "kind source target")):
 def _contribution(entry: MapsGroupEntry, kind: str, coeff: int, acc: list[int]) -> None:
     """Accumulate coeff * (the generator of ``kind``) into acc, on the
     generator basis of ``entry``."""
-    if coeff == 0:
-        return
     if kind == INCL_ETA2 and entry.kinds == (ETA_TILDE,):
         # With r = 1 the group is Z/4 on eta~_1 and i eta^2 = 2 eta~_1.
         acc[0] += 2 * coeff
@@ -374,38 +372,13 @@ class MapVector(Validated, namedtuple("MapVector", "source targets entries theta
         return cls.of(source, components, theta_remainder)
 
 
-class _Move:
-    """Base of the move records: a move equals only a move of its own
-    type.  Moves are keys of the ``_block`` cache, where tuple equality
-    would let a move meet any record or tuple with the same fields."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
-class SwapRows(_Move, namedtuple("SwapRows", "i j")):
-    __slots__ = ()
-
-
-class AddRow(_Move, namedtuple("AddRow", "dst src kind")):
-    """row[dst] += g . row[src], for the transfer g of ``kind`` from the
-    target of row src to the target of row dst."""
-
-    __slots__ = ()
-
-
-class ActBySelfEquiv(_Move, namedtuple("ActBySelfEquiv", "row op")):
-    """Act on one row by a self-equivalence of its target summand: ``op``
-    is "neg" or "unit_plus_i_eta_q"."""
-
-    __slots__ = ()
+SwapRows = namedtuple("SwapRows", "i j")
+# row[dst] += g . row[src], for the transfer g of ``kind`` from the target
+# of row src to the target of row dst.
+AddRow = namedtuple("AddRow", "dst src kind")
+# Act on one row by a self-equivalence of its target summand: ``op`` is
+# "neg" or "unit_plus_i_eta_q".
+ActBySelfEquiv = namedtuple("ActBySelfEquiv", "row op")
 
 
 # The move alphabet: (source kind, target kind, target.n - source.n) ->
@@ -444,12 +417,11 @@ def self_equivalences(target: ElementaryComplex) -> tuple[str, ...]:
 
 
 def _apply_self_equiv(entry: MapClass, op: str) -> MapClass:
+    """``op``, one of ``self_equivalences(entry.target)``, on ``entry``."""
     if op == "neg":
         return entry.scale(-1)
-    if op == "unit_plus_i_eta_q":
-        transfer = GeneratorSymbol(INCL_ETA_PINCH, entry.target, entry.target)
-        return entry.add(apply_transfer(transfer, entry))
-    raise IllegalOp(f"unknown self-equivalence {op!r}")
+    transfer = GeneratorSymbol(INCL_ETA_PINCH, entry.target, entry.target)
+    return entry.add(apply_transfer(transfer, entry))
 
 
 def row_op(v: MapVector, op) -> MapVector:

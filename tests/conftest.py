@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, settings, strategies as st
 
 from suspcalc.abelian import FgAbelianGroup
+from suspcalc.catalog import WedgeComplex, sphere
 from suspcalc.classifier import (
     SQ2_CASE_A,
     SQ2_CASE_B,
@@ -15,6 +16,27 @@ from suspcalc.classifier import (
     Sq2Case,
     ThetaAction,
 )
+
+def cyclic(k):
+    return FgAbelianGroup.of_orders(k)
+
+
+def spheres(n, count):
+    return WedgeComplex(tuple(sphere(n) for _ in range(count)))
+
+
+def invariants(m, d, orders=(), spin=True, theta=None, sq2=None, postnikov=True, label=None):
+    return ManifoldInvariants(
+        m,
+        d,
+        FgAbelianGroup.of_orders(*orders),
+        spin,
+        theta or ThetaAction("trivial"),
+        sq2 or (Sq2Case("not_applicable") if spin else Sq2Case("A")),
+        postnikov,
+        label,
+    )
+
 
 # One fixed profile, so that every run draws the same examples.
 settings.register_profile("suspcalc", derandomize=True, deadline=None, max_examples=100,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_invariants
+from conftest import random_invariants, spheres
 from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup
 from suspcalc.catalog import (
     ETA,
@@ -73,10 +73,6 @@ def inv(m, d, orders, spin, theta, sq2, postnikov=True, label=None):
     return ManifoldInvariants(
         m, d, FgAbelianGroup.of_orders(*orders), spin, theta, sq2, postnikov, label
     )
-
-
-def spheres(n, count):
-    return WedgeComplex(tuple(sphere(n) for _ in range(count)))
 
 
 def petersons(n, orders):

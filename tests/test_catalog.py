@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import cyclic
 from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup
 from suspcalc.cli import build_tables
 from suspcalc.ehp import hopf_table
@@ -17,9 +18,13 @@ from suspcalc import catalog
 from suspcalc.catalog import (
     ETA,
     ETA2,
+    ETA2_PINCH,
+    ETA_BAR,
+    ETA_PINCH,
     IOTA,
     NU_PRIME,
     OTHER,
+    PINCH,
     SPHERE,
     ElementaryComplex,
     Notation,
@@ -52,10 +57,6 @@ from suspcalc.catalog import (
 
 Z = FgAbelianGroup(1)
 ZERO = FgAbelianGroup()
-
-
-def cyclic(k):
-    return FgAbelianGroup.of_orders(k)
 
 
 ALL_SAMPLE_COMPLEXES = (
@@ -171,6 +172,8 @@ def test_pontryagin_examples():
     assert pontryagin_square_Ct(0, 1) == 0
     assert pontryagin_square_Ct(1, 1) == 1
     assert pontryagin_square_Ct(3, 2) == 3
+    with pytest.raises(ValueError, match="coefficient exponent u must be >= 1"):
+        pontryagin_square_Ct(1, 0)
 
 
 def _pontryagin_by_sum_formula(t, u, a):
@@ -496,6 +499,57 @@ def test_chang_eta_rows_match_the_cofibre_sequence_count():
     assert {key: group for key, group in printed.items() if group != "0"} == {
         (3, 3): "Z_(2)", (3, 5): "Z_(2)"}
     assert printed[4, 5] == "0"
+
+
+# g (i eta) for the generator g of each Moore row that the count below
+# meets, as the kind of the sphere row it lands on, or None for zero
+# (Toda 1962): q i = 0 kills q, eta q and eta^2 q, and eta-_r i = eta sends
+# eta-_r to eta eta = eta^2, the generator of its row.
+_AFTER_I_ETA = {PINCH: None, ETA_PINCH: None, ETA2_PINCH: None, ETA_BAR: ETA2}
+
+
+def _i_eta_precomposition(m, r, N):
+    """Orders of the cokernel and the kernel of precomposition with
+    i eta: S^m -> P^m(2^r), [P^m(2^r), S^N] -> [S^m, S^N].  The groups are
+    the Moore and sphere rows; order 0 is Z_(2), and a zero group has
+    order 1.  The Moore rows are finite, and a nonzero image is a whole
+    sphere row."""
+    source = maps_group(moore(m, 2**r), sphere(N))
+    target = maps_group(sphere(m), sphere(N))
+    images = {_AFTER_I_ETA[kind] for kind in source.kinds} - {None}
+    assert images <= set(target.kinds), (m, r, N)
+    b = target.orders[0] if target.orders else 1
+    image = b if images else 1
+    return b // image, prod(source.orders) // image
+
+
+def test_chang_r_rows_match_the_cofibre_sequence_count():
+    # X = C^(n+2)_r = P^(n+1)(2^r) u_(i eta) e^(n+2): its cofibre sequence gives
+    #   [P^(n+2)(2^r), S^N] -> [S^(n+2), S^N] -> [X, S^N]
+    #     -> [P^(n+1)(2^r), S^N] -> [S^(n+1), S^N],
+    # the outer maps precomposition with S(i eta) and i eta.  So [X, S^N]
+    # is an extension of ker (i eta)^* by coker (S i eta)^*.  Where neither
+    # is trivial the count fixes the order alone: [C^6_r, S^5] has order
+    # 2^(r+1), an extension of Z/2^r (q_5) by Z/2 (eta), which the count
+    # does not decide between Z/2^(r+1) and Z/2^r + Z/2.
+    for r in range(1, 5):
+        orders = {}  # None for an infinite group
+        for n, N in product(range(2, 9), range(3, 9)):
+            try:
+                entry = maps_group(chang_r(n, r), sphere(N))
+            except TableMiss:
+                continue
+            coker, _ = _i_eta_precomposition(n + 2, r, N)
+            _, ker = _i_eta_precomposition(n + 1, r, N)
+            if coker == 1 or ker == 1:  # the extension is forced
+                counted = FgAbelianGroup.of_orders(coker, ker, free_ring=RING_Z2LOCAL)
+                assert entry.group == counted, (n, r, N)
+            else:
+                assert entry.group.order() == coker * ker, (n, r, N)
+            orders[n, N] = entry.group.order()
+        assert len(orders) == 13
+        assert {key: order for key, order in orders.items() if order != 1} == {
+            (3, 3): 2, (3, 5): None, (4, 5): 2 ** (r + 1)}
 
 
 def test_moore_rows_match_the_cofibre_sequence_count():

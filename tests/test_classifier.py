@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given
 
-from conftest import random_invariants, valid_invariants
+from conftest import invariants, random_invariants, spheres, valid_invariants
 from test_catalog import assert_needs_no_escaping
 from suspcalc.abelian import CyclicFactor, FgAbelianGroup
 from suspcalc.catalog import (
@@ -39,23 +39,6 @@ from suspcalc.classifier import (
 from suspcalc.normalizer import MapVector, cofiber, normalize
 
 ZERO = FgAbelianGroup()
-
-
-def invariants(m, d, orders=(), spin=True, theta=None, sq2=None, postnikov=True, label=None):
-    return ManifoldInvariants(
-        m,
-        d,
-        FgAbelianGroup.of_orders(*orders),
-        spin,
-        theta or ThetaAction("trivial"),
-        sq2 or (Sq2Case("not_applicable") if spin else Sq2Case("A")),
-        postnikov,
-        label,
-    )
-
-
-def spheres(n, count):
-    return WedgeComplex(tuple(sphere(n) for _ in range(count)))
 
 
 # --------------------------------------------------------------------------

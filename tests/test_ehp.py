@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from conftest import random_invariants
+from conftest import cyclic, invariants, random_invariants
 from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, ZERO_GROUP
 from suspcalc.catalog import (
     A_2R_ETA2,
@@ -28,7 +28,6 @@ from suspcalc.classifier import (
     BRANCH_NONSPIN_CASE_C,
     BRANCH_SPIN_THETA_NONTRIVIAL,
     BRANCH_SPIN_THETA_TRIVIAL,
-    ManifoldInvariants,
     OmittedCase,
     Sq2Case,
     ThetaAction,
@@ -48,22 +47,6 @@ from suspcalc.ehp import (
 
 def z2local(rank=1):
     return FgAbelianGroup(rank, free_ring=RING_Z2LOCAL)
-
-
-def cyclic(k):
-    return FgAbelianGroup.of_orders(k)
-
-
-def invariants(m, d, orders=(), spin=True, theta=None, sq2=None, postnikov=True):
-    return ManifoldInvariants(
-        m,
-        d,
-        FgAbelianGroup.of_orders(*orders),
-        spin,
-        theta or ThetaAction("trivial"),
-        sq2 or (Sq2Case("not_applicable") if spin else Sq2Case("A")),
-        postnikov,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -173,6 +173,15 @@ def test_not_composable():
     for right in (GeneratorSymbol(ETA, S4, S3), GeneratorSymbol(ETA2, S5, S3)):
         with pytest.raises(TableMiss):
             compose_relation(GeneratorSymbol(INCL, S3, moore(4, 3)), right)
+    with pytest.raises(TableMiss, match="chi . eta is not tabulated"):  # chi is Moore to Moore
+        compose_relation(GeneratorSymbol(CHI, S3, moore(3, 2)), GeneratorSymbol(ETA, S4, S3))
+    # chi^r_s is a map between mod-2^r Moore spaces, and 12 is no power of 2.
+    with pytest.raises(ValueError, match=re.escape("P^4(12) is not a mod-2^r Moore space")):
+        compose_relation(GeneratorSymbol(PINCH, moore(4, 4), S4),
+                         GeneratorSymbol(CHI, moore(4, 12), moore(4, 4)))
+    with pytest.raises(ValueError, match=re.escape(
+            "pinch: P^4(2) -> S^4 cannot follow a class into S^3")):
+        apply_transfer(GeneratorSymbol(PINCH, moore(4, 2), S4), MapClass.of(S4, S3, {"eta": 1}))
 
 
 def test_order_annihilation():
@@ -181,6 +190,9 @@ def test_order_annihilation():
         unit = MapClass.of(S3, moore(3, 2**r), {"i_2 eta": 1})
         assert unit.scale(2 ** (r + 1)).is_zero
         assert not unit.scale(2**r).is_zero
+        assert str(unit.scale(2 ** (r + 1))) == "0" and str(unit.scale(3)) == "3(i_2 eta)"
+    with pytest.raises(ValueError, match="cannot add classes in different groups"):
+        unit.add(MapClass.of(S3, moore(3, 4), {"i_2 eta": 1}))
 
 
 def test_kind_names_unit_generators_only():
@@ -236,6 +248,17 @@ def test_row_op_alphabet_enforced():
     v = vec(S4, (S3, {"eta": 1}), (moore(4, 2), {}))
     with pytest.raises(IllegalOp):  # the move from S^3 into P^4(2) is i, not eta
         row_op(v, AddRow(1, 0, ETA))
+    # eta from an S^3 row onto an S^2 row is no move: a sphere target below its source needs n >= 3
+    assert normalizer._move_kinds(S3, sphere(2)) == ()
+    for op, message in [
+            (SwapRows(0, 2), "row index out of range"),
+            (AddRow(1, 1, DEG), "use ActBySelfEquiv for diagonal moves"),
+            (AddRow(2, 0, INCL), "row index out of range"),
+            (ActBySelfEquiv(-1, "neg"), "row index out of range"),
+            (ActBySelfEquiv(0, "unit_plus_i_eta_q"), "is not a self-equivalence of S^3"),
+            ((0, 1), "unknown operation")]:
+        with pytest.raises(IllegalOp, match=re.escape(message)):
+            row_op(v, op)
 
 
 def test_self_equivalence_negates():
@@ -417,6 +440,7 @@ def test_oracle_examples():
     least = oracle_normal_form(v)
     assert least.key() == ((0,), (1,))  # lexicographically least orbit element
     assert normalize(v).key() in orbit(v)
+    assert "x" not in orbit(v)  # not comparable with a key, so not one
 
     v2 = vec(S4, (moore(4, 2), {"i_3 eta": 1}), (moore(4, 4), {"i_3 eta": 1}))
     least2 = oracle_normal_form(v2)

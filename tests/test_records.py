@@ -155,6 +155,8 @@ def test_replace_builds_through_the_validating_constructor():
         group._replace(free_rank=-1)
     with pytest.raises(ValueError):
         group._replace(free_ring="Q")
+    with pytest.raises(ValueError, match="negative multiplicity -1"):
+        group._replace(pairs=((CyclicFactor(2, 1), -1),))
     merged = group._replace(pairs=((CyclicFactor(2, 1), 1), (CyclicFactor(2, 1), 2)))
     assert merged == FgAbelianGroup.of_orders(2, 2, 2)
     assert merged == FgAbelianGroup._make((0, ((CyclicFactor(2, 1), 3),), "Z"))
@@ -193,18 +195,6 @@ def test_replace_builds_through_the_validating_constructor():
             replace(VECTOR, entries=VECTOR.entries[::-1])
 
 
-def test_moves_of_different_types_never_compare_equal():
-    moves = [SwapRows(0, 1), ActBySelfEquiv(0, 1), AddRow(0, 1, DEG)]
-    lookalikes = [(0, 1), (0, 1), (0, 1, DEG)]
-    for i, move in enumerate(moves):
-        assert move == type(move)(*move) and hash(move) == hash(type(move)(*move))
-        for other in moves[:i] + moves[i + 1:] + lookalikes:
-            assert move != other and not move == other
-            assert other != move and not other == move
-        assert {move: 1}.get(lookalikes[i]) is None
-        assert {lookalikes[i]: 1}.get(move) is None
-
-
 # --------------------------------------------------------------------------
 # no src name that only tests read
 # --------------------------------------------------------------------------
@@ -219,6 +209,8 @@ KEPT_UNREAD = {
     "catalog.WedgeComplex.wedge": "perfbench/tracing.py counts catalog.wedge calls on it",
     "catalog.WedgeComplex.suspend": "criterion 3 checks that the wedge of Sigma M suspends "
                                     "to that of Sigma^2 M; it inverts desuspend",
+    "catalog.chang_t": "the named constructor of a kind that no wedge rule builds",
+    "catalog.chang_rt": "the named constructor of a kind that no wedge rule builds",
     "catalog.integral_homology": "a package export; perfbench/tracing.py times it through "
                                  "classifier's import until ROADMAP item 10",
     "catalog.peterson_of_group": "a package export; perfbench/tracing.py times it through "
