@@ -12,6 +12,7 @@ members around a declined one and exits 3, or 1 when an audit check failed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -36,7 +37,6 @@ from .catalog import (
     sphere,
 )
 from .classifier import (
-    DecompositionReport,
     ManifoldInvariants,
     OmittedCase,
     classify_double_suspension,
@@ -165,18 +165,45 @@ def _write_json(obj, out: list[str], newline: str) -> None:
 def json_text(obj) -> str:
     """The text ``json.dumps`` gives with ``indent=2``, for dicts with str
     keys, lists, str, int, bool and None; any other type raises TypeError.
-    One chunk list, joined once; every str but a ``catalog.Notation``
-    goes through the C string escaper that ``json`` uses."""
+    Every str but a ``catalog.Notation`` goes through the C string escaper
+    that ``json`` uses.  It serves the cached ``tables`` dump; the other
+    commands write ``_write_json``'s chunks without joining them."""
     out: list[str] = []
     _write_json(obj, out, "\n")
     return "".join(out)
 
 
+def _write_pieces(pieces: list[str]) -> None:
+    """Write ``pieces`` to stdout in order: each run of short pieces as
+    one write, and each piece longer than ``io.DEFAULT_BUFFER_SIZE`` (a
+    long wedge notation) as it is.  So no string the size of the whole
+    output is built, while a small output stays one write, which a
+    line-buffered terminal flushes once."""
+    write = sys.stdout.write
+    if max(map(len, pieces)) <= io.DEFAULT_BUFFER_SIZE:
+        write("".join(pieces))
+        return
+    start = 0
+    for i, piece in enumerate(pieces):
+        if len(piece) > io.DEFAULT_BUFFER_SIZE:
+            if start < i:
+                write("".join(pieces[start:i]))
+            write(piece)
+            start = i + 1
+    if start < len(pieces):
+        write("".join(pieces[start:]))
+
+
 def _emit(payload, as_json: bool, pretty_lines) -> None:
     if as_json:
-        print(json_text(payload))
-    elif pretty_lines:  # an empty batch prints nothing, as validate does
-        print("\n".join(pretty_lines))
+        pieces: list[str] = []
+        _write_json(payload, pieces, "\n")
+        pieces.append("\n")
+        _write_pieces(pieces)
+    elif pretty_lines:  # an empty batch prints nothing
+        pieces = ["\n"] * (2 * len(pretty_lines))
+        pieces[::2] = pretty_lines
+        _write_pieces(pieces)
 
 
 # --------------------------------------------------------------------------
@@ -233,11 +260,13 @@ def run_classify(args) -> int:
 def run_validate(args) -> int:
     batch = classify_input(args.input)
     all_ok = True
+    lines = []
     for inv, report in batch.reports:
         label = inv.label or report.branch
         for check in validate_roundtrip(inv, report):
             all_ok &= check.passed
-            print(f"{label}: {check}")
+            lines.append(f"{label}: {check}")
+    _emit(None, False, lines)
     return batch.exit_code(all_ok)
 
 

@@ -629,8 +629,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, capsys, args, loa
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("args", [["classify", str(WIDE_DESCRIPTORS)], ["tables"]],
-                         ids=["classify-wide", "tables"])
+@pytest.mark.parametrize("args", [
+    ["classify", str(WIDE_DESCRIPTORS)],
+    ["classify", "--json", "--stages", "--validate", str(WIDE_DESCRIPTORS)],
+    ["tables"],
+], ids=["classify-wide", "classify-wide-json", "tables"])
 def test_closed_stdout_exits_without_traceback(args, unbuffered):
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
@@ -949,41 +952,68 @@ def test_json_text_leaves_no_cycles():
     assert gc.collect() == 0
 
 
-def _printed_as_indent_2(args, stdin: str) -> str:
-    """stdout of ``main(args)`` on ``stdin``, checked to be json.dumps(indent=2) of itself."""
+class _WriteLog(io.StringIO):
+    """A stand-in stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+def _printed_as_indent_2(args, stdin: str) -> tuple[str, list[int]]:
+    """stdout of ``main(args)`` on ``stdin``, checked to be json.dumps(indent=2)
+    of itself, and the length of each write that printed it."""
     saved_in, sys.stdin = sys.stdin, io.StringIO(stdin)
-    saved_out, sys.stdout = sys.stdout, io.StringIO()
+    saved_out, sys.stdout = sys.stdout, _WriteLog()
     try:
         assert main(args) == EXIT_OK, args
-        out = sys.stdout.getvalue()
+        out, lengths = sys.stdout.getvalue(), sys.stdout.lengths
     finally:
         sys.stdin, sys.stdout = saved_in, saved_out
     assert out == json.dumps(json.loads(out), indent=2) + "\n", args
-    return out
+    return out, lengths
 
 
 @given(st.lists(valid_invariants(), min_size=1, max_size=3), st.booleans())
 def test_descriptor_commands_print_json_dumps_indent_2(invariants, single):
     data = [inv.to_json_dict() for inv in invariants]
     stdin = json.dumps(data[0] if single else data)
-    for level in ("1", "2"):
-        for extra in ([], ["--stages"], ["--validate"], ["--stages", "--validate"]):
-            _printed_as_indent_2(["classify", "--json", "--suspension-level", level, *extra, "-"],
-                                 stdin)
-    _printed_as_indent_2(["cohomotopy", "--json", "-"], stdin)
+    commands = [["classify", "--json", "--suspension-level", level, *extra, "-"]
+                for level in ("1", "2")
+                for extra in ([], ["--stages"], ["--validate"], ["--stages", "--validate"])]
+    for args in [*commands, ["cohomotopy", "--json", "-"]]:
+        _, lengths = _printed_as_indent_2(args, stdin)
+        assert len(lengths) == 1, args  # a small output is one write
+
+
+def _strings(obj):
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _strings(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _strings(value)
 
 
 def test_wide_classify_prints_json_dumps_indent_2():
     # m = d = 10^4 and 40 2-primary factors, with a trivial and with a
     # non-trivial Postnikov square: a megabyte of wedge notation, which the
     # writer copies between quotes unescaped.
-    out = _printed_as_indent_2(["classify", "--json", "--stages", "--validate", "-"],
-                               WIDE_DESCRIPTORS.read_text(encoding="utf-8"))
+    out, lengths = _printed_as_indent_2(["classify", "--json", "--stages", "--validate", "-"],
+                                        WIDE_DESCRIPTORS.read_text(encoding="utf-8"))
     payloads = json.loads(out)
     assert [p["invariants"]["postnikov_trivial"] for p in payloads] == [True, False]
     assert "symbolic" in payloads[1]["stages"]["W4"]
     assert payloads[0]["sigma2"].count("S^4") == 10**4
     assert all(c["passed"] for p in payloads for c in p["checks"])
+    # Written in pieces: no string the size of the output is built.
+    assert max(lengths) <= max(map(len, _strings(payloads)))
 
 
 def test_labels_with_escaped_characters_print_intact(tmp_path, capsys):
@@ -1010,7 +1040,7 @@ def test_normalize_prints_json_dumps_indent_2(vector):
 
 @pytest.mark.parametrize("family", [None, *catalog.FAMILIES])
 def test_tables_print_json_dumps_indent_2(family):
-    out = _printed_as_indent_2(["tables"] + (["--filter", family] if family else []), "")
+    out, _ = _printed_as_indent_2(["tables"] + (["--filter", family] if family else []), "")
     # The transcription's rows of the family, as json.dumps spells them.
     dump = json.loads(TRANSCRIPTION.read_text(encoding="utf-8"))
     if family:

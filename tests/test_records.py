@@ -349,6 +349,37 @@ def test_src_defines_no_name_that_only_tests_read():
         assert qual not in read, f"{qual} has a src reader now: drop its entry"
 
 
+# The src imports that no src code reads, each with why it stays.
+KEPT_IMPORTED = {
+    "classifier.integral_homology": "perfbench/tracing.py binds it in classifier's namespace "
+                                    "until ROADMAP item 10",
+    "classifier.peterson_of_group": "perfbench/tracing.py binds it in classifier's namespace "
+                                    "until ROADMAP item 10",
+}
+
+
+def test_src_imports_no_name_it_never_reads():
+    # __init__.py imports to re-export; every other module imports a name
+    # to read it as a Name (an attribute's receiver is one).
+    unread = set()
+    for path in sorted(Path(catalog.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unread.update(f"{path.stem}.{name}" for name in bound if name not in read)
+    extra = sorted(unread - set(KEPT_IMPORTED))
+    assert extra == [], "imported but never read: " + ", ".join(extra)
+    for qual in KEPT_IMPORTED:
+        assert qual in unread, f"{qual} is read now: drop its entry"
+
+
 def test_perfbench_tracer_rebinds_and_restores_every_name():
     # perfbench/tracing.py replaces calculator names by wrappers while it
     # traces.  A name that src no longer defines makes it raise
