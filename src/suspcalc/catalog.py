@@ -17,7 +17,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cache, cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from string import Formatter
 
 from .abelian import (
@@ -281,7 +281,7 @@ class Notation(str):
     with plain ints and joined by ``" v "``, the point ``"*"``, and W4's
     ``" v C_{g2}"`` suffix.  None of its characters is one that JSON
     escapes (no quote, backslash, control or non-ASCII character), so
-    ``cli.json_text`` writes it between quotes as it is.
+    ``cli._write_json`` writes it between quotes as it is.
 
     Never wrap user text in it, nor a value that an in-process parser
     reads back: ``classifier.json_value`` takes a str only when its type
@@ -465,15 +465,6 @@ def _mod2_basis(x: ElementaryComplex, k: int) -> int:
     return dim
 
 
-def sq2_action(x: ElementaryComplex, k: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of Sq^2: H^k(X;Z/2) -> H^(k+2)(X;Z/2) for one complex: the
-    isomorphism Z/2 -> Z/2 from the degree the kind's row names, zero
-    everywhere else."""
-    if sq2_is_nonzero(x, k):
-        return ((1,),)
-    return ((0,) * _mod2_basis(x, k),) * _mod2_basis(x, k + 2)
-
-
 def sq2_is_nonzero(x: "ElementaryComplex | WedgeComplex", k: int) -> bool:
     """Whether Sq^2 acts nontrivially from degree k: on one complex from
     n plus its kind's ``sq2`` offset alone (never on A^(n+3)(2^r eta^2),
@@ -525,8 +516,9 @@ def _pontryagin_coeff(x: ElementaryComplex) -> int | None:
 class OperationProfile(namedtuple("OperationProfile",
                                   "complex mod2_dims sq2 bocksteins theta pontryagin")):
     """Mod-2 cohomology dimensions and operation data of one catalog entry:
-    ``mod2_dims`` the nonzero (degree, dim) pairs, ``sq2`` the nonzero
-    (degree, matrix) blocks of Sq^2, ``bocksteins`` the (r, degree) pairs."""
+    ``mod2_dims`` the nonzero (degree, dim) pairs, ``sq2`` the degrees
+    from which Sq^2 acts (there it is the isomorphism Z/2 -> Z/2, the
+    1x1 matrix [[1]] in the dump), ``bocksteins`` the (r, degree) pairs."""
 
     __slots__ = ()
 
@@ -534,7 +526,7 @@ class OperationProfile(namedtuple("OperationProfile",
         return {
             "complex": self.complex.notation,
             "mod2_dims": {str(k): d for k, d in self.mod2_dims},
-            "sq2": {str(k): [list(row) for row in m] for k, m in self.sq2},
+            "sq2": {str(k): [[1]] for k in self.sq2},
             "bocksteins": [list(p) for p in self.bocksteins],
             "theta": self.theta,
             "pontryagin": self.pontryagin,
@@ -547,7 +539,7 @@ def operation_profile(x: ElementaryComplex) -> OperationProfile:
     return OperationProfile(
         complex=x,
         mod2_dims=dims,
-        sq2=tuple((k, sq2_action(x, k)) for k in degrees if sq2_is_nonzero(x, k)),
+        sq2=tuple(k for k in degrees if sq2_is_nonzero(x, k)),
         bocksteins=bockstein_profile(x),
         theta=theta_flag(x),
         pontryagin=_pontryagin_coeff(x),
@@ -694,3 +686,55 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
         # At r = 1, i eta^2 = 2 eta~_1 and eta^2 q = 2 eta-_1: one Z/4.
         gens = [(gens[0][0], 4, gens[0][2])]
     return _entry(source, target, *(gen for gen in gens if gen[1] != 1))
+
+
+# --------------------------------------------------------------------------
+# the tables dump
+# --------------------------------------------------------------------------
+
+def _profiled() -> list[ElementaryComplex]:
+    """The dump window: the complexes whose operation profiles are dumped,
+    and among which the tabulated maps are.  It holds every kind whose
+    cells lie in dimensions 2 to 6 (5 for a Moore space): at r = 1, 2, 3
+    for a kind that takes r alone (a Moore space takes the order 2^r), at
+    r, t = 1, 2 for a kind that takes t; and P^4(3)."""
+    complexes = [moore(4, 3)]
+    for kind, row in _KINDS.items():
+        exponents = (1, 2) if "t" in row.params else (1, 2, 3)
+        values = {"order": [2**e for e in exponents], "r": exponents, "t": exponents}
+        # each parameter's values in _LEAST order, as _interned takes them; 0 if not taken
+        choices = [values[p] if p in row.params else (0,) for p in _LEAST]
+        for n in range(2 - row.bottom, (5 if kind == MOORE else 6) - row.top + 1):
+            complexes += (_interned(kind, n, *fields) for fields in product(*choices))
+    return complexes
+
+
+def maps_group_rows() -> list[dict]:
+    """The dump's rows of every [source, target] of the dump window that a
+    ``_GROUPS`` row gives (so a sphere is on one side), but for
+    A^(n+3)(eta^2) and the odd Moore space; of the latter only S^4 and S^5
+    into P^4(3)."""
+    window = [x for x in _profiled() if x.kind != A_ETA2 and x != moore(4, 3)]
+    spheres = [x for x in window if x.kind == SPHERE]
+    rows_at = {key[:3] for key in _GROUPS}  # (source kind, target kind, n difference)
+    entries = [maps_group(sphere(4), moore(4, 3)), maps_group(sphere(5), moore(4, 3))]
+    for src, tgt in {*product(spheres, window), *product(window, spheres)}:
+        if (src.kind, tgt.kind, src.n - tgt.n) in rows_at:
+            try:
+                entries.append(maps_group(src, tgt))
+            except TableMiss:
+                pass
+    rows = []
+    for entry in entries:
+        # A row belongs to the family of its non-sphere member.
+        family = (entry.target if entry.source.kind == SPHERE else entry.source).family
+        rows.append({"family": family, **entry.to_json_dict()})
+    rows.sort(key=lambda row: (row["family"], row["source"], row["target"]))
+    return rows
+
+
+def profile_rows() -> list[dict]:
+    """The dump's rows of the operation profile of every dump-window complex."""
+    rows = [{"family": x.family, **operation_profile(x).to_json_dict()} for x in _profiled()]
+    rows.sort(key=lambda row: (row["family"], row["complex"]))
+    return rows

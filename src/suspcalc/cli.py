@@ -18,24 +18,15 @@ import os
 import sys
 from collections import namedtuple
 from functools import cache, lru_cache
-from itertools import product
 from json.encoder import encode_basestring_ascii
 
 # ehp and normalizer are imported by the commands that run them, so that
 # classify and validate start without loading either.
 from . import catalog
-from .catalog import (
-    A_ETA2,
-    MOORE,
-    SPHERE,
-    ElementaryComplex,
-    Notation,
-    maps_group,
-    moore,
-    of_kind,
-    operation_profile,
-    sphere,
-)
+from .catalog import Notation
+# Not called here but bound: perfbench/tracing.py wraps maps_group under
+# its name in this module.
+from .catalog import maps_group  # noqa: F401
 from .classifier import (
     ManifoldInvariants,
     OmittedCase,
@@ -116,7 +107,9 @@ def classify_input(path: str | None) -> Batch:
 def _write_json(obj, out: list[str], newline: str) -> None:
     """Append ``obj`` to ``out`` in chunks, as ``json.dumps`` with
     ``indent=2`` spells it, every line after the first starting with
-    ``newline``.
+    ``newline``: dicts with str keys, lists, str, int, bool and None; any
+    other type raises TypeError.  Every str but a ``catalog.Notation`` goes
+    through the C string escaper that ``json`` uses.
 
     Module-level, not a closure that calls itself: such a closure is a
     reference cycle, and would keep each call's chunks alive until the
@@ -160,17 +153,6 @@ def _write_json(obj, out: list[str], newline: str) -> None:
         out.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def json_text(obj) -> str:
-    """The text ``json.dumps`` gives with ``indent=2``, for dicts with str
-    keys, lists, str, int, bool and None; any other type raises TypeError.
-    Every str but a ``catalog.Notation`` goes through the C string escaper
-    that ``json`` uses.  It serves the cached ``tables`` dump; the other
-    commands write ``_write_json``'s chunks without joining them."""
-    out: list[str] = []
-    _write_json(obj, out, "\n")
-    return "".join(out)
 
 
 def _write_pieces(pieces: list[str]) -> None:
@@ -351,74 +333,13 @@ def run_normalize(args) -> int:
 # tables
 # --------------------------------------------------------------------------
 
-def _profiled() -> list[ElementaryComplex]:
-    """The dump window: the complexes whose operation profiles are dumped,
-    and among which the tabulated maps are.  It holds every kind whose
-    cells lie in dimensions 2 to 6 (5 for a Moore space): at r = 1, 2, 3
-    for a kind that takes r alone (a Moore space takes the order 2^r), at
-    r, t = 1, 2 for a kind that takes t; and P^4(3)."""
-    complexes = [moore(4, 3)]
-    for kind, row in catalog._KINDS.items():
-        exponents = (1, 2) if "t" in row.params else (1, 2, 3)
-        values = {"order": [2**e for e in exponents], "r": exponents, "t": exponents}
-        # each parameter's values in _LEAST order, as _interned takes them; 0 if not taken
-        choices = [values[p] if p in row.params else (0,) for p in catalog._LEAST]
-        for n in range(2 - row.bottom, (5 if kind == MOORE else 6) - row.top + 1):
-            complexes += (catalog._interned(kind, n, *fields) for fields in product(*choices))
-    return complexes
-
-
-def _maps_rows() -> list[dict]:
-    """Every [source, target] of the dump window that a ``catalog._GROUPS``
-    row gives (so a sphere is on one side), but for A^(n+3)(eta^2) and the
-    odd Moore space; of the latter only S^4 and S^5 into P^4(3)."""
-    window = [x for x in _profiled() if x.kind != A_ETA2 and x != moore(4, 3)]
-    spheres = [x for x in window if x.kind == SPHERE]
-    rows_at = {key[:3] for key in catalog._GROUPS}  # (source kind, target kind, n difference)
-    entries = [maps_group(sphere(4), moore(4, 3)), maps_group(sphere(5), moore(4, 3))]
-    for src, tgt in {*product(spheres, window), *product(window, spheres)}:
-        if (src.kind, tgt.kind, src.n - tgt.n) in rows_at:
-            try:
-                entries.append(maps_group(src, tgt))
-            except catalog.TableMiss:
-                pass
-    rows = []
-    for entry in entries:
-        # A row belongs to the family of its non-sphere member.
-        family = (entry.target if entry.source.kind == SPHERE else entry.source).family
-        rows.append({"family": family, **entry.to_json_dict()})
-    rows.sort(key=lambda row: (row["family"], row["source"], row["target"]))
-    return rows
-
-
-def _profile_rows() -> list[dict]:
-    rows = [
-        {"family": x.family, **operation_profile(x).to_json_dict()}
-        for x in _profiled()
-    ]
-    rows.sort(key=lambda row: (row["family"], row["complex"]))
-    return rows
-
-
-def _hopf_rows() -> list[dict]:
-    """The Hopf data of every ``ehp._HOPF`` row, at r = 1, 2, 3 (Moore
-    orders 2, 4, 8) where the kind takes a parameter, and of P^5(3)."""
+def build_tables(filter_family: str | None = None) -> dict:
     from . import ehp
 
-    summands = dict.fromkeys(of_kind(kind, n, r) for kind, n in ehp._HOPF for r in (1, 2, 3))
-    rows = [
-        {"family": x.family, **ehp.hopf_table(x).to_json_dict()}
-        for x in (*summands, moore(5, 3))
-    ]
-    rows.sort(key=lambda row: (row["family"], row["summand"]))
-    return rows
-
-
-def build_tables(filter_family: str | None = None) -> dict:
     dump = {
-        "maps_groups": _maps_rows(),
-        "operation_profiles": _profile_rows(),
-        "hopf_table": _hopf_rows(),
+        "maps_groups": catalog.maps_group_rows(),
+        "operation_profiles": catalog.profile_rows(),
+        "hopf_table": ehp.hopf_rows(),
     }
     if filter_family:
         dump = {
@@ -434,11 +355,13 @@ def tables_text(filter_family: str | None = None) -> str:
     and filter: one string for the full dump and one per family.  It holds
     text, which no caller can change, and not the rows: ``build_tables``
     returns fresh dicts on every call."""
-    return json_text(build_tables(filter_family))
+    out: list[str] = []
+    _write_json(build_tables(filter_family), out, "\n")
+    return "".join(out)
 
 
 def run_tables(args) -> int:
-    print(tables_text(args.filter))
+    _write_pieces([tables_text(args.filter), "\n"])
     return EXIT_OK
 
 

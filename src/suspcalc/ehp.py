@@ -41,6 +41,8 @@ from .catalog import (
     ElementaryComplex,
     TableMiss,
     maps_group,
+    moore,
+    of_kind,
     sphere,
 )
 from .classifier import (
@@ -128,6 +130,16 @@ def hopf_table(summand: ElementaryComplex) -> HopfEntry:
     r = summand.r or summand.order.bit_length() - 1
     cokernel = _z2local(rank, () if shift is None else [(r + shift, 1)])
     return HopfEntry(summand, domain, codomain, cokernel, kernel_trivial, rule)
+
+
+def hopf_rows() -> list[dict]:
+    """The ``tables`` dump's rows of the Hopf data of every ``_HOPF`` row,
+    at r = 1, 2, 3 (Moore orders 2, 4, 8) where the kind takes a
+    parameter, and of P^5(3)."""
+    summands = dict.fromkeys(of_kind(kind, n, r) for kind, n in _HOPF for r in (1, 2, 3))
+    rows = [{"family": x.family, **hopf_table(x).to_json_dict()} for x in (*summands, moore(5, 3))]
+    rows.sort(key=lambda row: (row["family"], row["summand"]))
+    return rows
 
 
 def pi5_double_suspension(report: DecompositionReport) -> FgAbelianGroup:

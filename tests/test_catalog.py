@@ -50,7 +50,6 @@ from suspcalc.catalog import (
     peterson_of_group,
     pontryagin_square_Ct,
     sphere,
-    sq2_action,
     sq2_is_nonzero,
     theta_flag,
 )
@@ -109,11 +108,11 @@ def test_homology_additive_over_wedge():
 # --------------------------------------------------------------------------
 
 def test_sq2_chang_iso():
-    assert sq2_action(chang_eta(4), 4) == ((1,),)
+    assert sq2_is_nonzero(chang_eta(4), 4)
 
 
 def test_sq2_a_tilde_iso():
-    assert sq2_action(a_tilde(3, 2), 4) == ((1,),)
+    assert sq2_is_nonzero(a_tilde(3, 2), 4)
 
 
 def test_sq2_moore_zero():
@@ -135,9 +134,9 @@ def test_sq2_iso_across_parameters():
                 samples.append(chang_rt(n, r, t))
         for x in samples:
             if x.kind == "a_tilde":
-                assert sq2_action(x, n + 1) == ((1,),), x
+                assert sq2_is_nonzero(x, n + 1), x
             else:
-                assert sq2_action(x, n) == ((1,),), x
+                assert sq2_is_nonzero(x, n), x
 
 
 def test_sq2_zero_on_eta2_attachments():
@@ -223,7 +222,7 @@ def test_suspend_preserves_kind_homology_and_profiles():
         px, ps = operation_profile(x), operation_profile(s)
         assert ps.theta == px.theta
         assert ps.bocksteins == tuple((r, k + 1) for r, k in px.bocksteins)
-        assert {k + 1: m for k, m in px.sq2} == dict(ps.sq2)
+        assert ps.sq2 == tuple(k + 1 for k in px.sq2)
 
 
 def test_desuspend_inverts_suspend():
@@ -647,21 +646,6 @@ catalog_complexes = st.one_of(
 )
 
 
-def _per_copy_sq2(copies, k):
-    """The block-diagonal Sq^2 matrix of a wedge, assembled copy by copy."""
-    blocks = [sq2_action(x, k) for x in copies]
-    rows = sum(len(b) for b in blocks)
-    cols = sum(len(b[0]) if b else 0 for b in blocks)
-    matrix = [[0] * cols for _ in range(rows)]
-    ri = ci = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            matrix[ri + i][ci:ci + len(row)] = row
-        ri += len(b)
-        ci += len(b[0]) if b else 0
-    return matrix
-
-
 @given(st.lists(st.tuples(catalog_complexes, st.integers(0, 4)), max_size=6),
        st.randoms(use_true_random=False))
 def test_wedge_aggregates_match_per_copy_reference(counts, rnd):
@@ -679,7 +663,7 @@ def test_wedge_aggregates_match_per_copy_reference(counts, rnd):
         for x in copies:
             expected = expected.direct_sum(integral_homology(x, i))
         assert integral_homology(w, i) == expected
-        assert sq2_is_nonzero(w, i) == any(any(row) for row in _per_copy_sq2(copies, i))
+        assert sq2_is_nonzero(w, i) == any(sq2_is_nonzero(x, i) for x in copies)
     assert bockstein_profile(w) == tuple(
         sorted((p for x in copies for p in bockstein_profile(x)), key=lambda p: (p[1], p[0]))
     )

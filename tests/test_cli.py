@@ -30,8 +30,8 @@ from suspcalc.cli import (
     EXIT_OK,
     EXIT_OMITTED,
     EXIT_STDOUT_CLOSED,
+    _write_json,
     build_tables,
-    json_text,
     main,
     tables_text,
 )
@@ -929,6 +929,13 @@ JSON_TREES = st.recursive(
     | st.dictionaries(JSON_TEXT, children, max_size=4),
     max_leaves=10,
 )
+
+
+def json_text(obj) -> str:
+    """The chunks ``cli._write_json`` writes for ``obj``, joined."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
 
 
 @given(JSON_TREES)

@@ -375,7 +375,8 @@ def test_normalize_rejects_homologically_nontrivial():
 
 
 def _criterion_4_pool():
-    """The 1580 vectors of the acceptance suite's criterion 4, in its order."""
+    """The 1580 vectors of the acceptance suite's criterion-4 pool with up
+    to three targets, in its order."""
     pool = {
         S4: [S3, moore(4, 2), moore(4, 4), moore(4, 8)],
         S5: [S3, S4, moore(4, 2), moore(4, 4), moore(4, 8)],

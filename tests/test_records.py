@@ -5,8 +5,9 @@ Value records are namedtuple subclasses whose ``__new__`` validates;
 ``ElementaryComplex`` (interned, compared by identity) and ``WedgeComplex``
 are slotted classes.
 
-The last two tests keep src free of names that only tests read, and keep
-every name that perfbench's tracer rebinds.
+The last four tests keep src free of names that only tests read, of
+imports it never reads and of reads of another module's private names,
+and keep every name that perfbench's tracer rebinds.
 """
 
 import ast
@@ -355,6 +356,7 @@ KEPT_IMPORTED = {
                                     "until ROADMAP item 10",
     "classifier.peterson_of_group": "perfbench/tracing.py binds it in classifier's namespace "
                                     "until ROADMAP item 10",
+    "cli.maps_group": "perfbench/tracing.py binds it in cli's namespace until ROADMAP item 10",
 }
 
 
@@ -378,6 +380,31 @@ def test_src_imports_no_name_it_never_reads():
     assert extra == [], "imported but never read: " + ", ".join(extra)
     for qual in KEPT_IMPORTED:
         assert qual in unread, f"{qual} is read now: drop its entry"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_src_reads_no_private_name_of_another_module():
+    # A module's private names are its own: a sibling reads only its public
+    # names, whether as X.name after ``from . import X`` or by
+    # ``from .X import name``.
+    reads = set()
+    for path in sorted(Path(catalog.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    siblings.update(alias.asname or alias.name for alias in node.names)
+                else:
+                    reads.update(f"{path.stem}: {node.module}.{alias.name}"
+                                 for alias in node.names if _private(alias.name))
+        reads.update(f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in siblings and _private(node.attr))
+    assert not reads, "reads another module's private name: " + ", ".join(sorted(reads))
 
 
 def test_perfbench_tracer_rebinds_and_restores_every_name():
