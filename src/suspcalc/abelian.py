@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from itertools import chain, count, repeat
-from math import gcd, prod
+from itertools import chain, repeat
+from math import prod
 
 RING_Z = "Z"
 RING_Z2LOCAL = "Z_(2)"
 
-# Input bound on cyclic orders (torsion factors, Moore-space orders), so
-# that factoring one stays cheap.
+# Input bound on cyclic orders (torsion factors, Moore-space orders): below
+# it isprime is exact, so whether an order is a prime power is decided, not
+# guessed.
 MAX_FACTOR_ORDER = 2**64
 
 # Miller-Rabin on the prime bases up to 37 has no strong pseudoprime below
@@ -65,38 +66,24 @@ def perfect_power(k: int) -> tuple[int, int]:
 
 def factorint(n: int) -> dict[int, int]:
     """The factorization {prime: exponent} of n >= 1, primes ascending:
-    trial division, then on each cofactor a perfect-power test, and
-    Pollard rho when the root is not prime."""
+    trial division below 1024, then a prime-power test of the cofactor,
+    whose prime factors all exceed those divided out.  Any other cofactor
+    raises ValueError; src factors only 2-powers and Moore orders, which
+    are prime powers."""
     factors: dict[int, int] = {}
+    m = n
     for p in chain((2,), range(3, 1024, 2)):
-        if p * p > n:
+        if p * p > m:
             break
-        while n % p == 0:
+        while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
-            n //= p
-    stack = [(n, 1)] if n > 1 else []  # (cofactor, the power it divides n to)
-    while stack:
-        m, k = stack.pop()
+            m //= p
+    if m > 1:
         root, e = perfect_power(m)
-        if isprime(root):
-            factors[root] = factors.get(root, 0) + k * e
-        else:
-            g = _rho(root)
-            stack += ((g, k * e), (root // g, k * e))
-    return dict(sorted(factors.items()))
-
-
-def _rho(n: int) -> int:
-    """A proper divisor of the composite n: Pollard rho, Floyd's cycle search."""
-    for c in count(1):
-        x = y = 2
-        g = 1
-        while g == 1:
-            x = (x * x + c) % n
-            y = ((y * y + c) ** 2 + c) % n  # two steps
-            g = gcd(x - y, n)
-        if g != n:
-            return g
+        if not isprime(root):
+            raise ValueError(f"cannot factor {n}: the cofactor {m} is not a prime power")
+        factors[root] = e
+    return factors
 
 
 def merge_counts(pairs: Iterable[tuple], key: Callable | None = None) -> tuple:

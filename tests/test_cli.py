@@ -381,8 +381,8 @@ def test_normalize_command(tmp_path, capsys):
     ({"source": "S^5", "entries": [{"target": "S^4", "coefficients": {"eta": 2}},
                                    {"target": "P^4(4)", "coefficients": {"eta~_2": 2}}]},
      "P^4(4) v S^4 v S^6"),
-    # 2-locally P^4(15) is a point, as P^4(9) is: [S^4, P^4(15)] = 0.
-    ({"source": "S^4", "entries": [{"target": "P^4(15)"}]}, "P^4(15) v S^5"),
+    # 2-locally P^4(125) is a point, as P^4(9) is: [S^4, P^4(125)] = 0.
+    ({"source": "S^4", "entries": [{"target": "P^4(125)"}]}, "P^4(125) v S^5"),
 ])
 def test_normalize_zero_vector_adds_the_sphere_above_the_source(tmp_path, capsys, vector, wedge):
     path = write(tmp_path, "v.json", vector)
@@ -415,8 +415,14 @@ def s5_to_s4(coefficients, source="S^5", target="S^4"):
         pytest.param(s5_to_s4({"eta": 1}, target=["S^4"]), "target", id="non-string-target"),
         pytest.param(s5_to_s4({}, target=f"P^4({HUGE_ORDER})"), "2**64", id="huge-moore-target"),
         pytest.param(s5_to_s4({}, source=f"P^6({HUGE_ORDER})"), "2**64", id="huge-moore-source"),
-        pytest.param(s5_to_s4({}, target="P^4(6)"), "error: not tabulated: [S^5, P^4(6)]\n",
+        # No _GROUPS row maps a sphere into a Chang complex.
+        pytest.param(s5_to_s4({}, target="C^5_eta"), "error: not tabulated: [S^5, C^5_eta]\n",
                      id="untabulated-pair"),
+        # A Moore order is a prime power, odd or even.
+        pytest.param(s5_to_s4({}, target="P^4(15)"), "moore needs a prime-power order, not 15",
+                     id="composite-odd-moore-target"),
+        pytest.param(s5_to_s4({}, target="P^4(6)"), "moore needs a prime-power order, not 6",
+                     id="composite-even-moore-target"),
         pytest.param(s5_to_s4({}, source="S^0"), "sphere needs n >= 1", id="sphere-below-least-n"),
         pytest.param(s5_to_s4({}, target="C^3_eta"), "chang_eta needs n >= 2", id="chang-below-least-n"),
         pytest.param(s5_to_s4({}, target="C^5_0"), "chang_r needs r >= 1", id="chang-r-zero"),

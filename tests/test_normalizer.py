@@ -175,10 +175,10 @@ def test_not_composable():
             compose_relation(GeneratorSymbol(INCL, S3, moore(4, 3)), right)
     with pytest.raises(TableMiss, match="chi . eta is not tabulated"):  # chi is Moore to Moore
         compose_relation(GeneratorSymbol(CHI, S3, moore(3, 2)), GeneratorSymbol(ETA, S4, S3))
-    # chi^r_s is a map between mod-2^r Moore spaces, and 12 is no power of 2.
-    with pytest.raises(ValueError, match=re.escape("P^4(12) is not a mod-2^r Moore space")):
+    # chi^r_s is a map between mod-2^r Moore spaces, and 9 is odd.
+    with pytest.raises(ValueError, match=re.escape("P^4(9) is not a mod-2^r Moore space")):
         compose_relation(GeneratorSymbol(PINCH, moore(4, 4), S4),
-                         GeneratorSymbol(CHI, moore(4, 12), moore(4, 4)))
+                         GeneratorSymbol(CHI, moore(4, 9), moore(4, 4)))
     with pytest.raises(ValueError, match=re.escape(
             "pinch: P^4(2) -> S^4 cannot follow a class into S^3")):
         apply_transfer(GeneratorSymbol(PINCH, moore(4, 2), S4), MapClass.of(S4, S3, {"eta": 1}))
