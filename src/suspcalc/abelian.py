@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable
+from functools import lru_cache
 from itertools import chain, repeat
 from math import prod
 
@@ -89,11 +90,11 @@ def factorint(n: int) -> dict[int, int]:
 def merge_counts(pairs: Iterable[tuple], key: Callable | None = None) -> tuple:
     """``(item, multiplicity)`` pairs merged into one pair per distinct
     item, zeros dropped, sorted by ``key`` of the pair (by the item when
-    None); a negative multiplicity raises ValueError."""
+    None); a multiplicity that is not an int >= 0 raises ValueError."""
     merged: dict = {}
     for x, k in pairs:
-        if k < 0:
-            raise ValueError(f"negative multiplicity {k} of {x}")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"{'negative' if k < 0 else 'non-int'} multiplicity {k!r} of {x}")
         merged[x] = merged.get(x, 0) + k
     return tuple(sorted([(x, k) for x, k in merged.items() if k], key=key))
 
@@ -112,17 +113,16 @@ class Validated:
 
 
 class CyclicFactor(Validated, namedtuple("CyclicFactor", "prime exponent")):
-    """The cyclic group Z/prime**exponent; a tuple, so that the hashing,
-    equality and order that every merge of factors runs on are builtin."""
+    """The cyclic group Z/prime**exponent, interned; a tuple, so that the
+    hashing, equality and order that every merge of factors runs on are builtin."""
 
     __slots__ = ()
 
     def __new__(cls, prime: int, exponent: int):
-        if not isprime(prime):
-            raise ValueError(f"prime must be prime, got {prime}")
-        if exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {exponent}")
-        return super().__new__(cls, prime, exponent)
+        return _interned_factor(prime, exponent)
+
+    def __reduce__(self):
+        return CyclicFactor, tuple(self)
 
     @property
     def order(self) -> int:
@@ -130,6 +130,18 @@ class CyclicFactor(Validated, namedtuple("CyclicFactor", "prime exponent")):
 
     def __str__(self):
         return f"Z/{self.order}"
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: exponent 1.0 or True must not hit 1
+def _interned_factor(prime: int, exponent: int) -> CyclicFactor:
+    """The one factor per ``(prime, exponent)``; an invalid one raises on every call."""
+    if type(prime) is not int or type(exponent) is not int:
+        raise ValueError(f"prime and exponent must be ints, got {prime!r} and {exponent!r}")
+    if not isprime(prime):
+        raise ValueError(f"prime must be prime, got {prime}")
+    if exponent < 1:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    return tuple.__new__(CyclicFactor, (prime, exponent))
 
 
 class FgAbelianGroup(Validated, namedtuple("FgAbelianGroup", "free_rank pairs free_ring")):
@@ -153,13 +165,16 @@ class FgAbelianGroup(Validated, namedtuple("FgAbelianGroup", "free_rank pairs fr
 
     def __new__(cls, free_rank: int = 0, counts: Iterable[tuple[CyclicFactor, int]] = (),
                 free_ring: str = RING_Z):
-        if free_rank < 0:
-            raise ValueError("free_rank must be non-negative")
+        if type(free_rank) is not int or free_rank < 0:
+            raise ValueError(f"free_rank must be a non-negative int, not {free_rank!r}")
         if free_ring not in (RING_Z, RING_Z2LOCAL):
             raise ValueError(f"unknown free ring tag {free_ring!r}")
-        # The ring tag is meaningless without a free part.
-        return tuple.__new__(cls, (free_rank, merge_counts(counts),
-                                   free_ring if free_rank else RING_Z))
+        return cls._of_canonical(free_rank, merge_counts(counts) if counts else (), free_ring)
+
+    @classmethod
+    def _of_canonical(cls, free_rank: int, pairs: tuple, free_ring: str) -> "FgAbelianGroup":
+        """The group of ``pairs`` merged and ascending already (ring Z if no free part)."""
+        return tuple.__new__(cls, (free_rank, pairs, free_ring if free_rank else RING_Z))
 
     @classmethod
     def of_orders(cls, *orders: int, free_ring: str = RING_Z) -> "FgAbelianGroup":
@@ -188,7 +203,7 @@ class FgAbelianGroup(Validated, namedtuple("FgAbelianGroup", "free_rank pairs fr
     # ----- operations ---------------------------------------------------
 
     def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
-        """Canonical-form direct sum.
+        """Canonical-form direct sum, merged only when both sides have torsion.
 
         >>> A = FgAbelianGroup.of_orders(2, 8)
         >>> print(A.direct_sum(FgAbelianGroup.of_orders(4)))
@@ -197,7 +212,9 @@ class FgAbelianGroup(Validated, namedtuple("FgAbelianGroup", "free_rank pairs fr
         if self.free_rank and other.free_rank and self.free_ring != other.free_ring:
             raise ValueError("cannot sum free parts over different rings")
         ring = self.free_ring if self.free_rank else other.free_ring
-        return FgAbelianGroup(self.free_rank + other.free_rank, self.pairs + other.pairs, ring)
+        pairs = (merge_counts(self.pairs + other.pairs) if self.pairs and other.pairs
+                 else self.pairs or other.pairs)
+        return FgAbelianGroup._of_canonical(self.free_rank + other.free_rank, pairs, ring)
 
     def times(self, k: int) -> "FgAbelianGroup":
         """The direct sum of k copies.
@@ -205,8 +222,9 @@ class FgAbelianGroup(Validated, namedtuple("FgAbelianGroup", "free_rank pairs fr
         >>> print(FgAbelianGroup.of_orders(0, 2).times(2))
         Z^2 + Z/2 + Z/2
         """
-        return FgAbelianGroup(k * self.free_rank, ((f, k * m) for f, m in self.pairs),
-                              self.free_ring)
+        # k >= 1 keeps the pairs ascending and distinct; the constructor checks any other k.
+        make = FgAbelianGroup._of_canonical if type(k) is int and k >= 1 else FgAbelianGroup
+        return make(k * self.free_rank, tuple((f, k * m) for f, m in self.pairs), self.free_ring)
 
     def two_primary(self) -> "FgAbelianGroup":
         """The 2-primary subgroup (free rank discarded).
@@ -214,7 +232,8 @@ class FgAbelianGroup(Validated, namedtuple("FgAbelianGroup", "free_rank pairs fr
         >>> print(FgAbelianGroup.of_orders(12, 5).two_primary())
         Z/4
         """
-        return FgAbelianGroup(0, ((f, k) for f, k in self.pairs if f.prime == 2))
+        return FgAbelianGroup._of_canonical(
+            0, tuple((f, k) for f, k in self.pairs if f.prime == 2), RING_Z)
 
     def two_primary_exponents(self) -> tuple[int, ...]:
         """Sorted exponents r_1 <= ... <= r_n of the 2-primary factors."""

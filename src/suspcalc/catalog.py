@@ -371,6 +371,10 @@ class WedgeComplex(_Frozen):
     def summands(self) -> _Copies:
         return _Copies(self.pairs)
 
+    def without(self, x: ElementaryComplex) -> "WedgeComplex":
+        """This wedge with every copy of ``x`` taken out; the rest keeps its order."""
+        return WedgeComplex._of_canonical(tuple(p for p in self.pairs if p[0] is not x))
+
     def wedge(self, other: "WedgeComplex | ElementaryComplex") -> "WedgeComplex":
         if isinstance(other, ElementaryComplex):
             return WedgeComplex(counts=(*self.pairs, (other, 1)))
@@ -448,12 +452,14 @@ def homology_by_degree(x: "ElementaryComplex | WedgeComplex") -> dict[int, FgAbe
     one walk over the distinct summands.  Reading a degree with no
     homology gives the zero group."""
     ranks: dict[int, int] = {}
-    counts: dict[int, list[tuple[CyclicFactor, int]]] = {}
+    counts: dict[int, dict[CyclicFactor, int]] = {}  # each degree's factors, added up
     for summand, k in _distinct(x):
         for degree, group in _homology_pairs(summand):
             ranks[degree] = ranks.get(degree, 0) + k * group.free_rank
-            counts.setdefault(degree, []).extend((f, k * m) for f, m in group.pairs)
-    return _ByDegree((i, FgAbelianGroup(ranks[i], counts=counts[i])) for i in sorted(ranks))
+            torsion = counts.setdefault(degree, {})
+            for f, m in group.pairs:
+                torsion[f] = torsion.get(f, 0) + k * m
+    return _ByDegree((i, FgAbelianGroup(ranks[i], counts[i].items())) for i in sorted(ranks))
 
 
 def integral_homology(x: "ElementaryComplex | WedgeComplex", i: int) -> FgAbelianGroup:
@@ -493,11 +499,16 @@ def bockstein_profile(x: "ElementaryComplex | WedgeComplex") -> tuple[tuple[int,
     Each Z/2^r summand of H_k contributes one beta_r from degree k to
     degree k+1 in mod-2 cohomology; free homology contributes none.
     """
-    counts = (((degree, f.exponent), k * m)
-              for s, k in _distinct(x) for degree, group in _homology_pairs(s)
-              for f, m in group.pairs if f.prime == 2)
+    counts = ((key, k * m) for s, k in _distinct(x) for key, m in _two_primary_row(s))
     return tuple(chain.from_iterable(
         repeat((r, degree), k) for (degree, r), k in merge_counts(counts)))
+
+
+@cache
+def _two_primary_row(x: ElementaryComplex) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The ``((degree, r), multiplicity)`` pairs of the Z/2^r in x's homology."""
+    return tuple(((degree, f.exponent), m) for degree, group in _homology_pairs(x)
+                 for f, m in group.pairs if f.prime == 2)
 
 
 def pontryagin_square_Ct(t: int, u: int, multiple: int = 1) -> int:

@@ -351,13 +351,12 @@ class DecompositionReport(namedtuple("DecompositionReport",
 
 
 def stage_decompositions(inv: ManifoldInvariants) -> StageDecompositions:
-    """The three pipeline stages W3, W4 and Sigma W4."""
-    T = inv.torsion
-    p3, p4, p5 = (moore_pairs(n, T) for n in (3, 4, 5))
-    w3 = WedgeComplex(counts=((sphere(3), inv.d), *p3, *p4))
+    """The three pipeline stages W3, W4 and Sigma W4, of which only Sigma W4 is merged."""
+    p4, p5 = (moore_pairs(n, inv.torsion) for n in (4, 5))
     sigma_w4 = WedgeComplex(counts=((sphere(4), inv.d), *p4, *p5, (sphere(5), inv.m)))
+    w4 = sigma_w4.desuspend()  # d S^3 v P^3(T) v P^4(T) v m S^4, i.e. W3 v m S^4
+    w3 = w4.without(sphere(4))
     if inv.postnikov_trivial or not inv.two_exponents:
-        w4 = WedgeComplex(counts=(*w3.pairs, (sphere(4), inv.m)))
         return StageDecompositions(w3, w4, None, sigma_w4)
     known = WedgeComplex(counts=((sphere(3), inv.d), *p4))
     symbolic = Notation(f"{known.notation} v C_{{g2}}" if known.pairs else "C_{g2}")

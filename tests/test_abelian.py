@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -8,10 +10,12 @@ import suspcalc.abelian
 from suspcalc.abelian import (
     CyclicFactor,
     FgAbelianGroup,
+    RING_Z,
     RING_Z2LOCAL,
     factorint,
     iroot,
     isprime,
+    merge_counts,
     perfect_power,
 )
 import suspcalc.catalog
@@ -95,6 +99,56 @@ def test_multiset_group_matches_per_copy_reference(a, b, rank_a, rank_b, k, data
     free = [] if not rank_a else ["Z" if rank_a == 1 else f"Z^{rank_a}"]
     assert str(ga) == (" + ".join(free + [f"Z/{f.prime ** f.exponent}" for f in ref_a]) or "0")
     assert (ga == gb) == ((rank_a, ref_a) == (rank_b, ref_b))
+
+
+CANONICAL = st.builds(
+    lambda rank, copies, ring: FgAbelianGroup(rank, [(f, 1) for f in copies], ring),
+    st.integers(0, 2), st.lists(FACTORS, max_size=8), st.sampled_from([RING_Z, RING_Z2LOCAL]))
+
+
+@given(CANONICAL, CANONICAL, st.integers(0, 3), st.integers(0, 3))
+def test_canonical_fast_paths_match_a_merging_reference(a, b, k, rank):
+    """direct_sum, times, two_primary and a group of a free rank alone skip
+    the merge where their input is canonical already; each result against
+    merge_counts over one (factor, 1) pair per copy."""
+    def copies(group):
+        return [(f, 1) for f, m in group.pairs for _ in range(m)]
+
+    def ring(free_rank, tag):
+        return tag if free_rank else RING_Z
+
+    if not (a.free_rank and b.free_rank and a.free_ring != b.free_ring):
+        total = a.direct_sum(b)
+        assert total.pairs == merge_counts(copies(a) + copies(b))
+        assert total.free_rank == a.free_rank + b.free_rank
+        tag = a.free_ring if a.free_rank else b.free_ring
+        assert total.free_ring == ring(total.free_rank, tag)
+    scaled = a.times(k)
+    assert scaled.pairs == merge_counts(copies(a) * k)
+    assert scaled.free_rank == k * a.free_rank
+    assert scaled.free_ring == ring(scaled.free_rank, a.free_ring)
+    two = a.two_primary()
+    assert two.pairs == merge_counts((f, 1) for f, _ in copies(a) if f.prime == 2)
+    assert (two.free_rank, two.free_ring) == (0, RING_Z)
+    for tag in (RING_Z, RING_Z2LOCAL):
+        free = FgAbelianGroup(rank, free_ring=tag)
+        assert (free.free_rank, free.pairs) == (rank, merge_counts(()))
+        assert free.free_ring == ring(rank, tag)
+
+
+def test_cyclic_factors_are_interned():
+    f = CyclicFactor(2, 3)
+    assert CyclicFactor(2, 3) is f and CyclicFactor(prime=2, exponent=3) is f
+    assert CyclicFactor(2, 1)._replace(exponent=3) is f and CyclicFactor._make((2, 3)) is f
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert all(pickle.loads(pickle.dumps(f, protocol)) is f
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+    # An invalid factor raises on every call and is not kept.
+    kept = suspcalc.abelian._interned_factor.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            CyclicFactor(2, True)
+    assert suspcalc.abelian._interned_factor.cache_info().currsize == kept
 
 
 def test_mixed_free_rings_rejected():
@@ -261,10 +315,15 @@ def test_no_order_one_factors():
 
 
 def test_cyclic_factor_validation():
-    with pytest.raises(ValueError):
-        CyclicFactor(4, 1)
-    with pytest.raises(ValueError):
-        CyclicFactor(2, 0)
+    # Exact ints only: a float or bool prime or exponent would print as
+    # Z/2.0 or stay in the pairs as exponent=True.
+    for prime, exponent in ((4, 1), (2, 0), (2, 1.0), (2, True), (2.0, 1), (True, 1)):
+        with pytest.raises(ValueError):
+            CyclicFactor(prime, exponent)
+    for rank, counts in ((2.5, ()), (True, ()), (0, [(CyclicFactor(2, 1), 1.0)]),
+                         (0, [(CyclicFactor(2, 1), True)])):
+        with pytest.raises(ValueError):
+            FgAbelianGroup(rank, counts)
 
 
 def test_json_roundtrip(rng):

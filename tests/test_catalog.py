@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import cyclic
-from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, isprime
+from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, isprime, merge_counts
 from suspcalc.cli import build_tables
 from suspcalc.ehp import hopf_table
 from suspcalc.normalizer import _move_kinds
@@ -678,6 +678,34 @@ def test_wedge_aggregates_match_per_copy_reference(counts, rnd):
         assert WedgeComplex(parse_complex(p) for p in notation.split(" v ")) == w
     assert w.wedge(w) == WedgeComplex(tuple(copies + copies))
     assert w.suspend().desuspend() == w
+
+
+def test_wedge_multiplicities_are_ints_at_least_zero():
+    # merge_counts checks them for wedges as for groups: a float one would
+    # fail only when printed, and True would count as 1.
+    for k in (-1, 1.0, True):
+        with pytest.raises(ValueError, match="multiplicity"):
+            WedgeComplex(counts=[(sphere(3), k)])
+
+
+@given(st.lists(st.tuples(catalog_complexes, st.integers(0, 4)), max_size=6))
+def test_homology_and_bocksteins_match_a_merging_reference(counts):
+    # Per copy and per degree, each summand's own homology groups added up
+    # by merge_counts alone, with no direct_sum and no group constructor.
+    copies = [x for x, k in counts for _ in range(k)]
+    w = WedgeComplex(counts=counts)
+    rows = [(degree, g) for x in copies for degree, g in _homology_pairs(x)]
+    homology = homology_by_degree(w)
+    for i in range(0, 12):
+        group = homology[i]
+        assert group.free_rank == sum(g.free_rank for degree, g in rows if degree == i)
+        assert group.pairs == merge_counts((f, 1) for degree, g in rows if degree == i
+                                           for f, m in g.pairs for _ in range(m))
+    assert set(homology) == {degree for degree, g in rows if g.free_rank or g.pairs}
+    expected = merge_counts(((degree, f.exponent), 1) for degree, g in rows
+                            for f, m in g.pairs if f.prime == 2 for _ in range(m))
+    assert bockstein_profile(w) == tuple((r, degree) for (degree, r), k in expected
+                                         for _ in range(k))
 
 
 # --------------------------------------------------------------------------

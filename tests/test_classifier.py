@@ -159,6 +159,26 @@ def test_stage_w4_split():
     assert stages.w4_symbolic is None
 
 
+@given(valid_invariants())
+def test_stages_equal_their_definitions(inv):
+    # Each stage against its definition, built by the merging constructor.
+    T, m, d = inv.torsion, inv.m, inv.d
+
+    def peterson(n):
+        return [(moore(n, f.order), k) for f, k in T.pairs]
+
+    stages = stage_decompositions(inv)
+    w3 = WedgeComplex(counts=[(sphere(3), d), *peterson(3), *peterson(4)])
+    assert stages.w3 == w3
+    assert stages.sigma_w4 == WedgeComplex(
+        counts=[(sphere(4), d), *peterson(4), *peterson(5), (sphere(5), m)])
+    if inv.postnikov_trivial or not inv.two_exponents:
+        assert stages.w4 == WedgeComplex(counts=[*w3.pairs, (sphere(4), m)])
+        assert stages.w4_symbolic is None
+    else:
+        assert stages.w4 is None
+
+
 def test_stage_w4_symbolic_without_postnikov():
     stages = stage_decompositions(invariants(1, 1, (4,), postnikov=False))
     assert stages.w4 is None
