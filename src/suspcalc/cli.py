@@ -324,7 +324,8 @@ def run_normalize(args) -> int:
         "cofiber": cofib.notation,
     }
     lines = [] if args.json else [
-        f"normal form: {payload['normal_form']['entries']}", f"cofiber: {cofib.notation}"]
+        "normal form: " + "; ".join(f"{t}: {e}" for t, e in zip(normal.targets, normal.entries)),
+        f"cofiber: {cofib.notation}"]
     _emit(payload, args.json, lines)
     return EXIT_OK
 
@@ -371,7 +372,9 @@ def run_tables(args) -> int:
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it unchanged."""
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged.  Its ``commands`` attribute maps each command's name to the
+    command's own parser (the subparsers action's ``choices``)."""
     parser = argparse.ArgumentParser(
         prog="suspcalc",
         description=(
@@ -408,11 +411,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?")
     p.set_defaults(func=run_validate)
 
+    parser.commands = sub.choices
     return parser
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass.
+
+    When argv's first word names a command, the top-level parser would only
+    hand the rest to that command's parser, so that parser alone parses it,
+    and what it leaves over is reported as the top-level parser reports it.
+    Any other argv (none, ``-h``, an unknown command) goes to the top-level
+    parser.
+    """
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code (see the module docstring).  ``argv`` is parsed
+    once, by ``parse_args``.  A usage error prints the usage line and raises
+    ``SystemExit(2)`` from argparse; ``-h`` prints the help and raises
+    ``SystemExit(0)``."""
+    args = parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

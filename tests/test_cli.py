@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -31,8 +32,10 @@ from suspcalc.cli import (
     EXIT_OMITTED,
     EXIT_STDOUT_CLOSED,
     _write_json,
+    build_parser,
     build_tables,
     main,
+    parse_args,
     tables_text,
 )
 
@@ -373,6 +376,9 @@ def test_normalize_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["cofiber"] == "A^6(eta~_2) v S^4"
     assert payload["normal_form"]["entries"][0]["coefficients"] == {}
+    code, out, _ = run_cli(["normalize", path], tmp_path, capsys)
+    assert code == EXIT_OK
+    assert out == "normal form: S^4: 0; P^4(4): eta~_2\ncofiber: A^6(eta~_2) v S^4\n"
 
 
 @pytest.mark.parametrize("vector, wedge", [
@@ -388,7 +394,9 @@ def test_normalize_zero_vector_adds_the_sphere_above_the_source(tmp_path, capsys
     path = write(tmp_path, "v.json", vector)
     code, out, err = run_cli(["normalize", path], tmp_path, capsys)
     assert (code, err) == (EXIT_OK, "")
-    assert out.splitlines()[-1] == f"cofiber: {wedge}"
+    # Each target in input order, with its class: 0 throughout here.
+    normal = "; ".join(f"{entry['target']}: 0" for entry in vector["entries"])
+    assert out.splitlines() == [f"normal form: {normal}", f"cofiber: {wedge}"]
     code, out, err = run_cli(["normalize", path, "--json"], tmp_path, capsys)
     assert (code, err) == (EXIT_OK, "")
     payload = json.loads(out)
@@ -530,6 +538,80 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["maps_groups"]
+
+
+# --------------------------------------------------------------------------
+# argv parsing
+# --------------------------------------------------------------------------
+
+# One argv of each kind the command line meets, valid and not.
+PARSE_CASES = [
+    [],                                                    # no command
+    ["-h"],
+    ["--help"],
+    ["bogus"],                                             # unknown command
+    ["--json", "classify"],                                # a flag before the command
+    ["classify", "-h"],
+    ["normalize", "--help"],
+    ["classify", "--bogus", "d.json"],                     # unknown flag
+    ["validate", "d.json", "--json"],                      # another command's flag
+    ["tables", "--filter", "nope"],                        # bad choice
+    ["classify", "--suspension-level", "3", "d.json"],     # bad choice after conversion
+    ["classify", "--suspension-level", "one"],             # bad type
+    ["tables", "--filter"],                                # missing option value
+    ["normalize", "v.json", "w.json"],                     # extra positional
+    ["classify", "--s", "d.json"],                         # ambiguous abbreviation
+    ["tables", "--filter=sphere"],                         # --opt=value
+    ["classify", "--suspension-level=1", "--st", "--val", "d.json"],  # abbreviations
+    ["normalize", "--json", "--", "-"],                    # --
+    ["classify", "--json", "--stages", "--validate", "-"],
+    ["cohomotopy", "--json", "d.json"],
+    ["validate"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """(Namespace, exit code, stdout, stderr) of one parse; the Namespace
+    is None when the parse exits, the exit code None when it does not."""
+    try:
+        args, code = parse(argv), None
+    except SystemExit as exit_:
+        args, code = None, exit_.code
+    out, err = capsys.readouterr()
+    return args, code, out, err
+
+
+@pytest.mark.parametrize("from_sys_argv", [False, True], ids=["argv", "sys.argv"])
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parse_args_agrees_with_the_full_parser(monkeypatch, capsys, argv, from_sys_argv):
+    # The same Namespace, command included, or the same exit, usage and message.
+    if from_sys_argv:
+        monkeypatch.setattr(sys, "argv", ["suspcalc", *argv])
+        argv = None
+    expected = _parsed(build_parser().parse_args, argv, capsys)
+    assert _parsed(parse_args, argv, capsys) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--json", "-"],
+    ["tables"],
+    ["classify", "--json", "--stages", "--validate", "-"],
+    ["cohomotopy", "--json", "-"],
+    ["validate", "-"],
+], ids=" ".join)
+def test_one_argparse_pass_per_call(monkeypatch, capsys, argv):
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    stdin = s5_to_s4({"eta": 1}) if argv[0] == "normalize" else SPIN_DESCRIPTOR
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+    assert main(argv) == EXIT_OK
+    assert parsers == [f"suspcalc {argv[0]}"]
 
 
 def test_output_is_the_same_under_every_hash_seed(tmp_path):
