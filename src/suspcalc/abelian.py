@@ -216,25 +216,6 @@ class FgAbelianGroup(Validated, namedtuple("FgAbelianGroup", "free_rank pairs fr
                  else self.pairs or other.pairs)
         return FgAbelianGroup._of_canonical(self.free_rank + other.free_rank, pairs, ring)
 
-    def times(self, k: int) -> "FgAbelianGroup":
-        """The direct sum of k copies.
-
-        >>> print(FgAbelianGroup.of_orders(0, 2).times(2))
-        Z^2 + Z/2 + Z/2
-        """
-        # k >= 1 keeps the pairs ascending and distinct; the constructor checks any other k.
-        make = FgAbelianGroup._of_canonical if type(k) is int and k >= 1 else FgAbelianGroup
-        return make(k * self.free_rank, tuple((f, k * m) for f, m in self.pairs), self.free_ring)
-
-    def two_primary(self) -> "FgAbelianGroup":
-        """The 2-primary subgroup (free rank discarded).
-
-        >>> print(FgAbelianGroup.of_orders(12, 5).two_primary())
-        Z/4
-        """
-        return FgAbelianGroup._of_canonical(
-            0, tuple((f, k) for f, k in self.pairs if f.prime == 2), RING_Z)
-
     def two_primary_exponents(self) -> tuple[int, ...]:
         """Sorted exponents r_1 <= ... <= r_n of the 2-primary factors."""
         return tuple(chain.from_iterable(

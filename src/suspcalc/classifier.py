@@ -316,10 +316,11 @@ class CheckResult(namedtuple("CheckResult", "name passed detail")):
 
 
 class DecompositionReport(namedtuple("DecompositionReport",
-                                     "invariants branch sigma2 sigma top notes",
+                                     "invariants branch sigma2 sigma top replaced notes",
                                      defaults=((),))):
     """``sigma`` is a WedgeComplex or Unresolved; ``top`` is the branch's
-    degree-6 summand of ``sigma2``.
+    degree-6 summand of ``sigma2``, ``replaced`` the lower-cell summand
+    that lost one copy to it (None on spin theta-trivial; not serialized).
 
     ``stages`` is not a field: the three stage wedges are built from the
     invariants on first read, which only ``classify --stages`` makes (the
@@ -428,6 +429,7 @@ def classify_double_suspension(inv: ManifoldInvariants) -> DecompositionReport:
         sigma2=sigma2,
         sigma=sigma,
         top=top,
+        replaced=replaced,
         notes=tuple(notes),
     )
 

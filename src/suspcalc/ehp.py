@@ -13,21 +13,16 @@ where ``kernel_trivial`` is.  Two rules stay code: a summand without a
 row raises TableMiss, and an odd-order Moore summand vanishes 2-locally
 (zero groups, ``kernel_trivial`` None).
 
-The closed cokernel formula keeps one Z/2^(r_j - 1) for every 2-primary
-torsion exponent of the manifold plus one Z_(2) per circle factor, with
-an extra Z/2^(r_{j1}) exactly when a C^6_{r_{j1}} summand is present;
-the degree-5 cohomotopy likewise always carries the full torsion sum
-(+)_j Z/2^(r_j) next to the branch-dependent top contribution.  On the
-C^6 branch this bookkeeping intentionally follows the closed formulas of
-the source results rather than a literal summand-by-summand sum, which
-would drop the P^5(2^(r_{j1})) summand that the C^6 top piece replaces
-in the wedge (``classifier._top_piece``'s ``replaced``).
+H is natural, so each group here is one sum over wedge summands.  The
+double-suspension sums count one more copy of the summand that the top
+piece replaced, as the source's closed formulas do; only on the C^6_r
+branch does that copy add anything (``_double_suspension_pairs``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import cache
 
 from .abelian import RING_Z2LOCAL, CyclicFactor, FgAbelianGroup, ZERO_GROUP
@@ -56,12 +51,6 @@ from .classifier import (
     Unresolved,
     classify_double_suspension,
 )
-
-
-def _z2local(rank: int = 1, exponents: Iterable[tuple[int, int]] = ()) -> FgAbelianGroup:
-    """Z_(2)^rank (+) (+)_e Z/2^e over ``(e, multiplicity)`` pairs, Z/2^0 dropped."""
-    counts = ((CyclicFactor(2, e), k) for e, k in exponents if e > 0)
-    return FgAbelianGroup(rank, free_ring=RING_Z2LOCAL, counts=counts)
 
 
 class HopfEntry(namedtuple("HopfEntry",
@@ -128,7 +117,8 @@ def hopf_table(summand: ElementaryComplex) -> HopfEntry:
     domain = None if kernel_trivial is None else maps_group(summand, sphere(3)).group
     codomain = maps_group(summand, sphere(5)).group
     r = summand.r or summand.order.bit_length() - 1
-    cokernel = _z2local(rank, () if shift is None else [(r + shift, 1)])
+    e = 0 if shift is None else r + shift  # Z/2^0 is dropped
+    cokernel = FgAbelianGroup(rank, [(CyclicFactor(2, e), 1)] if e else (), RING_Z2LOCAL)
     return HopfEntry(summand, domain, codomain, cokernel, kernel_trivial, rule)
 
 
@@ -142,13 +132,29 @@ def hopf_rows() -> list[dict]:
     return rows
 
 
+def _sum(pairs: Iterable[tuple[ElementaryComplex, int]],
+         group_of: Callable[[ElementaryComplex], FgAbelianGroup]) -> FgAbelianGroup:
+    """(+) over the ``(x, k)`` pairs of k copies of ``group_of(x)``, merged once."""
+    rank, counts = 0, []
+    for x, k in pairs:
+        group = group_of(x)
+        rank += k * group.free_rank
+        for f, m in group.pairs:  # a loop: most groups are zero, and a generator costs more
+            counts.append((f, k * m))
+    return FgAbelianGroup(rank, counts, RING_Z2LOCAL)
+
+
+def _double_suspension_pairs(report: DecompositionReport) -> tuple:
+    """``report.sigma2``'s pairs and one more copy of ``report.replaced``:
+    the closed formulas' bookkeeping, which adds to a sum only on case B
+    (the P^5(2^(r_j1)) that C^6_r replaced).  ROADMAP item 1b deletes it."""
+    return report.sigma2.pairs + (() if report.replaced is None else ((report.replaced, 1),))
+
+
 def pi5_double_suspension(report: DecompositionReport) -> FgAbelianGroup:
-    """[Sigma^2 M, S^5] 2-locally: Z_(2)^m (+) (+)_j Z/2^(r_j) plus the
-    branch top-piece contribution."""
-    inv = report.invariants
-    extra = maps_group(report.top, sphere(5)).group
-    exponents = ((f.exponent, k) for f, k in inv.torsion.two_primary().pairs)
-    return _z2local(inv.m, exponents).direct_sum(extra)
+    """[Sigma^2 M, S^5] 2-locally."""
+    s5 = sphere(5)
+    return _sum(_double_suspension_pairs(report), lambda x: maps_group(x, s5).group)
 
 
 def pi5_suspension(report: DecompositionReport) -> FgAbelianGroup | None:
@@ -159,19 +165,13 @@ def pi5_suspension(report: DecompositionReport) -> FgAbelianGroup | None:
     """
     if isinstance(report.sigma, Unresolved):
         return None
-    out = ZERO_GROUP
-    for summand, k in report.sigma.pairs:
-        if summand.top_dim < 5:
-            continue
-        out = out.direct_sum(maps_group(summand, sphere(5)).group.times(k))
-    return out
+    s5 = sphere(5)
+    return _sum(report.sigma.pairs, lambda x: maps_group(x, s5).group)
 
 
 def coker_H2(report: DecompositionReport) -> FgAbelianGroup:
     """Cokernel of H_2: [Sigma^2 M, S^3] -> [Sigma^2 M, S^5], 2-locally."""
-    inv = report.invariants
-    out = _z2local(inv.m, ((f.exponent - 1, k) for f, k in inv.torsion.two_primary().pairs))
-    return out.direct_sum(hopf_table(report.top).cokernel)
+    return _sum(_double_suspension_pairs(report), lambda x: hopf_table(x).cokernel)
 
 
 class ESurjectivity(namedtuple("ESurjectivity", "surjective justification")):

@@ -118,6 +118,30 @@ def test_nonspin_case_a_spends_one_free_class():
     )
 
 
+@given(valid_invariants())
+def test_replaced_is_the_copy_the_top_piece_takes_the_place_of(inv):
+    # Sigma^2 M v replaced = the lower cells v top, the lower cells
+    # m S^3 v m S^5 v d S^4 v P^4(T) v P^5(T) built here by the merging constructor.
+    report = classify_double_suspension(inv)
+    lower = [(sphere(3), inv.m), (sphere(5), inv.m), (sphere(4), inv.d)]
+    lower += [(moore(n, f.order), k) for n in (4, 5) for f, k in inv.torsion.pairs]
+    extra = [] if report.replaced is None else [(report.replaced, 1)]
+    assert (WedgeComplex(counts=[*report.sigma2.pairs, *extra])
+            == WedgeComplex(counts=[*lower, (report.top, 1)]))
+    # The branch table, read off the declared invariants: the summand the
+    # declared index names, none on spin theta-trivial.
+    two = sorted(f.exponent for f, k in inv.torsion.pairs if f.prime == 2 for _ in range(k))
+    if inv.spin:
+        nontrivial = inv.theta.action == "nontrivial"
+        expected = moore(4, 2 ** two[inv.theta.j0 - 1]) if nontrivial else None
+    elif inv.sq2_case.case == "A":
+        expected = sphere(4)
+    else:
+        n = 5 if inv.sq2_case.case == "B" else 4
+        expected = moore(n, 2 ** two[inv.sq2_case.index - 1])
+    assert report.replaced == expected
+
+
 # --------------------------------------------------------------------------
 # classify_suspension
 # --------------------------------------------------------------------------
@@ -344,7 +368,7 @@ def test_every_valid_descriptor_audits_and_desuspends_coherently(inv):
 # --------------------------------------------------------------------------
 
 def _phi_targets(inv):
-    t2 = inv.torsion.two_primary()
+    t2 = FgAbelianGroup(counts=[(f, k) for f, k in inv.torsion.pairs if f.prime == 2])
     return (
         [sphere(4)] * inv.d
         + list(peterson_of_group(4, t2))

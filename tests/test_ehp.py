@@ -108,7 +108,7 @@ def test_coker_trivial_manifold():
 
 
 def test_coker_insensitive_to_non_chang_top():
-    # every branch without a C^6 summand uses the same closed formula
+    # none of these tops, nor the summand each replaced, adds to coker(H_2)
     for orders, theta, sq2 in [
         ((2, 8), ThetaAction("trivial"), None),
         ((2, 8), ThetaAction("nontrivial", 2), None),
@@ -129,6 +129,14 @@ def _torsion_order(group):
     return prod(f.order**k for f, k in group.pairs)
 
 
+def _copies(group, k):
+    """k copies of ``group``, summed one copy at a time."""
+    out = ZERO_GROUP
+    for _ in range(k):
+        out = out.direct_sum(group)
+    return out
+
+
 def test_additivity_over_summands_off_the_chang_branch(rng):
     # H is natural, so over a wedge pi^5 and coker(H_2) are the sums over
     # the summands of Sigma^2 M.  For dim X <= N + 1 and N >= 3 the 2-stage
@@ -136,8 +144,9 @@ def test_additivity_over_summands_off_the_chang_branch(rng):
     #   H^(N-1)(X; Z) -> H^(N+1)(X; Z/2) -> [X, S^N] -> H^N(X; Z) -> 0,
     # so the torsion of [Sigma^2 M, S^5] has order at most 2 |T_2|, and the
     # sum meets that bound on every branch.  On case B the closed formulas
-    # keep the P^5(2^(r_j1)) summand that C^6_r replaced: pi^5 exceeds the
-    # bound by its Z/2^(r_j1), and coker(H_2) keeps its Z/2^(r_j1 - 1).
+    # keep the P^5(2^(r_j1)) summand that C^6_r replaced: pi^5 is the sum
+    # plus its Z/2^(r_j1), and coker(H_2) the sum plus its Z/2^(r_j1 - 1).
+    # On every other branch the replaced summand adds nothing to either.
     branches = {}
     for _ in range(400):
         inv = random_invariants(rng)
@@ -147,18 +156,20 @@ def test_additivity_over_summands_off_the_chang_branch(rng):
             continue
         pi5 = coker = ZERO_GROUP
         for x, k in report.sigma2.pairs:
-            pi5 = pi5.direct_sum(maps_group(x, sphere(5)).group.times(k))
-            coker = coker.direct_sum(hopf_table(x).cokernel.times(k))
-        bound = 2 * _torsion_order(inv.torsion.two_primary())
+            pi5 = pi5.direct_sum(_copies(maps_group(x, sphere(5)).group, k))
+            coker = coker.direct_sum(_copies(hopf_table(x).cokernel, k))
+        bound = 2 * 2 ** sum(inv.two_exponents)
         assert pi5.free_rank == inv.m and _torsion_order(pi5) <= bound
         closed = (pi5_double_suspension(report), coker_H2(report))
         if report.branch == BRANCH_NONSPIN_CASE_B:
             r = inv.exponent_at(inv.sq2_case.index)
             assert _torsion_order(pi5) == bound
-            assert _torsion_order(closed[0]) == bound * 2**r
-            assert coker.direct_sum(cyclic(2 ** (r - 1))) == closed[1]
+            assert closed == (pi5.direct_sum(cyclic(2**r)), coker.direct_sum(cyclic(2 ** (r - 1))))
         else:
             assert closed == (pi5, coker)
+            if report.replaced is not None:
+                assert maps_group(report.replaced, sphere(5)).group == ZERO_GROUP
+                assert hopf_table(report.replaced).cokernel == ZERO_GROUP
         branches[report.branch] = branches.get(report.branch, 0) + 1
     assert len(branches) == 5 and branches[BRANCH_NONSPIN_CASE_B] == 50
 
@@ -177,11 +188,10 @@ def test_additive_pi5_meets_the_exact_postnikov_count(inv):
     report = classify_double_suspension(inv)
     pi5 = ZERO_GROUP
     for x, k in report.sigma2.pairs:
-        pi5 = pi5.direct_sum(maps_group(x, sphere(5)).group.times(k))
+        pi5 = pi5.direct_sum(_copies(maps_group(x, sphere(5)).group, k))
     sq2_rho_onto = not inv.spin and inv.sq2_case.case in (SQ2_CASE_A, SQ2_CASE_C)
     assert pi5.free_rank == inv.m
-    assert _torsion_order(pi5) == (_torsion_order(inv.torsion.two_primary())
-                                   * (1 if sq2_rho_onto else 2))
+    assert _torsion_order(pi5) == 2 ** sum(inv.two_exponents) * (1 if sq2_rho_onto else 2)
     # Hopf's degree theorem: [Sigma M, S^5] = H^4(M; Z) = Z, so Z_(2) 2-locally.
     resolved = not isinstance(report.sigma, Unresolved)
     assert pi5_suspension(report) == (z2local() if resolved else None)

@@ -75,7 +75,7 @@ RECORDS = [
     (REPORT.sigma, "reason"),
     (REPORT.stages, "w3 w4 w4_symbolic sigma_w4"),
     (validate_roundtrip(INV, REPORT)[0], "name passed detail"),
-    (REPORT, "invariants branch sigma2 sigma top notes"),
+    (REPORT, "invariants branch sigma2 sigma top replaced notes"),
     (cli.Batch(False, [(INV, REPORT)], True), "single reports declined"),
     (ehp.hopf_table(chang_r(4, 2)), "summand domain_group codomain_group cokernel "
                                     "kernel_trivial rule"),
