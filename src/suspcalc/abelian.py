@@ -94,7 +94,8 @@ def merge_counts(pairs: Iterable[tuple], key: Callable | None = None) -> tuple:
     merged: dict = {}
     for x, k in pairs:
         if type(k) is not int or k < 0:
-            raise ValueError(f"{'negative' if k < 0 else 'non-int'} multiplicity {k!r} of {x}")
+            word = "negative" if type(k) is int else "non-int"
+            raise ValueError(f"{word} multiplicity {k!r} of {x}")
         merged[x] = merged.get(x, 0) + k
     return tuple(sorted([(x, k) for x, k in merged.items() if k], key=key))
 

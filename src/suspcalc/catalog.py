@@ -447,10 +447,11 @@ class _ByDegree(dict):
         return ZERO_GROUP
 
 
-def homology_by_degree(x: "ElementaryComplex | WedgeComplex") -> dict[int, FgAbelianGroup]:
-    """Reduced integral homology in every degree, additive over wedges:
-    one walk over the distinct summands.  Reading a degree with no
-    homology gives the zero group."""
+def homology_rows(x: "ElementaryComplex | WedgeComplex") -> dict[int, tuple[int, dict]]:
+    """Reduced integral homology in each nonzero degree, ascending, as
+    ``(free rank, {factor: multiplicity})``, additive over wedges: one walk
+    over the distinct summands.  Two rows are equal exactly when their
+    groups are, so comparing rows builds no group."""
     ranks: dict[int, int] = {}
     counts: dict[int, dict[CyclicFactor, int]] = {}  # each degree's factors, added up
     for summand, k in _distinct(x):
@@ -459,7 +460,20 @@ def homology_by_degree(x: "ElementaryComplex | WedgeComplex") -> dict[int, FgAbe
             torsion = counts.setdefault(degree, {})
             for f, m in group.pairs:
                 torsion[f] = torsion.get(f, 0) + k * m
-    return _ByDegree((i, FgAbelianGroup(ranks[i], counts[i].items())) for i in sorted(ranks))
+    return {i: (ranks[i], counts[i]) for i in sorted(ranks)}
+
+
+def row_group(row: tuple[int, dict]) -> FgAbelianGroup:
+    """The group of a ``homology_rows`` row."""
+    rank, torsion = row
+    return FgAbelianGroup(rank, torsion.items())
+
+
+def homology_by_degree(x: "ElementaryComplex | WedgeComplex") -> dict[int, FgAbelianGroup]:
+    """Reduced integral homology in every degree, each nonzero one's group
+    built from its ``homology_rows`` row.  Reading a degree with no
+    homology gives the zero group."""
+    return _ByDegree((i, row_group(row)) for i, row in homology_rows(x).items())
 
 
 def integral_homology(x: "ElementaryComplex | WedgeComplex", i: int) -> FgAbelianGroup:

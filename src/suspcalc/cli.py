@@ -265,13 +265,9 @@ def run_cohomotopy(args) -> int:
     for inv, report in batch.reports:
         pi5_2 = ehp.pi5_double_suspension(report)
         pi5_1 = ehp.pi5_suspension(report)
-        coker = ehp.coker_H2(report)
+        rules: list[str] = []
+        coker = ehp.coker_H2(report, rules)
         verdict = ehp.is_E_surjective(report)
-        rules = []
-        for summand, _ in report.sigma2.pairs:
-            rule = ehp.hopf_table(summand).rule
-            if rule not in rules:
-                rules.append(rule)
         payloads.append(
             {
                 "label": inv.label,

@@ -22,7 +22,7 @@ branch does that copy add anything (``_double_suspension_pairs``).
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from functools import cache
 
 from .abelian import RING_Z2LOCAL, CyclicFactor, FgAbelianGroup, ZERO_GROUP
@@ -132,12 +132,10 @@ def hopf_rows() -> list[dict]:
     return rows
 
 
-def _sum(pairs: Iterable[tuple[ElementaryComplex, int]],
-         group_of: Callable[[ElementaryComplex], FgAbelianGroup]) -> FgAbelianGroup:
-    """(+) over the ``(x, k)`` pairs of k copies of ``group_of(x)``, merged once."""
+def _sum(groups: Iterable[tuple[FgAbelianGroup, int]]) -> FgAbelianGroup:
+    """(+) over the ``(group, k)`` pairs of k copies of each group, merged once."""
     rank, counts = 0, []
-    for x, k in pairs:
-        group = group_of(x)
+    for group, k in groups:
         rank += k * group.free_rank
         for f, m in group.pairs:  # a loop: most groups are zero, and a generator costs more
             counts.append((f, k * m))
@@ -154,7 +152,7 @@ def _double_suspension_pairs(report: DecompositionReport) -> tuple:
 def pi5_double_suspension(report: DecompositionReport) -> FgAbelianGroup:
     """[Sigma^2 M, S^5] 2-locally."""
     s5 = sphere(5)
-    return _sum(_double_suspension_pairs(report), lambda x: maps_group(x, s5).group)
+    return _sum((maps_group(x, s5).group, k) for x, k in _double_suspension_pairs(report))
 
 
 def pi5_suspension(report: DecompositionReport) -> FgAbelianGroup | None:
@@ -166,12 +164,22 @@ def pi5_suspension(report: DecompositionReport) -> FgAbelianGroup | None:
     if isinstance(report.sigma, Unresolved):
         return None
     s5 = sphere(5)
-    return _sum(report.sigma.pairs, lambda x: maps_group(x, s5).group)
+    return _sum((maps_group(x, s5).group, k) for x, k in report.sigma.pairs)
 
 
-def coker_H2(report: DecompositionReport) -> FgAbelianGroup:
-    """Cokernel of H_2: [Sigma^2 M, S^3] -> [Sigma^2 M, S^5], 2-locally."""
-    return _sum(_double_suspension_pairs(report), lambda x: hopf_table(x).cokernel)
+def coker_H2(report: DecompositionReport, rules: list[str] | None = None) -> FgAbelianGroup:
+    """Cokernel of H_2: [Sigma^2 M, S^3] -> [Sigma^2 M, S^5], 2-locally.
+
+    Each summand's ``hopf_table`` entry is read once.  Given ``rules``, the
+    rule of each entry of ``report.sigma2`` not in it yet is appended, in
+    order; the extra copy of ``report.replaced`` adds none.
+    """
+    entries = [(hopf_table(x), k) for x, k in _double_suspension_pairs(report)]
+    if rules is not None:
+        for entry, _ in entries[:len(report.sigma2.pairs)]:
+            if entry.rule not in rules:
+                rules.append(entry.rule)
+    return _sum((entry.cokernel, k) for entry, k in entries)
 
 
 class ESurjectivity(namedtuple("ESurjectivity", "surjective justification")):

@@ -311,7 +311,8 @@ def test_cyclic_factor_validation():
         with pytest.raises(ValueError):
             CyclicFactor(prime, exponent)
     for rank, counts in ((2.5, ()), (True, ()), (0, [(CyclicFactor(2, 1), 1.0)]),
-                         (0, [(CyclicFactor(2, 1), True)])):
+                         (0, [(CyclicFactor(2, 1), True)]), (0, [(CyclicFactor(2, 1), "2")]),
+                         (0, [(CyclicFactor(2, 1), None)]), (0, [(CyclicFactor(2, 1), [1])])):
         with pytest.raises(ValueError):
             FgAbelianGroup(rank, counts)
 

@@ -683,7 +683,7 @@ def test_wedge_aggregates_match_per_copy_reference(counts, rnd):
 def test_wedge_multiplicities_are_ints_at_least_zero():
     # merge_counts checks them for wedges as for groups: a float one would
     # fail only when printed, and True would count as 1.
-    for k in (-1, 1.0, True):
+    for k in (-1, 1.0, True, "2", None, [1]):
         with pytest.raises(ValueError, match="multiplicity"):
             WedgeComplex(counts=[(sphere(3), k)])
 

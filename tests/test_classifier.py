@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import invariants, random_invariants, spheres, valid_invariants
 from test_catalog import assert_needs_no_escaping
@@ -9,14 +9,18 @@ from suspcalc.abelian import CyclicFactor, FgAbelianGroup
 from suspcalc.catalog import (
     Notation,
     WedgeComplex,
+    _homology_pairs,
     a_2r_eta2,
     a_tilde,
+    bockstein_profile,
     chang_eta,
     chang_r,
     integral_homology,
     moore,
     peterson_of_group,
     sphere,
+    sq2_is_nonzero,
+    theta_flag,
 )
 from suspcalc.classifier import (
     BRANCH_NONSPIN_CASE_A,
@@ -26,6 +30,7 @@ from suspcalc.classifier import (
     BRANCH_SPIN_THETA_TRIVIAL,
     MAX_FREE_RANK,
     MAX_TORSION_FACTORS,
+    CheckResult,
     ManifoldInvariants,
     OmittedCase,
     Sq2Case,
@@ -236,6 +241,103 @@ def test_roundtrip_bockstein_check_on_torsion_free():
     report = classify_double_suspension(inv)
     results = {c.name: c.passed for c in validate_roundtrip(inv, report)}
     assert results["bockstein-profile"] is True
+
+
+def reference_roundtrip(inv, report):
+    """The audit as a loop over degrees 0-7 that builds both groups in
+    each: H_*(M) by direct sums, H_*(Sigma^2 M) copy by copy from each
+    summand's own homology.  The other three checks as validate_roundtrip
+    states them, with both Bockstein lists rendered."""
+    expected_groups = {
+        1: FgAbelianGroup(inv.m).direct_sum(inv.torsion),
+        2: FgAbelianGroup(inv.d).direct_sum(inv.torsion),
+        3: FgAbelianGroup(inv.m),
+        4: FgAbelianGroup(1),
+    }
+    actual_groups = {}
+    for x in report.sigma2.summands:
+        for degree, group in _homology_pairs(x):
+            actual_groups[degree] = actual_groups.get(degree, ZERO).direct_sum(group)
+    ok = True
+    detail = []
+    for i in range(0, 8):
+        expected = expected_groups.get(i - 2, ZERO)
+        actual = actual_groups.get(i, ZERO)
+        if actual != expected:
+            ok = False
+            detail.append(f"H_{i} = {actual} != {expected}")
+    checks = [CheckResult("homology", ok, "; ".join(detail) if detail
+                          else "H_i(Sigma^2 M) matches the shifted table")]
+    flag = theta_flag(report.sigma2)
+    checks.append(CheckResult(
+        "theta-flag", flag == inv.theta.nontrivial,
+        f"secondary operation on the wedge is {'non' if flag else ''}trivial, "
+        f"input says {'non' if inv.theta.nontrivial else ''}trivial"))
+    sq2 = sq2_is_nonzero(report.sigma2, 4)
+    checks.append(CheckResult(
+        "sq2-degree-4", sq2 == (not inv.spin),
+        f"Sq^2 on H^4 of the wedge is {'non' if sq2 else ''}zero, "
+        f"input is {'non-' if not inv.spin else ''}spin"))
+    exps = inv.two_exponents
+    expected_pairs = [(r, 3) for r in exps] + [(r, 4) for r in exps]
+    actual_pairs = list(bockstein_profile(report.sigma2))
+    checks.append(CheckResult(
+        "bockstein-profile", actual_pairs == expected_pairs,
+        f"profile {actual_pairs} vs torsion expectation {expected_pairs}"))
+    return checks
+
+
+def _tampered(report, add=(), remove=()):
+    """``report`` with one copy of each of ``add`` wedged on and one copy of
+    each of ``remove`` taken out of Sigma^2 M."""
+    counts = [(x, k - remove.count(x)) for x, k in report.sigma2.pairs]
+    return report._replace(sigma2=WedgeComplex(counts=[*counts, *((x, 1) for x in add)]))
+
+
+# Spin, theta trivial: S^3 v S^5 v S^4 v P^4(2) v P^4(3) v P^5(2) v P^5(3) v S^6.
+_TAMPER_BASE = invariants(1, 1, (2, 3))
+_TAMPERS = {
+    "C^6_eta for S^6": (dict(add=(chang_eta(4),), remove=(sphere(6),)), False,
+                        "H_4 = Z^2 + Z/2 + Z/3 != Z + Z/2 + Z/3"),
+    "extra S^7": (dict(add=(sphere(7),)), False, "H_7 = Z != 0"),
+    "extra P^4(2)": (dict(add=(moore(4, 2),)), False,
+                     "H_3 = Z + Z/2 + Z/2 + Z/3 != Z + Z/2 + Z/3"),
+    "P^5(3) removed": (dict(remove=(moore(5, 3),)), False, "H_4 = Z + Z/2 != Z + Z/2 + Z/3"),
+    "extra S^2": (dict(add=(sphere(2),)), False, "H_2 = Z != 0"),
+    # H_8 lies outside the audited degrees 0-7, so the check passes.
+    "extra S^8": (dict(add=(sphere(8),)), True, "H_i(Sigma^2 M) matches the shifted table"),
+}
+
+
+@pytest.mark.parametrize("name", _TAMPERS)
+def test_roundtrip_homology_check_on_tampered_reports(name):
+    tamper, passed, detail = _TAMPERS[name]
+    report = _tampered(classify_double_suspension(_TAMPER_BASE), **tamper)
+    checks = validate_roundtrip(_TAMPER_BASE, report)
+    assert checks == reference_roundtrip(_TAMPER_BASE, report)
+    assert checks[0] == ("homology", passed, detail)
+
+
+_pieces = st.one_of(
+    st.builds(sphere, st.integers(1, 9)),
+    st.builds(sphere, st.integers(8, 10)),  # homology above the audited degrees
+    st.builds(moore, st.integers(2, 7), st.sampled_from([2, 4, 8, 3, 9])),
+    st.builds(chang_eta, st.integers(2, 5)),
+    st.builds(chang_r, st.integers(2, 5), st.integers(1, 4)),
+    st.builds(a_tilde, st.integers(2, 4), st.integers(1, 4)),
+    st.builds(a_2r_eta2, st.integers(2, 4), st.integers(1, 4)),
+)
+
+
+@given(valid_invariants(), st.sampled_from(["add", "remove", "replace"]), _pieces,
+       st.integers(0, 20))
+def test_roundtrip_matches_reference_on_one_random_tamper(inv, how, piece, at):
+    report = classify_double_suspension(inv)
+    assert validate_roundtrip(inv, report) == reference_roundtrip(inv, report)
+    victim = report.sigma2.pairs[at % len(report.sigma2.pairs)][0]
+    tampered = _tampered(report, add=(piece,) if how != "remove" else (),
+                         remove=(victim,) if how != "add" else ())
+    assert validate_roundtrip(inv, tampered) == reference_roundtrip(inv, tampered)
 
 
 # --------------------------------------------------------------------------

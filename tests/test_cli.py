@@ -352,6 +352,15 @@ def test_classify_golden_output(tmp_path, capsys):
         assert out.encode("utf-8") == (DATA_DIR / golden).read_bytes(), golden
 
 
+def test_validate_golden_output(tmp_path, capsys):
+    # The same input through validate: every check's name, verdict and
+    # detail on all five branches, as `label: [pass] name: detail` lines.
+    path = DATA_DIR / "cohomotopy_golden_input.json"
+    code, out, err = run_cli(["validate", str(path)], tmp_path, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.encode("utf-8") == (DATA_DIR / "validate_golden.txt").read_bytes()
+
+
 def test_cohomotopy_omitted(tmp_path, capsys):
     path = write(tmp_path, "d.json", OMITTED_DESCRIPTOR)
     code, _, _ = run_cli(["cohomotopy", path], tmp_path, capsys)

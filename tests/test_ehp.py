@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from conftest import cyclic, invariants, random_invariants, valid_invariants
+from suspcalc import ehp
 from suspcalc.abelian import RING_Z2LOCAL, FgAbelianGroup, ZERO_GROUP
 from suspcalc.catalog import (
     A_2R_ETA2,
@@ -195,6 +196,32 @@ def test_additive_pi5_meets_the_exact_postnikov_count(inv):
     # Hopf's degree theorem: [Sigma M, S^5] = H^4(M; Z) = Z, so Z_(2) 2-locally.
     resolved = not isinstance(report.sigma, Unresolved)
     assert pi5_suspension(report) == (z2local() if resolved else None)
+
+
+@given(valid_invariants())
+def test_coker_h2_reads_each_entry_once_and_collects_sigma2_rules(inv):
+    # The rules are those of Sigma^2 M's summands in first-appearance order;
+    # the copy of the replaced summand that the sum adds brings no rule.
+    report = classify_double_suspension(inv)
+    expected = list(dict.fromkeys(hopf_table(x).rule for x, _ in report.sigma2.pairs))
+    looked_up = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ehp, "hopf_table", lambda x: looked_up.append(x) or hopf_table(x))
+        rules = []
+        assert coker_H2(report, rules) == coker_H2(report)
+    assert rules == expected
+    pairs = [x for x, _ in report.sigma2.pairs] + [report.replaced] * (report.replaced is not None)
+    assert looked_up == pairs * 2
+
+
+def test_coker_h2_rules_leave_out_a_replaced_summand_sigma2_lacks():
+    # T = Z/2, case B, j1 = 1: C^6_1 takes the place of the one P^5(2).
+    report = classify_double_suspension(invariants(0, 0, (2,), spin=False, sq2=Sq2Case("B", 1)))
+    assert report.replaced == moore(5, 2) and moore(5, 2) not in dict(report.sigma2.pairs)
+    rules = []
+    coker_H2(report, rules)
+    assert rules == [hopf_table(moore(4, 2)).rule, hopf_table(chang_r(4, 1)).rule]
+    assert hopf_table(moore(5, 2)).rule not in rules
 
 
 # --------------------------------------------------------------------------

@@ -212,6 +212,8 @@ def test_replace_builds_through_the_validating_constructor():
 KEPT_UNREAD = {
     "abelian.Validated._make": "namedtuple's _replace and copy.replace build through it, "
                                "so they run the validating constructor",
+    "abelian.FgAbelianGroup.direct_sum": "the group operation, a doctest and the tests' "
+                                         "reference sums; perfbench/tracing.py counts it",
     "catalog.WedgeComplex.wedge": "perfbench/tracing.py counts catalog.wedge calls on it",
     "catalog.WedgeComplex.suspend": "criterion 3 checks that the wedge of Sigma M suspends "
                                     "to that of Sigma^2 M; it inverts desuspend",
